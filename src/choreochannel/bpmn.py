@@ -96,12 +96,6 @@ class ChoreographyModel:
         ids.update(self.end_events)
         return ids
 
-    def task_by_id(self, task_id: str) -> ChoreographyTask:
-        for t in self.tasks:
-            if t.id == task_id:
-                return t
-        raise KeyError(task_id)
-
 
 @dataclass(frozen=True)
 class Diagnostic:

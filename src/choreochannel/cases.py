@@ -40,17 +40,23 @@ def load_variants(case: str) -> list[list[TaskRequest]]:
     ]
 
 
-def compile_model(model: ChoreographyModel, state_bound: int = 20000) -> ProcessStateMachine:
-    """parse -> net -> safeness -> reduce -> machine, refusing unsafe models."""
+def reduce_model(model: ChoreographyModel) -> InteractionNet:
+    """validate -> net -> safeness -> reduce, refusing invalid or unsafe models
+    with a ValueError that names every diagnostic or the safeness verdict."""
     diags = validate_model(model)
     if diags:
-        raise ValueError(f"invalid model: {diags[0].rule} at {diags[0].node_id}")
+        raise ValueError("invalid model:" + "".join(
+            f"\n  {d.rule} at {d.node_id}: {d.message}" for d in diags))
     net = to_interaction_net(model)
-    verdict = check_safeness(net, state_bound)
+    verdict = check_safeness(net)
     if not isinstance(verdict, SafeOk):
         raise ValueError(f"model is not compilable: {verdict}")
-    reduced = reduce_net(net)
-    return compile_state_machine(reduced)
+    return reduce_net(net)
+
+
+def compile_model(model: ChoreographyModel) -> ProcessStateMachine:
+    """The whole compile pipeline: reduce_model, then lower onto a machine."""
+    return compile_state_machine(reduce_model(model))
 
 
 def build_nets(case: str) -> tuple[InteractionNet, InteractionNet]:

@@ -51,7 +51,6 @@ class ScenarioSpec:
     kind: ScenarioKind
     seed: int = 0
     dispute_window: int = 10
-    proposal_timeout: float = 2.0
 
 
 # -- pure oracle -------------------------------------------------------------
@@ -358,7 +357,7 @@ def _run_baseline(machine: ProcessStateMachine, trace: Trace, keys: dict[str, by
     baseline_id = ledger.deploy_baseline(machine, addresses,
                                          sender=addresses[machine.role_ids[0]])
     for req in trace.events:
-        result = ledger.baseline_task(baseline_id, req, addresses[req.requester_role])
+        result = ledger.on_chain_step(baseline_id, req, addresses[req.requester_role])
         if not isinstance(result, Accepted):
             raise ScenarioError(f"baseline rejected conforming event {req.task_id}: {result}")
     return ledger

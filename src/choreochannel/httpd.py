@@ -1,9 +1,11 @@
-"""HTTP transport for trigger nodes: /propose, /sign, /confirm, /enact, /status.
+"""HTTP transport for trigger nodes: /propose, /confirm, /enact, /status.
 
 Envelopes travel as JSON; signed bytes stay the canonical binary encoding.
-Each node's message handling is serialised behind one lock, matching the
-one-ordered-queue-per-node concurrency model. The in-process transport remains
-the default for deterministic tests; this module exists for networked runs.
+A node only ever sends Propose and Confirm; a Sign travels back as the reply
+to a Propose. Each node's message handling is serialised behind one lock,
+matching the one-ordered-queue-per-node concurrency model. The in-process
+transport remains the default for deterministic tests; this module exists
+for networked runs.
 """
 
 from __future__ import annotations
@@ -30,11 +32,7 @@ class HttpTransport:
         base = self.peer_endpoints.get(target_role)
         if base is None:
             return None
-        path = {
-            MessageKind.PROPOSE: "/propose",
-            MessageKind.SIGN: "/sign",
-            MessageKind.CONFIRM: "/confirm",
-        }[message.kind]
+        path = {MessageKind.PROPOSE: "/propose", MessageKind.CONFIRM: "/confirm"}[message.kind]
         req = urllib.request.Request(
             base.rstrip("/") + path,
             data=message.to_wire().encode("utf-8"),
@@ -61,8 +59,6 @@ class NodeServer:
         self.httpd = ThreadingHTTPServer((host, port), handler)
         self.port = self.httpd.server_address[1]
         self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
-        self._watcher: threading.Thread | None = None
-        self._stop = threading.Event()
 
     @property
     def endpoint(self) -> str:
@@ -71,19 +67,7 @@ class NodeServer:
     def start(self) -> None:
         self.thread.start()
 
-    def start_watcher(self) -> None:
-        """Background chain polling at the node's configured interval."""
-
-        def loop():
-            while not self._stop.wait(self.node.config.poll_interval):
-                with self.lock:
-                    self.node.poll_chain()
-
-        self._watcher = threading.Thread(target=loop, daemon=True)
-        self._watcher.start()
-
     def stop(self) -> None:
-        self._stop.set()
         self.httpd.shutdown()
         self.httpd.server_close()
 
@@ -117,7 +101,7 @@ class NodeServer:
 
             def do_POST(self):
                 raw = self._body().decode("utf-8")
-                if self.path in ("/propose", "/sign", "/confirm"):
+                if self.path in ("/propose", "/confirm"):
                     try:
                         msg = ChannelMessage.from_wire(raw)
                     except (ValueError, KeyError):

@@ -149,8 +149,9 @@ class ChannelContract:
     case_id: int = 0
     phase: Phase = Phase.CHANNEL_OPEN
     dispute_deadline: int | None = None
-    cost_ledger: list[CostRecord] = field(default_factory=list)
     closed_cases: list[dict] = field(default_factory=list)
+    # Set only by deploy_baseline: the contract never leaves ON_CHAIN.
+    baseline: bool = False
 
 
 @dataclass(frozen=True)
@@ -163,17 +164,6 @@ class ContractView:
     dispute_deadline: int | None
 
 
-@dataclass
-class BaselineContract:
-    contract_id: bytes
-    machine: ProcessStateMachine
-    role_binding: dict[str, bytes]
-    current_state: int
-    seq: int = 0
-    case_id: int = 0
-    cost_ledger: list[CostRecord] = field(default_factory=list)
-
-
 class Ledger:
     """Simulated chain: height counter, append-only log, contract registry."""
 
@@ -184,7 +174,6 @@ class Ledger:
         self.log: list[TxRecord] = []
         self.accounts: dict[bytes, bytes] = {}
         self.contracts: dict[bytes, ChannelContract] = {}
-        self.baselines: dict[bytes, BaselineContract] = {}
 
     # -- accounts ---------------------------------------------------------
 
@@ -263,34 +252,46 @@ class Ledger:
         """Line-delimited canonical JSON of every transaction, oldest first."""
         return "\n".join(json.dumps(tx.to_wire(), sort_keys=True) for tx in self.log)
 
-    # -- channel contract -------------------------------------------------
+    # -- contracts --------------------------------------------------------
 
     def deploy_channel(self, machine: ProcessStateMachine, role_binding: dict[str, bytes],
                        dispute_window: int, sender: bytes = b"") -> bytes:
         self._check_binding(machine, role_binding)
         if dispute_window < 1:
             raise DeployError("dispute window must be at least one block")
+        return self._deploy(machine, role_binding, sender, dispute_window, baseline=False)
+
+    def deploy_baseline(self, machine: ProcessStateMachine, role_binding: dict[str, bytes],
+                        sender: bytes = b"") -> bytes:
+        """The on-chain comparator: a contract pinned to ON_CHAIN that enacts
+        every task itself, with cheaper code and no dispute check."""
+        self._check_binding(machine, role_binding)
+        return self._deploy(machine, role_binding, sender, 0, baseline=True)
+
+    def _deploy(self, machine: ProcessStateMachine, role_binding: dict[str, bytes],
+                sender: bytes, dispute_window: int, baseline: bool) -> bytes:
+        fields = {"baseline": True} if baseline else {"window": dispute_window,
+                                                      "chain": self.chain_id}
         payload = json.dumps(
             {
                 "machine": machine.to_dict(),
                 "binding": {r: a.hex() for r, a in sorted(role_binding.items())},
-                "window": dispute_window,
-                "chain": self.chain_id,
+                **fields,
             },
             sort_keys=True,
         ).encode()
         salt = f"|{self.height}|{len(self.log)}".encode()
         contract_id = hashlib.sha256(payload + salt).digest()
-        contract = ChannelContract(
+        self.contracts[contract_id] = ChannelContract(
             contract_id=contract_id,
             machine=machine,
             role_binding=dict(role_binding),
             dispute_window=dispute_window,
             current_state=machine.initial_state,
+            phase=Phase.ON_CHAIN if baseline else Phase.CHANNEL_OPEN,
+            baseline=baseline,
         )
-        cost = self._deploy_cost(machine, channel=True)
-        contract.cost_ledger.append(cost)
-        self.contracts[contract_id] = contract
+        cost = self._deploy_cost(machine, channel=not baseline)
         self._record(TxKind.DEPLOY, contract_id, sender, True, None, 0, 0, None, cost)
         return contract_id
 
@@ -316,13 +317,18 @@ class Ledger:
             dispute_deadline=c.dispute_deadline,
         )
 
-    def contract_costs(self, contract_id: bytes) -> tuple[CostRecord, ...]:
-        """Every cost record charged against a contract, in charge order."""
-        if contract_id in self.contracts:
-            return tuple(self.contracts[contract_id].cost_ledger)
-        return tuple(self.baselines[contract_id].cost_ledger)
+    def _reject(self, kind: TxKind, contract: ChannelContract, sender: bytes,
+                payload_seq: int | None, cost: CostRecord, reason: str) -> Rejected:
+        """Charge and log a refused transaction; the contract is left as it was."""
+        self._record(kind, contract.contract_id, sender, False, reason,
+                     contract.case_id, contract.seq, payload_seq, cost)
+        return Rejected(reason)
 
-    def _verify_signed(self, contract: ChannelContract, signed: SignedStep) -> str | None:
+    def _check_signed(self, contract: ChannelContract, signed: SignedStep,
+                      phases: tuple[Phase, ...]) -> str | None:
+        """Why a fully signed step may not be installed now, or None."""
+        if contract.phase not in phases:
+            return f"phase-{contract.phase.value}"
         payload = signed.payload
         if payload.chain_id != self.chain_id:
             return "wrong-chain"
@@ -343,6 +349,8 @@ class Ledger:
             contract.machine.state_from_bytes(payload.new_state)
         except ValueError:
             return "bad-state-width"
+        if payload.seq <= contract.seq:
+            return "stale-seq"
         return None
 
     def submit_state(self, contract_id: bytes, signed: SignedStep, sender: bytes) -> SubmitResult:
@@ -351,27 +359,16 @@ class Ledger:
             return Rejected("unknown-contract")
         cost = self._step_tx_cost(TxKind.SUBMIT_STATE, contract.machine,
                                   len(contract.machine.role_ids))
-
-        def reject(reason: str) -> Rejected:
-            contract.cost_ledger.append(cost)
-            self._record(TxKind.SUBMIT_STATE, contract_id, sender, False, reason,
-                         contract.case_id, contract.seq, signed.payload.seq, cost)
-            return Rejected(reason)
-
-        if contract.phase not in (Phase.CHANNEL_OPEN, Phase.DISPUTE):
-            return reject(f"phase-{contract.phase.value}")
-        reason = self._verify_signed(contract, signed)
+        reason = self._check_signed(contract, signed, (Phase.CHANNEL_OPEN, Phase.DISPUTE))
         if reason is not None:
-            return reject(reason)
-        if signed.payload.seq <= contract.seq:
-            return reject("stale-seq")
+            return self._reject(TxKind.SUBMIT_STATE, contract, sender, signed.payload.seq,
+                                cost, reason)
 
         contract.current_state = contract.machine.state_from_bytes(signed.payload.new_state)
         contract.seq = signed.payload.seq
         if contract.phase is Phase.CHANNEL_OPEN:
             contract.phase = Phase.DISPUTE
             contract.dispute_deadline = self.height + contract.dispute_window
-        contract.cost_ledger.append(cost)
         self._record(TxKind.SUBMIT_STATE, contract_id, sender, True, None,
                      contract.case_id, contract.seq, signed.payload.seq, cost)
         return Accepted(contract.seq, contract.phase, contract.current_state)
@@ -395,28 +392,22 @@ class Ledger:
         contract = self.contracts.get(contract_id)
         if contract is None:
             return Rejected("unknown-contract")
-        cost = self._task_cost(with_dispute_check=True)
-
-        def reject(reason: str) -> Rejected:
-            contract.cost_ledger.append(cost)
-            self._record(TxKind.ON_CHAIN_TASK, contract_id, sender, False, reason,
-                         contract.case_id, contract.seq, None, cost)
-            return Rejected(reason)
-
+        cost = self._task_cost(with_dispute_check=not contract.baseline)
         if contract.phase is not Phase.ON_CHAIN:
-            return reject(f"phase-{contract.phase.value}")
+            return self._reject(TxKind.ON_CHAIN_TASK, contract, sender, None, cost,
+                                f"phase-{contract.phase.value}")
         role = next((r for r, a in contract.role_binding.items() if a == sender), None)
         if role is None:
-            return reject("unbound-sender")
+            return self._reject(TxKind.ON_CHAIN_TASK, contract, sender, None, cost,
+                                "unbound-sender")
         try:
             new_state = step(contract.machine, contract.current_state,
                              TaskRequest(req.task_id, role, req.choice_data))
         except ConformanceError as exc:
-            return reject(exc.reason)
+            return self._reject(TxKind.ON_CHAIN_TASK, contract, sender, None, cost, exc.reason)
 
         contract.current_state = new_state
         contract.seq += 1
-        contract.cost_ledger.append(cost)
         self._record(TxKind.ON_CHAIN_TASK, contract_id, sender, True, None,
                      contract.case_id, contract.seq, None, cost)
         if is_end_state(contract.machine, new_state):
@@ -428,35 +419,25 @@ class Ledger:
         if contract is None:
             return Rejected("unknown-contract")
         cost = self._step_tx_cost(TxKind.CLOSE, contract.machine, len(contract.machine.role_ids))
-
-        def reject(reason: str) -> Rejected:
-            contract.cost_ledger.append(cost)
-            self._record(TxKind.CLOSE, contract_id, sender, False, reason,
-                         contract.case_id, contract.seq, final.payload.seq, cost)
-            return Rejected(reason)
-
-        if contract.phase is not Phase.CHANNEL_OPEN:
-            return reject(f"phase-{contract.phase.value}")
-        reason = self._verify_signed(contract, final)
+        reason = self._check_signed(contract, final, (Phase.CHANNEL_OPEN,))
+        if reason is None:
+            final_state = contract.machine.state_from_bytes(final.payload.new_state)
+            if not is_end_state(contract.machine, final_state):
+                reason = "not-final-state"
         if reason is not None:
-            return reject(reason)
-        if final.payload.seq <= contract.seq:
-            return reject("stale-seq")
-        final_state = contract.machine.state_from_bytes(final.payload.new_state)
-        if not is_end_state(contract.machine, final_state):
-            return reject("not-final-state")
+            return self._reject(TxKind.CLOSE, contract, sender, final.payload.seq, cost, reason)
 
         closing_case = contract.case_id
         contract.current_state = final_state
         contract.seq = final.payload.seq
-        contract.cost_ledger.append(cost)
         self._record(TxKind.CLOSE, contract_id, sender, True, None,
                      closing_case, contract.seq, final.payload.seq, cost)
         self._finalize_case(contract, "closed-unanimously")
         return Accepted(0, contract.phase, contract.current_state)
 
     def _finalize_case(self, contract: ChannelContract, mode: str) -> None:
-        """Pass through CLOSED, then reset so the contract serves the next case."""
+        """Pass through CLOSED, then reset so the contract serves the next case;
+        a baseline contract stays on-chain."""
         contract.closed_cases.append(
             {
                 "case_id": contract.case_id,
@@ -470,61 +451,5 @@ class Ledger:
         contract.case_id += 1
         contract.seq = 0
         contract.current_state = contract.machine.initial_state
-        contract.phase = Phase.CHANNEL_OPEN
+        contract.phase = Phase.ON_CHAIN if contract.baseline else Phase.CHANNEL_OPEN
         contract.dispute_deadline = None
-
-    # -- on-chain baseline (no channel logic) ------------------------------
-
-    def deploy_baseline(self, machine: ProcessStateMachine, role_binding: dict[str, bytes],
-                        sender: bytes = b"") -> bytes:
-        self._check_binding(machine, role_binding)
-        payload = json.dumps(
-            {"machine": machine.to_dict(),
-             "binding": {r: a.hex() for r, a in sorted(role_binding.items())},
-             "baseline": True},
-            sort_keys=True,
-        ).encode()
-        salt = f"|{self.height}|{len(self.log)}".encode()
-        contract_id = hashlib.sha256(payload + salt).digest()
-        baseline = BaselineContract(
-            contract_id=contract_id,
-            machine=machine,
-            role_binding=dict(role_binding),
-            current_state=machine.initial_state,
-        )
-        cost = self._deploy_cost(machine, channel=False)
-        baseline.cost_ledger.append(cost)
-        self.baselines[contract_id] = baseline
-        self._record(TxKind.DEPLOY, contract_id, sender, True, None, 0, 0, None, cost)
-        return contract_id
-
-    def baseline_task(self, baseline_id: bytes, req: TaskRequest, sender: bytes) -> SubmitResult:
-        baseline = self.baselines.get(baseline_id)
-        if baseline is None:
-            return Rejected("unknown-contract")
-        cost = self._task_cost(with_dispute_check=False)
-
-        def reject(reason: str) -> Rejected:
-            baseline.cost_ledger.append(cost)
-            self._record(TxKind.ON_CHAIN_TASK, baseline_id, sender, False, reason,
-                         baseline.case_id, baseline.seq, None, cost)
-            return Rejected(reason)
-
-        role = next((r for r, a in baseline.role_binding.items() if a == sender), None)
-        if role is None:
-            return reject("unbound-sender")
-        try:
-            new_state = step(baseline.machine, baseline.current_state,
-                             TaskRequest(req.task_id, role, req.choice_data))
-        except ConformanceError as exc:
-            return reject(exc.reason)
-        baseline.current_state = new_state
-        baseline.seq += 1
-        baseline.cost_ledger.append(cost)
-        self._record(TxKind.ON_CHAIN_TASK, baseline_id, sender, True, None,
-                     baseline.case_id, baseline.seq, None, cost)
-        if is_end_state(baseline.machine, new_state):
-            baseline.case_id += 1
-            baseline.seq = 0
-            baseline.current_state = baseline.machine.initial_state
-        return Accepted(baseline.seq, Phase.ON_CHAIN, new_state)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ledger import Accepted, Ledger, Phase
 from .machine import (
@@ -42,14 +42,8 @@ class TriggerConfig:
     role_pubkeys: dict[str, bytes]
     contract_id: bytes
     chain_id: int = 1
-    proposal_timeout: float = 2.0
-    poll_interval: float = 1.0
-    # Role id -> endpoint, used by the HTTP transport; the in-process network
-    # routes by role directly.
-    peer_endpoints: dict[str, str] = field(default_factory=dict)
     archive_path: str | None = None
     prefilter: bool = True
-    dispute_on_nonconforming: bool = True
 
 
 @dataclass(frozen=True)
@@ -102,9 +96,6 @@ class ArchiveStore:
         case = signed.payload.case_id
         self._steps.setdefault(case, []).append(signed)
         self._write({"type": "step", "record": signed.to_wire()})
-
-    def steps(self, case_id: int) -> list[SignedStep]:
-        return list(self._steps.get(case_id, []))
 
     def max_complete(self, case_id: int) -> SignedStep | None:
         steps = self._steps.get(case_id)
@@ -273,15 +264,11 @@ class TriggerNode:
             return self.on_propose(msg)
         if msg.kind is MessageKind.CONFIRM:
             self.on_confirm(msg)
-            return None
-        if msg.kind is MessageKind.SIGN:
-            self.on_sign(msg)
-            return None
         return None
 
     def on_propose(self, msg: ChannelMessage) -> ChannelMessage | None:
         """Verify a proposal; reply Sign if it conforms, otherwise stay silent
-        (and, per configuration, raise a dispute)."""
+        (and raise a dispute when a validly signed proposal breaks the process)."""
         payload = msg.step
         proposer = msg.sender_role
         if payload.chain_id != self.config.chain_id or payload.contract_id != self.config.contract_id:
@@ -299,11 +286,11 @@ class TriggerNode:
         candidates = self.machine.manual_transitions(payload.task_id)
         if not candidates or candidates[0].initiator != proposer:
             self._note(f"proposal from {proposer} for task it does not initiate")
-            self._dispute_on_bad_proposal()
+            self.raise_dispute()
             return None
         if payload.seq != self.seq + 1:
             self._note(f"proposal seq {payload.seq} does not follow local seq {self.seq}")
-            self._dispute_on_bad_proposal()
+            self.raise_dispute()
             return None
         already = self.signed_remote.get(payload.seq)
         if already is not None and already != payload:
@@ -316,11 +303,11 @@ class TriggerNode:
             )
         except ConformanceError as exc:
             self._note(f"non-conforming proposal {payload.task_id}: {exc.reason}")
-            self._dispute_on_bad_proposal()
+            self.raise_dispute()
             return None
         if self.machine.state_to_bytes(expected) != payload.new_state:
             self._note(f"proposal {payload.task_id} leads to a different state")
-            self._dispute_on_bad_proposal()
+            self.raise_dispute()
             return None
 
         my_sig = sign_step(payload, self.config.signing_key)
@@ -348,16 +335,7 @@ class TriggerNode:
         del self.signed_remote[payload.seq]
         return True
 
-    def on_sign(self, msg: ChannelMessage) -> None:
-        """Out-of-band Sign reply (HTTP deployments); collected when pending."""
-        if self.pending is None or msg.step != self.pending:
-            self._note("sign message without matching pending proposal ignored")
-
     # -- chain duties ---------------------------------------------------------
-
-    def _dispute_on_bad_proposal(self) -> None:
-        if self.config.dispute_on_nonconforming:
-            self.raise_dispute()
 
     def raise_dispute(self) -> bool:
         """Submit the highest archived complete step as dispute evidence.
@@ -436,7 +414,6 @@ class InProcessNetwork:
     def __init__(self):
         self.nodes: dict[str, TriggerNode] = {}
         self.silenced: set[str] = set()
-        self.delivered: int = 0
 
     def register(self, node: TriggerNode) -> None:
         self.nodes[node.role] = node
@@ -445,16 +422,12 @@ class InProcessNetwork:
     def silence(self, role: str) -> None:
         self.silenced.add(role)
 
-    def unsilence(self, role: str) -> None:
-        self.silenced.discard(role)
-
     def request(self, target_role: str, message: ChannelMessage) -> ChannelMessage | None:
         if target_role in self.silenced:
             return None
         node = self.nodes.get(target_role)
         if node is None:
             return None
-        self.delivered += 1
         return node.handle_message(message)
 
     def poll_all(self, exclude: set[str] | None = None) -> None:

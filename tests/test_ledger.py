@@ -307,12 +307,43 @@ def test_cost_depends_only_on_payload(machine, variant):
     assert submit_costs2[-1] == submit_costs[-1]
 
 
-def test_contract_cost_ledger_mirrors_log(machine, variant):
+def test_contract_charges_are_logged(machine, variant):
     ledger, cid, keys, addrs = make_channel(machine)
     ledger.submit_state(cid, signed_after(machine, cid, keys, variant, 2), addrs["carrier"])
     ledger.submit_state(cid, signed_after(machine, cid, keys, variant, 1), addrs["carrier"])  # rejected
-    logged = tuple(t.cost for t in ledger.log if t.contract_id == cid)
-    assert ledger.contract_costs(cid) == logged
+    submits = [t for t in ledger.log if t.contract_id == cid and t.kind is TxKind.SUBMIT_STATE]
+    assert [t.accepted for t in submits] == [True, False]
+    assert submits[0].cost == submits[1].cost
+
+
+def test_baseline_serves_back_to_back_cases_on_chain(machine, variant):
+    channel, cid, _, channel_addrs = _force_on_chain(machine, variant)
+    channel.on_chain_step(cid, variant[5], channel_addrs[variant[5].requester_role])
+    channel_task_cost = channel.log[-1].cost
+
+    ledger = Ledger()
+    keys = {r: generate_signing_key(f"baseline|{r}".encode()) for r in machine.role_ids}
+    addrs = {r: ledger.register_account(public_key_of(k)) for r, k in keys.items()}
+    bid = ledger.deploy_baseline(machine, addrs)
+    for case_id in range(2):
+        view = ledger.get_contract(bid)
+        assert (view.phase, view.case_id, view.seq) == (Phase.ON_CHAIN, case_id, 0)
+        state = machine.initial_state
+        for i, req in enumerate(variant, 1):
+            state = step(machine, state, req)
+            result = ledger.on_chain_step(bid, req, addrs[req.requester_role])
+            assert result == Accepted(0 if i == len(variant) else i, Phase.ON_CHAIN, state)
+    view = ledger.get_contract(bid)
+    assert (view.phase, view.case_id, view.seq) == (Phase.ON_CHAIN, 2, 0)
+    assert ledger.contracts[bid].current_state == machine.initial_state
+
+    tasks = [t for t in ledger.log if t.kind is TxKind.ON_CHAIN_TASK]
+    n = len(variant)
+    assert all(t.accepted for t in tasks)
+    assert [t.case_id for t in tasks] == [0] * n + [1] * n
+    assert [t.contract_seq for t in tasks] == list(range(1, n + 1)) * 2
+    surcharge = ledger.params.dispute_check_surcharge
+    assert {t.cost.cost_units for t in tasks} == {channel_task_cost.cost_units - surcharge}
 
 
 @pytest.mark.parametrize("order", [(3, 1, 4, 2), (1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3)])
