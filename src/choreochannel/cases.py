@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .bpmn import ChoreographyModel, parse_choreography, validate_model
+from .bpmn import ChoreographyModel, parse_choreography
 from .machine import ProcessStateMachine, TaskRequest, compile_state_machine
 from .petri import InteractionNet, SafeOk, check_safeness, reduce_net, to_interaction_net
 
@@ -43,10 +43,6 @@ def load_variants(case: str) -> list[list[TaskRequest]]:
 def reduce_model(model: ChoreographyModel) -> InteractionNet:
     """validate -> net -> safeness -> reduce, refusing invalid or unsafe models
     with a ValueError that names every diagnostic or the safeness verdict."""
-    diags = validate_model(model)
-    if diags:
-        raise ValueError("invalid model:" + "".join(
-            f"\n  {d.rule} at {d.node_id}: {d.message}" for d in diags))
     net = to_interaction_net(model)
     verdict = check_safeness(net)
     if not isinstance(verdict, SafeOk):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .bpmn import parse_choreography
@@ -72,15 +73,14 @@ def cmd_run_scenario(args) -> int:
         "end_reached": outcome.end_reached,
         "stable": outcome.stable,
         "on_chain_tasks": outcome.on_chain_tasks,
-        "report": outcome.report.to_wire(),
+        "report": asdict(outcome.report),
     }
     if args.format == "structured":
         _write_or_print(json.dumps(payload, sort_keys=True, indent=2), args.out)
     else:
         print(_scenario_table(payload))
         if args.out:
-            Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-            print(f"wrote {args.out}")
+            _write_or_print(json.dumps(payload, sort_keys=True, indent=2), args.out)
     return 0
 
 
@@ -122,8 +122,7 @@ def cmd_conformance(args) -> int:
             "conforming": conforming_report.to_wire(),
             "mutated": mutated_report.to_wire(),
         }
-        Path(args.out).write_text(json.dumps(payload, sort_keys=True) + "\n")
-        print(f"wrote {args.out}")
+        _write_or_print(json.dumps(payload, sort_keys=True), args.out)
     return 0 if ok else 1
 
 
@@ -133,11 +132,10 @@ def cmd_break_even(args) -> int:
         case = normalize_case(case)
         report = break_even(case, mixes=tuple(args.mix), horizon=args.horizon,
                             seed=args.seed, dispute_window=args.window)
-        payload["cases"][case] = report.to_wire()
-        print(_break_even_table(case, report))
+        payload["cases"][case] = asdict(report)
+        print(_break_even_table(case, payload["cases"][case]))
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        print(f"wrote {args.out}")
+        _write_or_print(json.dumps(payload, sort_keys=True, indent=2), args.out)
     return 0
 
 
@@ -150,18 +148,7 @@ def cmd_report(args) -> int:
     if kind == "scenario":
         print(_scenario_table(data))
     elif kind == "break_even":
-        from .harness import BreakEvenReport, MixEntry  # local to keep import cheap
-
-        for case, raw in data["cases"].items():
-            report = BreakEvenReport(
-                case=case,
-                channel_deploy=raw["channel_deploy"],
-                baseline_deploy=raw["baseline_deploy"],
-                baseline_exec_avg=raw["baseline_exec_avg"],
-                exec_by_kind=raw["exec_by_kind"],
-                savings_by_kind=raw["savings_by_kind"],
-                mixes=[MixEntry(**m) for m in raw["mixes"]],
-            )
+        for case, report in data["cases"].items():
             print(_break_even_table(case, report))
     elif kind == "conformance":
         print(f"case: {data['case']}")
@@ -195,17 +182,18 @@ def _scenario_table(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _break_even_table(case: str, report) -> str:
+def _break_even_table(case: str, report: dict) -> str:
     lines = [
-        f"break-even {case}: channel_deploy={report.channel_deploy:.0f} "
-        f"baseline_deploy={report.baseline_deploy:.0f} baseline_exec_avg={report.baseline_exec_avg:.0f}",
+        f"break-even {case}: channel_deploy={report['channel_deploy']:.0f} "
+        f"baseline_deploy={report['baseline_deploy']:.0f} "
+        f"baseline_exec_avg={report['baseline_exec_avg']:.0f}",
         f"  {'mix':>6} {'exec/run':>12} {'savings/run':>12} {'break-even':>11}",
     ]
-    for entry in report.mixes:
-        be = "never" if entry.break_even_runs is None else str(entry.break_even_runs)
+    for entry in report["mixes"]:
+        be = "never" if entry["break_even_runs"] is None else str(entry["break_even_runs"])
         lines.append(
-            f"  {entry.mix:>6.2f} {entry.exec_per_run:>12.0f} "
-            f"{entry.savings_per_run:>12.0f} {be:>11}"
+            f"  {entry['mix']:>6.2f} {entry['exec_per_run']:>12.0f} "
+            f"{entry['savings_per_run']:>12.0f} {be:>11}"
         )
     return "\n".join(lines)
 
@@ -262,9 +250,7 @@ def main(argv: list[str] | None = None) -> int:
         args.mix = [0.0, 0.05, 0.20, 1.0]
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        return _fail(str(exc))
-    except (ValueError, FileNotFoundError) as exc:
+    except (ScenarioError, ValueError, FileNotFoundError) as exc:
         return _fail(str(exc))
 
 

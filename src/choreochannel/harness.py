@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .cases import build_machine, load_variants, normalize_case
-from .ledger import Accepted, CostParams, Ledger, Phase, TxKind
+from .ledger import Accepted, Ledger, Phase, TxKind
 from .machine import (
     ConformanceError,
     ProcessStateMachine,
@@ -89,7 +89,7 @@ class MutationBatch:
 
 
 def mutate_traces(machine: ProcessStateMachine, conforming: list[Trace], n: int,
-                  seed: int, max_attempts_factor: int = 100) -> MutationBatch:
+                  seed: int) -> MutationBatch:
     """Derive n non-conforming traces, each by one add/remove/swap mutation.
 
     Mutants that replay without any rejected event are discarded the way
@@ -106,7 +106,7 @@ def mutate_traces(machine: ProcessStateMachine, conforming: list[Trace], n: int,
     discarded = 0
     op_counts = {"add": 0, "remove": 0, "swap": 0}
     attempts = 0
-    max_attempts = max_attempts_factor * n
+    max_attempts = 100 * n
     while len(out) < n:
         attempts += 1
         if attempts > max_attempts:
@@ -146,17 +146,16 @@ class ChannelSetup:
     ledger: Ledger
     network: InProcessNetwork
     nodes: dict[str, TriggerNode]
-    machine: ProcessStateMachine
     contract_id: bytes
     addresses: dict[str, bytes]
     keys: dict[str, bytes]
 
 
 def build_network(machine: ProcessStateMachine, *, seed: int = 0, dispute_window: int = 10,
-                  chain_id: int = 1, params: CostParams | None = None, prefilter: bool = True,
-                  key_salt: str = "", archive_dir: str | None = None) -> ChannelSetup:
+                  prefilter: bool = True, key_salt: str = "",
+                  archive_dir: str | None = None) -> ChannelSetup:
     """Deploy a channel and one trigger node per role on a fresh ledger."""
-    ledger = Ledger(chain_id=chain_id, params=params)
+    ledger = Ledger()
     keys = {
         role: generate_signing_key(f"key|{key_salt}|{seed}|{role}".encode())
         for role in machine.role_ids
@@ -173,14 +172,13 @@ def build_network(machine: ProcessStateMachine, *, seed: int = 0, dispute_window
             signing_key=keys[role],
             role_pubkeys={r: p for r, p in pubkeys.items() if r != role},
             contract_id=contract_id,
-            chain_id=chain_id,
             prefilter=prefilter,
             archive_path=f"{archive_dir}/{role}.jsonl" if archive_dir else None,
         )
         node = TriggerNode(config, machine, ledger, network)
         network.register(node)
         nodes[role] = node
-    return ChannelSetup(ledger, network, nodes, machine, contract_id, addresses, keys)
+    return ChannelSetup(ledger, network, nodes, contract_id, addresses, keys)
 
 
 # -- conformance replay --------------------------------------------------------
@@ -293,22 +291,8 @@ class CostReport:
     baseline_deploy: int
     baseline_exec: int
 
-    def to_wire(self) -> dict:
-        return {
-            "case": self.case,
-            "variant": self.variant,
-            "kind": self.kind,
-            "seed": self.seed,
-            "records": self.records,
-            "totals_by_kind": self.totals_by_kind,
-            "channel_deploy": self.channel_deploy,
-            "channel_exec": self.channel_exec,
-            "baseline_deploy": self.baseline_deploy,
-            "baseline_exec": self.baseline_exec,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_wire(), sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass
@@ -317,7 +301,6 @@ class ScenarioOutcome:
     report: CostReport
     end_reached: bool
     stable: bool
-    final_case_id: int
     on_chain_tasks: int
     installed_seq_at_expiry: int | None
     ledger_log: str
@@ -346,11 +329,10 @@ def _cost_report(spec: ScenarioSpec, channel: Ledger, baseline: Ledger) -> CostR
     )
 
 
-def _run_baseline(machine: ProcessStateMachine, trace: Trace, keys: dict[str, bytes],
-                  chain_id: int = 1, params: CostParams | None = None) -> Ledger:
+def _run_baseline(machine: ProcessStateMachine, trace: Trace, keys: dict[str, bytes]) -> Ledger:
     """The comparator: the same machine enacted fully on-chain, one ledger
     transaction per task."""
-    ledger = Ledger(chain_id=chain_id, params=params)
+    ledger = Ledger()
     addresses = {
         role: ledger.register_account(public_key_of(key)) for role, key in keys.items()
     }
@@ -424,7 +406,6 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
         report=_cost_report(spec, setup.ledger, baseline),
         end_reached=end_reached,
         stable=setup.network.stable(),
-        final_case_id=final.case_id,
         on_chain_tasks=on_chain_tasks,
         installed_seq_at_expiry=installed_seq,
         ledger_log=setup.ledger.export_log(),
@@ -454,14 +435,10 @@ def _expire_window(setup: ChannelSetup, window: int) -> None:
 
 @dataclass
 class UnavailabilityOutcome:
-    case: str
-    variant: int
-    seed: int
     silenced_role: str
     silenced_at_event: int
     end_reached: bool
     went_on_chain: bool
-    final_case_id: int
     stable: bool
 
 
@@ -495,14 +472,10 @@ def run_unavailability(case: str, seed: int, *, variant: int | None = None,
     setup.network.poll_all()
     final = setup.ledger.get_contract(setup.contract_id)
     return UnavailabilityOutcome(
-        case=case,
-        variant=v,
-        seed=seed,
         silenced_role=silenced,
         silenced_at_event=fail_at,
         end_reached=final.case_id >= 1,
         went_on_chain=went_on_chain,
-        final_case_id=final.case_id,
         stable=setup.network.stable(),
     )
 
@@ -518,15 +491,6 @@ class MixEntry:
     break_even_runs: int | None
     cumulative_savings: list[float]
 
-    def to_wire(self) -> dict:
-        return {
-            "mix": self.mix,
-            "exec_per_run": self.exec_per_run,
-            "savings_per_run": self.savings_per_run,
-            "break_even_runs": self.break_even_runs,
-            "cumulative_savings": self.cumulative_savings,
-        }
-
 
 @dataclass
 class BreakEvenReport:
@@ -538,25 +502,8 @@ class BreakEvenReport:
     savings_by_kind: dict[str, float]
     mixes: list[MixEntry]
 
-    def entry(self, mix: float) -> MixEntry:
-        for e in self.mixes:
-            if abs(e.mix - mix) < 1e-12:
-                return e
-        raise KeyError(mix)
-
-    def to_wire(self) -> dict:
-        return {
-            "case": self.case,
-            "channel_deploy": self.channel_deploy,
-            "baseline_deploy": self.baseline_deploy,
-            "baseline_exec_avg": self.baseline_exec_avg,
-            "exec_by_kind": self.exec_by_kind,
-            "savings_by_kind": self.savings_by_kind,
-            "mixes": [m.to_wire() for m in self.mixes],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_wire(), sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def measure_case_costs(case: str, *, seed: int = 0,

@@ -3,16 +3,17 @@
 Envelopes travel as JSON; signed bytes stay the canonical binary encoding.
 A node only ever sends Propose and Confirm; a Sign travels back as the reply
 to a Propose. Each node's message handling is serialised behind one lock,
-matching the one-ordered-queue-per-node concurrency model. The in-process
-transport remains the default for deterministic tests; this module exists
-for networked runs.
+matching the one-ordered-queue-per-node concurrency model. A request body
+that does not decode gets 400 and never reaches the node; a reply that does
+not decode counts as no reply. The in-process transport remains the default
+for deterministic tests; this module exists for networked runs.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
-import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -24,7 +25,7 @@ from .wire import ChannelMessage, MessageKind
 class HttpTransport:
     """Client side: deliver protocol messages to peer endpoints."""
 
-    def __init__(self, peer_endpoints: dict[str, str], timeout: float = 2.0):
+    def __init__(self, peer_endpoints: dict[str, str], timeout: float):
         self.peer_endpoints = peer_endpoints
         self.timeout = timeout
 
@@ -45,7 +46,7 @@ class HttpTransport:
                 if resp.status == 200 and body:
                     return ChannelMessage.from_wire(body.decode("utf-8"))
                 return None
-        except (urllib.error.URLError, TimeoutError, ConnectionError, OSError):
+        except (OSError, http.client.HTTPException, ValueError):
             return None
 
 
@@ -78,10 +79,6 @@ class NodeServer:
             def log_message(self, *args):  # quiet test output
                 pass
 
-            def _body(self) -> bytes:
-                length = int(self.headers.get("Content-Length", "0"))
-                return self.rfile.read(length)
-
             def _reply(self, status: int, payload: dict | str | None = None) -> None:
                 body = b""
                 if payload is not None:
@@ -95,35 +92,30 @@ class NodeServer:
             def do_GET(self):
                 if self.path == "/status":
                     with server.lock:
-                        self._reply(200, server.node.status().to_wire())
+                        self._reply(200, server.node.status())
                 else:
                     self._reply(404)
 
             def do_POST(self):
-                raw = self._body().decode("utf-8")
-                if self.path in ("/propose", "/confirm"):
-                    try:
-                        msg = ChannelMessage.from_wire(raw)
-                    except (ValueError, KeyError):
-                        self._reply(400)
-                        return
-                    with server.lock:
-                        reply = server.node.handle_message(msg)
-                    if reply is not None:
-                        self._reply(200, reply.to_wire())
-                    else:
-                        self._reply(204)
-                elif self.path == "/enact":
-                    try:
+                try:
+                    length = max(0, int(self.headers.get("Content-Length", "0")))
+                    raw = self.rfile.read(length).decode("utf-8")
+                    if self.path == "/enact":
                         data = json.loads(raw)
                         req = TaskRequest(
                             task_id=data["task_id"],
                             requester_role=data.get("requester_role", server.node.role),
                             choice_data=bytes.fromhex(data.get("choice_data", "")),
                         )
-                    except (ValueError, KeyError):
-                        self._reply(400)
+                    elif self.path in ("/propose", "/confirm"):
+                        msg = ChannelMessage.from_wire(raw)
+                    else:
+                        self._reply(404)
                         return
+                except (ValueError, KeyError, TypeError, RecursionError):
+                    self._reply(400)
+                    return
+                if self.path == "/enact":
                     with server.lock:
                         result = server.node.enact(req)
                     self._reply(
@@ -134,19 +126,21 @@ class NodeServer:
                             "new_state": None if result.new_state is None else hex(result.new_state),
                         },
                     )
+                    return
+                with server.lock:
+                    reply = server.node.handle_message(msg)
+                if reply is not None:
+                    self._reply(200, reply.to_wire())
                 else:
-                    self._reply(404)
+                    self._reply(204)
 
         return Handler
 
 
 def serve_network(nodes: dict[str, TriggerNode], host: str = "127.0.0.1",
                   timeout: float = 10.0) -> dict[str, NodeServer]:
-    """Serve every node on an ephemeral port and wire their transports.
-
-    Networked runs default to a longer proposal timeout than the in-process
-    2s; pass timeout explicitly to override.
-    """
+    """Serve every node on an ephemeral port and wire their transports; each
+    peer request waits at most `timeout` seconds for its reply."""
     servers = {role: NodeServer(node, host=host) for role, node in nodes.items()}
     for role, node in nodes.items():
         peers = {r: s.endpoint for r, s in servers.items() if r != role}

@@ -167,9 +167,9 @@ class ContractView:
 class Ledger:
     """Simulated chain: height counter, append-only log, contract registry."""
 
-    def __init__(self, chain_id: int = 1, params: CostParams | None = None):
+    def __init__(self, chain_id: int = 1):
         self.chain_id = chain_id
-        self.params = params or CostParams()
+        self.params = CostParams()
         self.height = 0
         self.log: list[TxRecord] = []
         self.accounts: dict[bytes, bytes] = {}

@@ -8,13 +8,7 @@ function of (state, request).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from enum import Enum
-
-
-class TransitionKind(Enum):
-    MANUAL = "manual"
-    AUTONOMOUS = "autonomous"
+from dataclasses import dataclass, replace
 
 
 class CompileError(ValueError):
@@ -45,10 +39,12 @@ class NotEnabledError(ConformanceError):
 
 @dataclass(frozen=True)
 class CompiledTransition:
+    """Masks plus, for a manual transition, its task; without a task the
+    transition is autonomous."""
+
     id: int
     consume_mask: int
     produce_mask: int
-    kind: TransitionKind
     initiator: str | None = None
     task_id: str | None = None
 
@@ -62,12 +58,15 @@ class TaskRequest:
 
 @dataclass(frozen=True)
 class ProcessStateMachine:
-    place_count: int
     places: tuple[str, ...]
     transitions: tuple[CompiledTransition, ...]
     initial_state: int
     final_mask: int
     role_ids: tuple[str, ...]
+
+    @property
+    def place_count(self) -> int:
+        return len(self.places)
 
     @property
     def state_byte_width(self) -> int:
@@ -81,12 +80,10 @@ class ProcessStateMachine:
             raise ValueError(f"state must be {self.state_byte_width} bytes, got {len(raw)}")
         return int.from_bytes(raw, "big")
 
-    def manual_transitions(self, task_id: str) -> list[CompiledTransition]:
-        return [
-            t
-            for t in self.transitions
-            if t.kind is TransitionKind.MANUAL and t.task_id == task_id
-        ]
+    def manual_transitions(self, task_id: str | None) -> list[CompiledTransition]:
+        if task_id is None:
+            return []
+        return [t for t in self.transitions if t.task_id == task_id]
 
     def to_dict(self) -> dict:
         """Golden-file form: place map plus hex masks, stable across runs."""
@@ -99,7 +96,7 @@ class ProcessStateMachine:
             "transitions": [
                 {
                     "id": t.id,
-                    "kind": t.kind.value,
+                    "kind": "autonomous" if t.task_id is None else "manual",
                     "task_id": t.task_id,
                     "initiator": t.initiator,
                     "consume": hex(t.consume_mask),
@@ -115,14 +112,12 @@ class ProcessStateMachine:
     @classmethod
     def from_dict(cls, data: dict) -> "ProcessStateMachine":
         return cls(
-            place_count=data["place_count"],
             places=tuple(data["places"]),
             transitions=tuple(
                 CompiledTransition(
                     id=t["id"],
                     consume_mask=int(t["consume"], 16),
                     produce_mask=int(t["produce"], 16),
-                    kind=TransitionKind(t["kind"]),
                     initiator=t["initiator"],
                     task_id=t["task_id"],
                 )
@@ -151,38 +146,23 @@ def compile_state_machine(net, max_places: int = 256) -> ProcessStateMachine:
         consume = sum(1 << index[p] for p in t.inputs)
         produce = sum(1 << index[p] for p in t.outputs)
         if t.label is None:
-            transitions.append(
-                CompiledTransition(i, consume, produce, TransitionKind.AUTONOMOUS)
-            )
+            transitions.append(CompiledTransition(i, consume, produce))
         else:
             transitions.append(
-                CompiledTransition(
-                    i, consume, produce, TransitionKind.MANUAL, t.label.initiator, t.label.task_id
-                )
+                CompiledTransition(i, consume, produce, t.label.initiator, t.label.task_id)
             )
             for role in (t.label.initiator, t.label.respondent):
                 if role not in roles:
                     roles.append(role)
 
     machine = ProcessStateMachine(
-        place_count=len(net.places),
         places=tuple(net.places),
         transitions=tuple(transitions),
         initial_state=1 << index[net.initial_place],
         final_mask=sum(1 << index[p] for p in net.final_places),
         role_ids=tuple(roles),
     )
-    fixed_initial = _autonomous_fixpoint(machine, machine.initial_state)
-    if fixed_initial != machine.initial_state:
-        machine = ProcessStateMachine(
-            place_count=machine.place_count,
-            places=machine.places,
-            transitions=machine.transitions,
-            initial_state=fixed_initial,
-            final_mask=machine.final_mask,
-            role_ids=machine.role_ids,
-        )
-    return machine
+    return replace(machine, initial_state=_autonomous_fixpoint(machine, machine.initial_state))
 
 
 def _autonomous_fixpoint(machine: ProcessStateMachine, state: int) -> int:
@@ -198,7 +178,7 @@ def _autonomous_fixpoint(machine: ProcessStateMachine, state: int) -> int:
     while progress:
         progress = False
         for t in machine.transitions:
-            if t.kind is not TransitionKind.AUTONOMOUS:
+            if t.task_id is not None:
                 continue
             if state & t.consume_mask != t.consume_mask:
                 continue
@@ -238,7 +218,7 @@ def enabled_tasks(machine: ProcessStateMachine, state: int) -> set[tuple[str, st
     return {
         (t.task_id, t.initiator)
         for t in machine.transitions
-        if t.kind is TransitionKind.MANUAL and state & t.consume_mask == t.consume_mask
+        if t.task_id is not None and state & t.consume_mask == t.consume_mask
     }
 
 

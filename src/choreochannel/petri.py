@@ -75,7 +75,8 @@ SafenessResult = SafeOk | UnsafeWitness | BoundExceeded
 
 
 def to_interaction_net(model: ChoreographyModel) -> InteractionNet:
-    """Map a validated choreography onto an interaction Petri net.
+    """Map a choreography onto an interaction Petri net, refusing an invalid
+    one with a ValueError that lists every diagnostic.
 
     Tasks become labelled transitions, parallel gateways silent transitions,
     exclusive gateways and events places. A flow between two place-like nodes
@@ -84,7 +85,8 @@ def to_interaction_net(model: ChoreographyModel) -> InteractionNet:
     """
     diags = validate_model(model)
     if diags:
-        raise ValueError(f"model is invalid: {diags[0].rule} at {diags[0].node_id}")
+        raise ValueError("invalid model:" + "".join(
+            f"\n  {d.rule} at {d.node_id}: {d.message}" for d in diags))
 
     is_place_node: dict[str, bool] = {model.start_event: True}
     for eid in model.end_events:

@@ -41,7 +41,6 @@ class TriggerConfig:
     signing_key: bytes
     role_pubkeys: dict[str, bytes]
     contract_id: bytes
-    chain_id: int = 1
     archive_path: str | None = None
     prefilter: bool = True
 
@@ -57,31 +56,12 @@ class EnactResult:
         return self.status == "confirmed"
 
 
-@dataclass(frozen=True)
-class NodeStatus:
-    role: str
-    case_id: int
-    seq: int
-    state_hex: str
-    phase_view: str
-
-    def to_wire(self) -> dict:
-        return {
-            "role": self.role,
-            "case_id": self.case_id,
-            "seq": self.seq,
-            "state": self.state_hex,
-            "phase": self.phase_view,
-        }
-
-
 class ArchiveStore:
     """Append-only evidence store. Every record is flushed before the node
     sends the message that depends on it."""
 
     def __init__(self, path: str | None = None):
         self._steps: dict[int, list[SignedStep]] = {}
-        self._path = path
         self._fh = open(path, "a", encoding="utf-8") if path else None
 
     def _write(self, record: dict) -> None:
@@ -163,14 +143,15 @@ class TriggerNode:
             return self.public_key
         return self.config.role_pubkeys[role]
 
-    def status(self) -> NodeStatus:
-        return NodeStatus(
-            role=self.role,
-            case_id=self.case_id,
-            seq=self.seq,
-            state_hex=hex(self.state),
-            phase_view=self.observed_phase.value,
-        )
+    def status(self) -> dict:
+        """The node's view as served on /status."""
+        return {
+            "role": self.role,
+            "case_id": self.case_id,
+            "seq": self.seq,
+            "state": hex(self.state),
+            "phase": self.observed_phase.value,
+        }
 
     # -- enactment (PAIS-facing) ---------------------------------------------
 
@@ -199,7 +180,7 @@ class TriggerNode:
             new_state_bytes = self.machine.state_to_bytes(self.state)
 
         payload = StepPayload(
-            chain_id=self.config.chain_id,
+            chain_id=self.ledger.chain_id,
             contract_id=self.config.contract_id,
             case_id=self.case_id,
             seq=self.seq + 1,
@@ -244,8 +225,9 @@ class TriggerNode:
             # the newly installed state.
             return self.enact(req, retries=retries - 1)
         self._note(f"proposal for seq {payload.seq} failed to collect signatures")
-        self.raise_dispute()
-        return EnactResult("dispute_raised", error="missing-signatures")
+        if self.raise_dispute():
+            return EnactResult("dispute_raised", error="missing-signatures")
+        return EnactResult("rejected", error="missing-signatures")
 
     def _enact_on_chain(self, req: TaskRequest) -> EnactResult:
         result = self.ledger.on_chain_step(self.config.contract_id, req, self.address)
@@ -271,7 +253,7 @@ class TriggerNode:
         (and raise a dispute when a validly signed proposal breaks the process)."""
         payload = msg.step
         proposer = msg.sender_role
-        if payload.chain_id != self.config.chain_id or payload.contract_id != self.config.contract_id:
+        if payload.chain_id != self.ledger.chain_id or payload.contract_id != self.config.contract_id:
             self._note("proposal for foreign chain/contract ignored")
             return None
         if payload.case_id != self.case_id:
@@ -338,7 +320,8 @@ class TriggerNode:
     # -- chain duties ---------------------------------------------------------
 
     def raise_dispute(self) -> bool:
-        """Submit the highest archived complete step as dispute evidence.
+        """Submit the highest archived complete step as dispute evidence;
+        True iff the ledger accepted it.
 
         Skips the transaction when a dispute is already pending at the same or
         a higher sequence number; this node's evidence would be rejected as
@@ -437,10 +420,10 @@ class InProcessNetwork:
                 continue
             node.poll_chain()
 
-    def statuses(self) -> dict[str, NodeStatus]:
+    def statuses(self) -> dict[str, dict]:
         return {role: node.status() for role, node in self.nodes.items()}
 
     def stable(self) -> bool:
         """All nodes report identical (case, seq, state)."""
-        views = {(s.case_id, s.seq, s.state_hex) for s in self.statuses().values()}
+        views = {(s["case_id"], s["seq"], s["state"]) for s in self.statuses().values()}
         return len(views) == 1

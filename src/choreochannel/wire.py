@@ -29,6 +29,24 @@ class EncodingError(ValueError):
     pass
 
 
+class WireError(ValueError):
+    """A wire form whose JSON does not have the expected shape or types."""
+
+
+def _field(data, key: str, kind: type):
+    value = data.get(key) if type(data) is dict else None
+    if type(value) is not kind:
+        raise WireError(f"{key!r} must be a {kind.__name__}")
+    return value
+
+
+def _hex(value) -> bytes:
+    try:
+        return bytes.fromhex(value)
+    except (TypeError, ValueError):
+        raise WireError(f"not a hex string: {value!r}") from None
+
+
 @dataclass(frozen=True)
 class StepPayload:
     chain_id: int
@@ -51,15 +69,15 @@ class StepPayload:
         }
 
     @classmethod
-    def from_wire(cls, data: dict) -> "StepPayload":
+    def from_wire(cls, data) -> "StepPayload":
         return cls(
-            chain_id=int(data["chain_id"]),
-            contract_id=bytes.fromhex(data["contract_id"]),
-            case_id=int(data["case_id"]),
-            seq=int(data["seq"]),
-            task_id=data["task_id"],
-            choice_data=bytes.fromhex(data["choice_data"]),
-            new_state=bytes.fromhex(data["new_state"]),
+            chain_id=_field(data, "chain_id", int),
+            contract_id=_hex(_field(data, "contract_id", str)),
+            case_id=_field(data, "case_id", int),
+            seq=_field(data, "seq", int),
+            task_id=_field(data, "task_id", str),
+            choice_data=_hex(_field(data, "choice_data", str)),
+            new_state=_hex(_field(data, "new_state", str)),
         )
 
 
@@ -148,13 +166,6 @@ class SignedStep:
             "signatures": {role: sig.hex() for role, sig in sorted(self.signatures.items())},
         }
 
-    @classmethod
-    def from_wire(cls, data: dict) -> "SignedStep":
-        return cls(
-            payload=StepPayload.from_wire(data["payload"]),
-            signatures={role: bytes.fromhex(sig) for role, sig in data["signatures"].items()},
-        )
-
 
 class MessageKind(Enum):
     PROPOSE = "propose"
@@ -191,10 +202,16 @@ class ChannelMessage:
 
     @classmethod
     def from_wire(cls, raw: str) -> "ChannelMessage":
-        data = json.loads(raw)
-        return cls(
-            kind=MessageKind(data["kind"]),
-            sender_role=data["sender_role"],
-            step=StepPayload.from_wire(data["step"]),
-            signatures={r: bytes.fromhex(s) for r, s in data["signatures"].items()},
-        )
+        """Decode an envelope; any malformed input raises WireError."""
+        try:
+            data = json.loads(raw)
+            return cls(
+                kind=MessageKind(_field(data, "kind", str)),
+                sender_role=_field(data, "sender_role", str),
+                step=StepPayload.from_wire(_field(data, "step", dict)),
+                signatures={r: _hex(s) for r, s in _field(data, "signatures", dict).items()},
+            )
+        except WireError:
+            raise
+        except (ValueError, RecursionError) as exc:  # JSON, kind, signature count
+            raise WireError(str(exc)) from exc

@@ -66,6 +66,30 @@ def test_break_even_command(tmp_path, capsys):
     assert "incident_management" in data["cases"]
 
 
+def test_report_renders_break_even_file_as_printed(tmp_path, capsys):
+    out = tmp_path / "be.json"
+    assert main(["break-even", "--case", "supply-chain", "--mix", "0.1", "--mix", "1.0",
+                 "--horizon", "5", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    table = printed[:printed.index(f"wrote {out}")]
+    assert table.startswith("break-even supply_chain:") and "never" in table
+    assert main(["report", "--input", str(out)]) == 0
+    assert capsys.readouterr().out == table
+
+
+def test_report_renders_conformance_file(tmp_path, capsys):
+    out = tmp_path / "conf.json"
+    assert main(["conformance", "--case", "incident-management", "--mutants", "4",
+                 "--seed", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--input", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "case: incident_management",
+        "  conforming: traces=4 oracle_agreement=True stable=True fully_accepted=4",
+        "  mutated: traces=4 oracle_agreement=True stable=True fully_accepted=0",
+    ]
+
+
 def test_report_renders_structured_file(tmp_path, capsys):
     out = tmp_path / "scenario.json"
     main(["run-scenario", "--case", "supply-chain", "--kind", "worst", "--out", str(out)])

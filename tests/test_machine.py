@@ -10,7 +10,6 @@ from choreochannel.machine import (
     NotEnabledError,
     ProcessStateMachine,
     TaskRequest,
-    TransitionKind,
     UnknownTaskError,
     WrongRoleError,
     compile_state_machine,
@@ -32,7 +31,7 @@ def test_one_task_machine():
     machine = machine_for(minimal_model())
     assert machine.place_count == 2
     (t,) = machine.transitions
-    assert t.kind is TransitionKind.MANUAL
+    assert t.task_id == "greet"
     assert t.consume_mask == machine.initial_state
     assert t.produce_mask == machine.final_mask
     assert machine.role_ids == ("a", "b")
@@ -55,7 +54,7 @@ def test_compile_width_limit():
 
 def test_autonomous_transition_compiled():
     machine = machine_for(autonomous_leftover_model())
-    autonomous = [t for t in machine.transitions if t.kind is TransitionKind.AUTONOMOUS]
+    autonomous = [t for t in machine.transitions if t.task_id is None]
     assert len(autonomous) == 1
     assert autonomous[0].initiator is None and autonomous[0].task_id is None
     state = step(machine, machine.initial_state, TaskRequest("prepare", "a"))
@@ -82,6 +81,8 @@ def test_step_unknown_task():
     machine = machine_for(minimal_model())
     with pytest.raises(UnknownTaskError):
         step(machine, machine.initial_state, TaskRequest("nope", "a"))
+    # A missing task id never matches an autonomous transition.
+    assert machine_for(autonomous_leftover_model()).manual_transitions(None) == []
 
 
 def test_step_not_enabled():
@@ -133,11 +134,10 @@ def test_is_end_state_rejects_leftover_tokens():
 
 def test_autonomous_self_loop_does_not_hang():
     machine = ProcessStateMachine(
-        place_count=2,
         places=("p0", "p1"),
         transitions=(
-            CompiledTransition(0, 0b01, 0b01, TransitionKind.AUTONOMOUS),
-            CompiledTransition(1, 0b01, 0b10, TransitionKind.MANUAL, "a", "go"),
+            CompiledTransition(0, 0b01, 0b01),
+            CompiledTransition(1, 0b01, 0b10, "a", "go"),
         ),
         initial_state=0b01,
         final_mask=0b10,

@@ -28,8 +28,8 @@ def test_happy_path_all_nodes_agree(machine, variant):
     result = setup.nodes["bulk_buyer"].enact(variant[0])
     assert result.confirmed
     statuses = setup.network.statuses()
-    assert len({(s.seq, s.state_hex) for s in statuses.values()}) == 1
-    assert statuses["supplier"].seq == 1
+    assert len({(s["seq"], s["state"]) for s in statuses.values()}) == 1
+    assert statuses["supplier"]["seq"] == 1
     assert setup.network.stable()
 
 
@@ -42,7 +42,7 @@ def test_full_case_off_chain_and_close(machine, variant):
     setup.network.poll_all()
     # Exactly two on-chain transactions: deploy and close.
     assert [t.kind.value for t in setup.ledger.log] == ["deploy", "close"]
-    assert all(s.case_id == 1 and s.seq == 0 for s in setup.network.statuses().values())
+    assert all(s["case_id"] == 1 and s["seq"] == 0 for s in setup.network.statuses().values())
 
 
 def test_enact_rejects_foreign_task_locally(machine, variant):
@@ -252,7 +252,7 @@ def test_on_chain_routing_after_window(machine, variant):
         result = setup.nodes[req.requester_role].enact(req)
         assert result.confirmed, (req.task_id, result)
     setup.network.poll_all()
-    assert all(s.case_id == 1 for s in setup.network.statuses().values())
+    assert all(s["case_id"] == 1 for s in setup.network.statuses().values())
     assert setup.network.stable()
 
 
@@ -300,6 +300,14 @@ def test_archive_flushed_before_confirm(machine, variant, tmp_path):
 def test_prefilter_disabled_proposes_and_network_rejects(machine, variant):
     setup = build_network(machine, key_salt="faulty", prefilter=False)
     result = setup.nodes["carrier"].enact(TaskRequest("deliver_supplies", "carrier"))
-    assert result.status == "dispute_raised"  # refused by signers, dispute path
+    # Refused by the signers; with no archived step there is no dispute to raise.
+    assert (result.status, result.error) == ("rejected", "missing-signatures")
     assert setup.network.stable()
-    assert all(s.seq == 0 for s in setup.network.statuses().values())
+    assert all(s["seq"] == 0 for s in setup.network.statuses().values())
+
+
+def test_enact_reports_rejected_when_no_dispute_was_sent(machine, variant):
+    setup = build_network(machine, key_salt="faulty", prefilter=False)
+    result = setup.nodes[variant[1].requester_role].enact(variant[1])
+    assert (result.status, result.error) == ("rejected", "missing-signatures")
+    assert [t.kind.value for t in setup.ledger.log] == ["deploy"]

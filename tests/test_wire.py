@@ -12,6 +12,7 @@ from choreochannel.wire import (
     MessageKind,
     SignedStep,
     StepPayload,
+    WireError,
     address_of,
     encode_step,
     generate_signing_key,
@@ -168,3 +169,38 @@ def test_message_signature_cardinality():
     with pytest.raises(ValueError):
         ChannelMessage(MessageKind.CONFIRM, "a", p, {})
     ChannelMessage(MessageKind.CONFIRM, "a", p, {"a": sig, "b": sig})  # fine
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+ENVELOPE = json.loads(ChannelMessage(
+    MessageKind.PROPOSE, "a", payload(), {"a": sign_step(payload(), KEY)}).to_wire())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_message_from_wire_is_total(data):
+    """Arbitrary JSON, and a valid envelope with one field of the envelope or
+    of its step replaced by arbitrary JSON, either decodes or raises WireError."""
+    doc = json.loads(json.dumps(ENVELOPE))
+    target = data.draw(st.sampled_from([None, doc, doc["step"], doc["signatures"]]))
+    if target is None:
+        doc = data.draw(JSON)
+    else:
+        target[data.draw(st.sampled_from(sorted(target) + ["extra"]))] = data.draw(JSON)
+    try:
+        msg = ChannelMessage.from_wire(json.dumps(doc))
+    except WireError:
+        return
+    step = msg.step
+    assert isinstance(msg.sender_role, str) and isinstance(step.task_id, str)
+    assert {type(step.chain_id), type(step.case_id), type(step.seq)} == {int}
+
+
+@pytest.mark.parametrize("raw", ["", "not json", "[" * 100000], ids=["empty", "text", "deep"])
+def test_message_from_wire_rejects_undecodable_text(raw):
+    with pytest.raises(WireError):
+        ChannelMessage.from_wire(raw)
