@@ -31,7 +31,7 @@ from .petri import (
     trace_language,
     traces_equivalent,
 )
-from .trigger import InProcessNetwork, TriggerConfig, TriggerNode
+from .trigger import InProcessNetwork, TriggerNode
 from .wire import (
     ChannelMessage,
     SignedStep,

@@ -46,11 +46,6 @@ class GatewayKind(Enum):
     PARALLEL = "parallel"
 
 
-class GatewayDirection(Enum):
-    SPLIT = "split"
-    JOIN = "join"
-
-
 @dataclass(frozen=True)
 class Role:
     id: str
@@ -67,11 +62,10 @@ class ChoreographyTask:
 
 @dataclass(frozen=True)
 class Gateway:
+    """A split or a join; which one is decided by its flow degrees."""
+
     id: str
     kind: GatewayKind
-    # None when the flow degrees do not determine a direction (degenerate or
-    # mixed gateway); validate_model reports these.
-    direction: GatewayDirection | None
 
 
 @dataclass(frozen=True)
@@ -158,7 +152,7 @@ def parse_choreography(xml_bytes: bytes) -> ChoreographyModel:
         elif tag in ("exclusiveGateway", "parallelGateway"):
             gid = _require_id(elem)
             kind = GatewayKind.EXCLUSIVE if tag == "exclusiveGateway" else GatewayKind.PARALLEL
-            gateways.append(Gateway(id=gid, kind=kind, direction=None))
+            gateways.append(Gateway(id=gid, kind=kind))
         elif tag == "startEvent":
             starts.append(_require_id(elem))
         elif tag == "endEvent":
@@ -175,8 +169,6 @@ def parse_choreography(xml_bytes: bytes) -> ChoreographyModel:
 
     if not starts:
         raise ParseError("choreography has no start event")
-
-    gateways = [_derive_direction(g, flows) for g in gateways]
 
     return ChoreographyModel(
         roles=tuple(roles),
@@ -207,19 +199,6 @@ def _parse_task(elem: ET.Element) -> ChoreographyTask:
         initiator=initiator,
         respondent=others[0],
     )
-
-
-def _derive_direction(g: Gateway, flows: list[tuple[str, str]]) -> Gateway:
-    ins = sum(1 for _, tgt in flows if tgt == g.id)
-    outs = sum(1 for src, _ in flows if src == g.id)
-    direction: GatewayDirection | None
-    if outs >= 2 and ins <= 1:
-        direction = GatewayDirection.SPLIT
-    elif ins >= 2 and outs <= 1:
-        direction = GatewayDirection.JOIN
-    else:
-        direction = None
-    return Gateway(id=g.id, kind=g.kind, direction=direction)
 
 
 def validate_model(model: ChoreographyModel) -> list[Diagnostic]:
@@ -257,7 +236,7 @@ def validate_model(model: ChoreographyModel) -> list[Diagnostic]:
         outs = sum(1 for src, _ in model.flows if src == gw.id)
         if ins >= 2 and outs >= 2:
             diags.append(Diagnostic("MixedGateway", gw.id, "gateway both joins and splits"))
-        elif gw.direction is None:
+        elif ins < 2 and outs < 2:
             diags.append(Diagnostic("GatewayDegree", gw.id, f"gateway has {ins} in / {outs} out flows"))
 
     for eid in model.end_events:

@@ -11,6 +11,7 @@ from pathlib import Path
 from .bpmn import parse_choreography
 from .cases import CASES, build_machine, load_variants, normalize_case, reduce_model
 from .harness import (
+    DEFAULT_MIXES,
     ScenarioError,
     ScenarioKind,
     ScenarioSpec,
@@ -130,7 +131,7 @@ def cmd_break_even(args) -> int:
     payload: dict = {"type": "break_even", "cases": {}}
     for case in args.case or list(CASES):
         case = normalize_case(case)
-        report = break_even(case, mixes=tuple(args.mix), horizon=args.horizon,
+        report = break_even(case, mixes=tuple(args.mix or DEFAULT_MIXES), horizon=args.horizon,
                             seed=args.seed, dispute_window=args.window)
         payload["cases"][case] = asdict(report)
         print(_break_even_table(case, payload["cases"][case]))
@@ -205,6 +206,7 @@ def main(argv: list[str] | None = None) -> int:
                     "benchmark their on-chain footprint on a simulated ledger.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    case_choices = [c.replace("_", "-") for c in CASES] + list(CASES)
 
     p = sub.add_parser("compile", help="compile a BPMN choreography to a machine dump")
     p.add_argument("model")
@@ -213,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("run-scenario", help="run a best/bad/worst case benchmark")
-    p.add_argument("--case", required=True, choices=[c.replace("_", "-") for c in CASES] + list(CASES))
+    p.add_argument("--case", required=True, choices=case_choices)
     p.add_argument("--variant", type=int, default=0)
     p.add_argument("--kind", required=True, choices=[k.value for k in ScenarioKind])
     p.add_argument("--seed", type=int, default=0)
@@ -223,17 +225,16 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_run_scenario)
 
     p = sub.add_parser("conformance", help="replay conforming variants and mutated traces")
-    p.add_argument("--case", required=True, choices=[c.replace("_", "-") for c in CASES] + list(CASES))
+    p.add_argument("--case", required=True, choices=case_choices)
     p.add_argument("--mutants", type=int, default=2000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out")
     p.set_defaults(func=cmd_conformance)
 
     p = sub.add_parser("break-even", help="amortisation analysis across dispute mixes")
-    p.add_argument("--case", action="append",
-                   choices=[c.replace("_", "-") for c in CASES] + list(CASES))
+    p.add_argument("--case", action="append", choices=case_choices)
     p.add_argument("--mix", type=float, action="append",
-                   default=None, help="dispute rate, e.g. 0.05 (repeatable)")
+                   help="dispute rate, e.g. 0.05 (repeatable)")
     p.add_argument("--horizon", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--window", type=int, default=10)
@@ -246,8 +247,6 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_report)
 
     args = parser.parse_args(argv)
-    if getattr(args, "mix", None) is None and args.command == "break-even":
-        args.mix = [0.0, 0.05, 0.20, 1.0]
     try:
         return args.func(args)
     except (ScenarioError, ValueError, FileNotFoundError) as exc:

@@ -13,6 +13,8 @@ import random
 from dataclasses import asdict, dataclass
 from enum import Enum
 
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
 from .cases import build_machine, load_variants, normalize_case
 from .ledger import Accepted, Ledger, Phase, TxKind
 from .machine import (
@@ -22,7 +24,7 @@ from .machine import (
     is_end_state,
     step,
 )
-from .trigger import InProcessNetwork, TriggerConfig, TriggerNode
+from .trigger import InProcessNetwork, TriggerNode
 from .wire import generate_signing_key, public_key_of
 
 
@@ -148,7 +150,7 @@ class ChannelSetup:
     nodes: dict[str, TriggerNode]
     contract_id: bytes
     addresses: dict[str, bytes]
-    keys: dict[str, bytes]
+    keys: dict[str, Ed25519PrivateKey]
 
 
 def build_network(machine: ProcessStateMachine, *, seed: int = 0, dispute_window: int = 10,
@@ -160,22 +162,14 @@ def build_network(machine: ProcessStateMachine, *, seed: int = 0, dispute_window
         role: generate_signing_key(f"key|{key_salt}|{seed}|{role}".encode())
         for role in machine.role_ids
     }
-    pubkeys = {role: public_key_of(k) for role, k in keys.items()}
-    addresses = {role: ledger.register_account(pub) for role, pub in pubkeys.items()}
+    addresses = {role: ledger.register_account(public_key_of(k)) for role, k in keys.items()}
     contract_id = ledger.deploy_channel(machine, addresses, dispute_window,
                                         sender=addresses[machine.role_ids[0]])
     network = InProcessNetwork()
     nodes: dict[str, TriggerNode] = {}
-    for role in machine.role_ids:
-        config = TriggerConfig(
-            role=role,
-            signing_key=keys[role],
-            role_pubkeys={r: p for r, p in pubkeys.items() if r != role},
-            contract_id=contract_id,
-            prefilter=prefilter,
-            archive_path=f"{archive_dir}/{role}.jsonl" if archive_dir else None,
-        )
-        node = TriggerNode(config, machine, ledger, network)
+    for role, key in keys.items():
+        node = TriggerNode(role, key, ledger, contract_id, prefilter=prefilter,
+                           archive_path=f"{archive_dir}/{role}.jsonl" if archive_dir else None)
         network.register(node)
         nodes[role] = node
     return ChannelSetup(ledger, network, nodes, contract_id, addresses, keys)
@@ -239,8 +233,7 @@ class ClassificationReport:
         }
 
 
-def replay_conformance(case: str, traces: list[Trace], *, seed: int = 0,
-                       dispute_window: int = 10) -> ClassificationReport:
+def replay_conformance(case: str, traces: list[Trace], *, seed: int = 0) -> ClassificationReport:
     """Replay traces against a fresh channel per trace, with the local
     conformance pre-check disabled so a faulty component is simulated and the
     network itself performs every rejection."""
@@ -248,8 +241,7 @@ def replay_conformance(case: str, traces: list[Trace], *, seed: int = 0,
     machine = build_machine(case)
     results: list[TraceResult] = []
     for index, trace in enumerate(traces):
-        setup = build_network(machine, seed=seed, dispute_window=dispute_window,
-                              prefilter=False, key_salt=case)
+        setup = build_network(machine, seed=seed, prefilter=False, key_salt=case)
         verdicts: list[bool] = []
         for req in trace.events:
             node = setup.nodes.get(req.requester_role)
@@ -329,7 +321,8 @@ def _cost_report(spec: ScenarioSpec, channel: Ledger, baseline: Ledger) -> CostR
     )
 
 
-def _run_baseline(machine: ProcessStateMachine, trace: Trace, keys: dict[str, bytes]) -> Ledger:
+def _run_baseline(machine: ProcessStateMachine, trace: Trace,
+                  keys: dict[str, Ed25519PrivateKey]) -> Ledger:
     """The comparator: the same machine enacted fully on-chain, one ledger
     transaction per task."""
     ledger = Ledger()
@@ -442,16 +435,14 @@ class UnavailabilityOutcome:
     stable: bool
 
 
-def run_unavailability(case: str, seed: int, *, variant: int | None = None,
-                       dispute_window: int = 10) -> UnavailabilityOutcome:
-    """Silence one signer at a seeded event; the run must still complete via
-    on-chain continuation after the initiator's dispute."""
+def run_unavailability(case: str, seed: int, *, dispute_window: int = 10) -> UnavailabilityOutcome:
+    """Silence one signer at a seeded event of a seeded variant; the run must
+    still complete via on-chain continuation after the initiator's dispute."""
     case = normalize_case(case)
     machine = build_machine(case)
     variants = load_variants(case)
     rng = random.Random(seed)
-    v = variant if variant is not None else rng.randrange(len(variants))
-    trace = Trace(tuple(variants[v]))
+    trace = Trace(tuple(variants[rng.randrange(len(variants))]))
     # The failing event needs a predecessor so dispute evidence exists.
     fail_at = rng.randint(2, len(trace))  # 1-based event index
     initiator = trace.events[fail_at - 1].requester_role
@@ -481,6 +472,9 @@ def run_unavailability(case: str, seed: int, *, variant: int | None = None,
 
 
 # -- amortisation ------------------------------------------------------------------
+
+# Dispute rates compared by default: none, occasional, frequent, always.
+DEFAULT_MIXES = (0.0, 0.05, 0.20, 1.0)
 
 
 @dataclass
@@ -519,7 +513,7 @@ def measure_case_costs(case: str, *, seed: int = 0,
     return out
 
 
-def break_even(case: str, mixes=(0.0, 0.05, 0.20, 1.0), horizon: int = 20, *,
+def break_even(case: str, mixes=DEFAULT_MIXES, horizon: int = 20, *,
                seed: int = 0, dispute_window: int = 10,
                costs: dict[str, list[CostReport]] | None = None) -> BreakEvenReport:
     """Cumulative channel-vs-baseline comparison for dispute-rate mixes.

@@ -317,6 +317,11 @@ class Ledger:
             dispute_deadline=c.dispute_deadline,
         )
 
+    def role_keys(self, contract_id: bytes) -> dict[str, bytes]:
+        """Role -> public key of the participant bound to it, in role order."""
+        c = self.contracts[contract_id]
+        return {role: self.accounts[c.role_binding[role]] for role in c.machine.role_ids}
+
     def _reject(self, kind: TxKind, contract: ChannelContract, sender: bytes,
                 payload_seq: int | None, cost: CostRecord, reason: str) -> Rejected:
         """Charge and log a refused transaction; the contract is left as it was."""
@@ -336,14 +341,9 @@ class Ledger:
             return "wrong-contract"
         if payload.case_id != contract.case_id:
             return "wrong-case"
-        roles = contract.machine.role_ids
-        if not signed.is_complete(roles):
+        if not signed.is_complete(contract.machine.role_ids):
             return "incomplete-signatures"
-        pubkeys = {}
-        for role in roles:
-            address = contract.role_binding[role]
-            pubkeys[role] = self.accounts[address]
-        if not signed.verify_all(pubkeys):
+        if not signed.verify_all(self.role_keys(contract.contract_id)):
             return "invalid-signature"
         try:
             contract.machine.state_from_bytes(payload.new_state)

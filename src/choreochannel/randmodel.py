@@ -13,7 +13,6 @@ from .bpmn import (
     ChoreographyModel,
     ChoreographyTask,
     Gateway,
-    GatewayDirection,
     GatewayKind,
     Role,
 )
@@ -39,9 +38,9 @@ class _Builder:
         self.tasks.append(ChoreographyTask(tid, tid, initiator.id, respondent.id))
         return tid
 
-    def add_gateway(self, kind: GatewayKind, direction: GatewayDirection) -> str:
+    def add_gateway(self, kind: GatewayKind) -> str:
         gid = self.fresh("gw")
-        self.gateways.append(Gateway(gid, kind, direction))
+        self.gateways.append(Gateway(gid, kind))
         return gid
 
     def budget_left(self) -> int:
@@ -70,8 +69,8 @@ class _Builder:
         return self.loop_block(depth)
 
     def branch_block(self, kind: GatewayKind, depth: int) -> tuple[str, str]:
-        split = self.add_gateway(kind, GatewayDirection.SPLIT)
-        join = self.add_gateway(kind, GatewayDirection.JOIN)
+        split = self.add_gateway(kind)
+        join = self.add_gateway(kind)
         branches = self.rng.randint(2, 3)
         allow_empty = kind is GatewayKind.EXCLUSIVE
         used_empty = False
@@ -86,8 +85,8 @@ class _Builder:
         return split, join
 
     def loop_block(self, depth: int) -> tuple[str, str]:
-        entry = self.add_gateway(GatewayKind.EXCLUSIVE, GatewayDirection.JOIN)
-        exit_ = self.add_gateway(GatewayKind.EXCLUSIVE, GatewayDirection.SPLIT)
+        entry = self.add_gateway(GatewayKind.EXCLUSIVE)
+        exit_ = self.add_gateway(GatewayKind.EXCLUSIVE)
         body_entry, body_exit = self.block(depth - 1)
         self.flows.append((entry, body_entry))
         self.flows.append((body_exit, exit_))
@@ -95,12 +94,10 @@ class _Builder:
         return entry, exit_
 
 
-def random_model(seed: int, max_tasks: int = 8, max_depth: int = 3,
-                 role_count: int | None = None) -> ChoreographyModel:
+def random_model(seed: int, max_tasks: int = 8, max_depth: int = 3) -> ChoreographyModel:
     """A valid, 1-safe choreography model; identical per seed."""
     rng = random.Random(seed)
-    roles = role_count if role_count is not None else rng.randint(3, 5)
-    b = _Builder(rng, roles, max_tasks)
+    b = _Builder(rng, rng.randint(3, 5), max_tasks)
     entry, exit_ = b.block(max_depth)
     # Pad with a sequence so the model does not collapse to a single task too
     # often; keeps the reduction rules busy.

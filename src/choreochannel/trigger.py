@@ -13,10 +13,11 @@ import json
 import logging
 from dataclasses import dataclass
 
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
 from .ledger import Accepted, Ledger, Phase
 from .machine import (
     ConformanceError,
-    ProcessStateMachine,
     TaskRequest,
     is_end_state,
     step,
@@ -26,23 +27,12 @@ from .wire import (
     MessageKind,
     SignedStep,
     StepPayload,
-    address_of,
     public_key_of,
     sign_step,
     verify_step,
 )
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class TriggerConfig:
-    role: str
-    signing_key: bytes
-    role_pubkeys: dict[str, bytes]
-    contract_id: bytes
-    archive_path: str | None = None
-    prefilter: bool = True
 
 
 @dataclass(frozen=True)
@@ -60,14 +50,14 @@ class ArchiveStore:
     """Append-only evidence store. Every record is flushed before the node
     sends the message that depends on it."""
 
-    def __init__(self, path: str | None = None):
+    def __init__(self, path: str | None):
         self._steps: dict[int, list[SignedStep]] = {}
-        self._fh = open(path, "a", encoding="utf-8") if path else None
+        self._path = path
 
     def _write(self, record: dict) -> None:
-        if self._fh is not None:
-            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-            self._fh.flush()
+        if self._path is not None:
+            with open(self._path, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     def note_signed(self, payload: StepPayload, signature: bytes) -> None:
         self._write({"type": "signed", "payload": payload.to_wire(), "sig": signature.hex()})
@@ -95,36 +85,33 @@ class ArchiveStore:
                 return s
         return None
 
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
 
 class TriggerNode:
-    """One channel participant; drives the off-chain protocol for its role."""
+    """One channel participant; drives the off-chain protocol for its role
+    under the machine and role keys of the deployed contract."""
 
-    def __init__(self, config: TriggerConfig, machine: ProcessStateMachine, ledger: Ledger,
-                 transport=None):
-        if config.role not in machine.role_ids:
-            raise ValueError(f"role {config.role!r} is not part of the process")
-        missing = set(machine.role_ids) - {config.role} - set(config.role_pubkeys)
-        if missing:
-            raise ValueError(f"missing public keys for roles: {sorted(missing)}")
-        self.config = config
-        self.machine = machine
+    def __init__(self, role: str, signing_key: Ed25519PrivateKey, ledger: Ledger,
+                 contract_id: bytes, *, prefilter: bool = True,
+                 archive_path: str | None = None):
+        self.role_keys = ledger.role_keys(contract_id)
+        if self.role_keys.get(role) != public_key_of(signing_key):
+            raise ValueError(f"signing key is not the key bound to role {role!r}")
+        contract = ledger.contracts[contract_id]
+        self.machine = contract.machine
+        self.address = contract.role_binding[role]
+        self.role = role
+        self.signing_key = signing_key
         self.ledger = ledger
-        self.transport = transport
-        self.role = config.role
-        self.public_key = public_key_of(config.signing_key)
-        self.address = address_of(self.public_key)
-        self.state = machine.initial_state
+        self.contract_id = contract_id
+        self.prefilter = prefilter
+        self.transport = None  # set by InProcessNetwork.register or serve_network
+        self.state = self.machine.initial_state
         self.seq = 0
         self.case_id = 0
         self.pending: StepPayload | None = None
         # Remote proposals this node has signed, by seq: first proposal wins.
         self.signed_remote: dict[int, StepPayload] = {}
-        self.archive = ArchiveStore(config.archive_path)
+        self.archive = ArchiveStore(archive_path)
         self.on_chain_mode = False
         self.observed_phase = Phase.CHANNEL_OPEN
         self.events: list[str] = []
@@ -137,11 +124,6 @@ class TriggerNode:
 
     def _peers(self) -> list[str]:
         return [r for r in self.machine.role_ids if r != self.role]
-
-    def _pubkey(self, role: str) -> bytes:
-        if role == self.role:
-            return self.public_key
-        return self.config.role_pubkeys[role]
 
     def status(self) -> dict:
         """The node's view as served on /status."""
@@ -171,7 +153,7 @@ class TriggerNode:
             new_state = step(self.machine, self.state, req)
             new_state_bytes = self.machine.state_to_bytes(new_state)
         except ConformanceError as exc:
-            if self.config.prefilter:
+            if self.prefilter:
                 # Request never leaves the node.
                 return EnactResult("rejected", error=exc.reason)
             # Faulty-component mode: forward the request with an unchanged
@@ -181,14 +163,14 @@ class TriggerNode:
 
         payload = StepPayload(
             chain_id=self.ledger.chain_id,
-            contract_id=self.config.contract_id,
+            contract_id=self.contract_id,
             case_id=self.case_id,
             seq=self.seq + 1,
             task_id=req.task_id,
             choice_data=req.choice_data,
             new_state=new_state_bytes,
         )
-        my_sig = sign_step(payload, self.config.signing_key)
+        my_sig = sign_step(payload, self.signing_key)
         self.pending = payload
         signatures = {self.role: my_sig}
         all_signed = True
@@ -201,7 +183,7 @@ class TriggerNode:
                 all_signed = False
                 continue
             sig = reply.signatures.get(peer)
-            if sig is None or not verify_step(payload, sig, self._pubkey(peer)):
+            if sig is None or not verify_step(payload, sig, self.role_keys[peer]):
                 self._note(f"invalid sign reply from {peer} for seq {payload.seq}")
                 all_signed = False
                 continue
@@ -230,7 +212,7 @@ class TriggerNode:
         return EnactResult("rejected", error="missing-signatures")
 
     def _enact_on_chain(self, req: TaskRequest) -> EnactResult:
-        result = self.ledger.on_chain_step(self.config.contract_id, req, self.address)
+        result = self.ledger.on_chain_step(self.contract_id, req, self.address)
         if isinstance(result, Accepted):
             self.state = result.new_state
             self.seq = result.seq
@@ -253,15 +235,15 @@ class TriggerNode:
         (and raise a dispute when a validly signed proposal breaks the process)."""
         payload = msg.step
         proposer = msg.sender_role
-        if payload.chain_id != self.ledger.chain_id or payload.contract_id != self.config.contract_id:
+        if payload.chain_id != self.ledger.chain_id or payload.contract_id != self.contract_id:
             self._note("proposal for foreign chain/contract ignored")
             return None
         if payload.case_id != self.case_id:
             self._note(f"proposal for case {payload.case_id}, local case is {self.case_id}")
             return None
         sig = msg.signatures.get(proposer)
-        if proposer not in self.machine.role_ids or sig is None or not verify_step(
-            payload, sig, self._pubkey(proposer)
+        if proposer not in self.role_keys or sig is None or not verify_step(
+            payload, sig, self.role_keys[proposer]
         ):
             self._note(f"bad initiator signature on proposal seq {payload.seq}")
             return None
@@ -292,7 +274,7 @@ class TriggerNode:
             self.raise_dispute()
             return None
 
-        my_sig = sign_step(payload, self.config.signing_key)
+        my_sig = sign_step(payload, self.signing_key)
         # Evidence first, then the signature leaves the node.
         self.archive.note_signed(payload, my_sig)
         self.signed_remote[payload.seq] = payload
@@ -306,8 +288,7 @@ class TriggerNode:
             self._note(f"confirm for unknown step seq {payload.seq} ignored")
             return False
         signed = SignedStep(payload, dict(msg.signatures))
-        pubkeys = {r: self._pubkey(r) for r in self.machine.role_ids}
-        if not signed.verify_all(pubkeys):
+        if not signed.verify_all(self.role_keys):
             self._note(f"confirm for seq {payload.seq} carries an incomplete signature set")
             self.raise_dispute()
             return False
@@ -331,12 +312,12 @@ class TriggerNode:
         if latest is None:
             self._note("dispute intended but no complete step archived yet")
             return False
-        view = self.ledger.get_contract(self.config.contract_id)
+        view = self.ledger.get_contract(self.contract_id)
         self.observed_phase = view.phase
         if view.phase is Phase.DISPUTE and view.seq >= latest.payload.seq:
             self._note(f"dispute already pending at seq {view.seq}; holding evidence")
             return False
-        result = self.ledger.submit_state(self.config.contract_id, latest, self.address)
+        result = self.ledger.submit_state(self.contract_id, latest, self.address)
         self._note(f"dispute submission seq {latest.payload.seq}: {result}")
         return isinstance(result, Accepted)
 
@@ -345,11 +326,11 @@ class TriggerNode:
         target = self.archive.by_seq(self.case_id, seq)
         if target is None:
             raise ValueError(f"no archived step with seq {seq}")
-        return self.ledger.submit_state(self.config.contract_id, target, self.address)
+        return self.ledger.submit_state(self.contract_id, target, self.address)
 
     def poll_chain(self) -> None:
         """One polling pass: counter stale state, follow phase, follow resets."""
-        view = self.ledger.get_contract(self.config.contract_id)
+        view = self.ledger.get_contract(self.contract_id)
         self.observed_phase = view.phase
         if view.case_id > self.case_id:
             self._reset_for_case(view.case_id)
@@ -357,7 +338,7 @@ class TriggerNode:
         if view.phase is Phase.DISPUTE:
             latest = self.archive.max_complete(self.case_id)
             if latest is not None and view.seq < latest.payload.seq:
-                result = self.ledger.submit_state(self.config.contract_id, latest, self.address)
+                result = self.ledger.submit_state(self.contract_id, latest, self.address)
                 self._note(f"countered stale state with seq {latest.payload.seq}: {result}")
         elif view.phase is Phase.ON_CHAIN:
             self.on_chain_mode = True
@@ -381,7 +362,7 @@ class TriggerNode:
         final = self.archive.max_complete(self.case_id)
         if final is None:
             return EnactResult("rejected", error="no-archived-final-step")
-        result = self.ledger.close_channel(self.config.contract_id, final, self.address)
+        result = self.ledger.close_channel(self.contract_id, final, self.address)
         if isinstance(result, Accepted):
             self.poll_chain()
             return EnactResult("confirmed", new_state=self.state)

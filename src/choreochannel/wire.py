@@ -107,16 +107,13 @@ def encode_step(p: StepPayload) -> bytes:
     return b"".join(parts)
 
 
-def generate_signing_key(seed: bytes | None = None) -> bytes:
-    """32-byte Ed25519 private key; pass a seed for reproducible keys."""
-    if seed is None:
-        key = Ed25519PrivateKey.generate()
-        return key.private_bytes_raw()
-    return hashlib.sha256(seed).digest()
+def generate_signing_key(seed: bytes) -> Ed25519PrivateKey:
+    """Ed25519 private key derived from a seed, so runs are reproducible."""
+    return Ed25519PrivateKey.from_private_bytes(hashlib.sha256(seed).digest())
 
 
-def public_key_of(signing_key: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(signing_key).public_key().public_bytes_raw()
+def public_key_of(signing_key: Ed25519PrivateKey) -> bytes:
+    return signing_key.public_key().public_bytes_raw()
 
 
 def address_of(public_key: bytes) -> bytes:
@@ -124,8 +121,8 @@ def address_of(public_key: bytes) -> bytes:
     return hashlib.sha256(public_key).digest()
 
 
-def sign_step(p: StepPayload, signing_key: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(signing_key).sign(encode_step(p))
+def sign_step(p: StepPayload, signing_key: Ed25519PrivateKey) -> bytes:
+    return signing_key.sign(encode_step(p))
 
 
 def verify_step(p: StepPayload, signature: bytes, public_key: bytes) -> bool:
@@ -144,17 +141,12 @@ class SignedStep:
     payload: StepPayload
     signatures: dict[str, bytes] = field(default_factory=dict)
 
-    def with_signature(self, role: str, signature: bytes) -> "SignedStep":
-        merged = dict(self.signatures)
-        merged[role] = signature
-        return SignedStep(self.payload, merged)
-
     def is_complete(self, roles) -> bool:
         return set(roles) <= set(self.signatures)
 
-    def verify_all(self, role_pubkeys: dict[str, bytes]) -> bool:
+    def verify_all(self, role_keys: dict[str, bytes]) -> bool:
         """All required roles present and every signature valid."""
-        for role, pub in role_pubkeys.items():
+        for role, pub in role_keys.items():
             sig = self.signatures.get(role)
             if sig is None or not verify_step(self.payload, sig, pub):
                 return False

@@ -1,7 +1,9 @@
 import pytest
 
 from choreochannel.bpmn import (
+    ChoreographyModel,
     Diagnostic,
+    Gateway,
     GatewayKind,
     ParseError,
     parse_choreography,
@@ -135,6 +137,20 @@ def test_mixed_gateway_flagged():
     )
     rules = [d.rule for d in validate_model(model)]
     assert "MixedGateway" in rules
+
+
+def test_pass_through_gateway_flagged_whether_built_or_parsed():
+    # One in-flow and one out-flow: neither a split nor a join.
+    base = minimal_model()
+    model = ChoreographyModel(
+        roles=base.roles, tasks=base.tasks,
+        gateways=(Gateway("g", GatewayKind.PARALLEL),),
+        start_event="start", end_events=("end",),
+        flows=(("start", "g"), ("g", "greet"), ("greet", "end")),
+    )
+    expected = Diagnostic("GatewayDegree", "g", "gateway has 1 in / 1 out flows")
+    assert expected in validate_model(model)
+    assert expected in validate_model(parse_choreography(serialize_choreography(model)))
 
 
 def test_self_message_flagged():

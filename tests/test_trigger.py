@@ -1,8 +1,11 @@
+import gc
 import json
+import warnings
 
 import pytest
 
 from choreochannel.harness import build_network
+from choreochannel.trigger import TriggerNode
 from choreochannel.cases import build_machine, load_variants
 from choreochannel.ledger import Accepted, Phase
 from choreochannel.machine import TaskRequest, step as machine_step
@@ -93,7 +96,24 @@ def test_on_propose_returns_verifiable_signature(machine, variant):
     reply = setup.nodes["supplier"].on_propose(msg)
     assert reply is not None and reply.kind is MessageKind.SIGN
     assert verify_step(payload, reply.signatures["supplier"],
-                       setup.nodes["bulk_buyer"].config.role_pubkeys["supplier"])
+                       setup.ledger.role_keys(setup.contract_id)["supplier"])
+
+
+def test_node_refuses_key_not_bound_to_its_role(machine):
+    setup = fresh(machine)
+    with pytest.raises(ValueError, match="not the key bound to role 'supplier'"):
+        TriggerNode("supplier", setup.keys["carrier"], setup.ledger, setup.contract_id)
+    with pytest.raises(ValueError, match="role 'auditor'"):
+        TriggerNode("auditor", setup.keys["carrier"], setup.ledger, setup.contract_id)
+
+
+def test_node_enforces_the_deployed_contract(machine):
+    setup = fresh(machine)
+    contract = setup.ledger.contracts[setup.contract_id]
+    for role, node in setup.nodes.items():
+        assert node.machine is contract.machine
+        assert node.address == contract.role_binding[role] == setup.addresses[role]
+        assert node.role_keys == setup.ledger.role_keys(setup.contract_id)
 
 
 def _propose(setup, machine, proposer, seq, task_id, new_state_bytes, signer="supplier"):
@@ -295,6 +315,17 @@ def test_archive_flushed_before_confirm(machine, variant, tmp_path):
     assert "step" in kinds
     initiator_log = (tmp_path / "bulk_buyer.jsonl").read_text().splitlines()
     assert any(json.loads(line)["type"] == "step" for line in initiator_log)
+
+
+def test_archive_leaves_no_file_open(machine, variant, tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        setup = build_network(machine, key_salt="durability", archive_dir=str(tmp_path))
+        assert setup.nodes["bulk_buyer"].enact(variant[0]).confirmed
+        del setup
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert len((tmp_path / "supplier.jsonl").read_text().splitlines()) == 2
 
 
 def test_prefilter_disabled_proposes_and_network_rejects(machine, variant):

@@ -135,12 +135,8 @@ def test_signed_step_completeness_order_insensitive():
     p = payload()
     keys = {role: generate_signing_key(role.encode()) for role in ("a", "b", "c")}
     pubs = {role: public_key_of(k) for role, k in keys.items()}
-    forward = SignedStep(p)
-    for role in ("a", "b", "c"):
-        forward = forward.with_signature(role, sign_step(p, keys[role]))
-    backward = SignedStep(p)
-    for role in ("c", "b", "a"):
-        backward = backward.with_signature(role, sign_step(p, keys[role]))
+    forward = SignedStep(p, {role: sign_step(p, keys[role]) for role in ("a", "b", "c")})
+    backward = SignedStep(p, {role: sign_step(p, keys[role]) for role in ("c", "b", "a")})
     assert forward.signatures == backward.signatures
     assert forward.is_complete(pubs) and backward.is_complete(pubs)
     assert forward.verify_all(pubs) and backward.verify_all(pubs)

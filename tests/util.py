@@ -6,7 +6,6 @@ from choreochannel.bpmn import (
     ChoreographyModel,
     ChoreographyTask,
     Gateway,
-    GatewayDirection,
     GatewayKind,
     Role,
 )
@@ -35,8 +34,8 @@ def parallel_model() -> ChoreographyModel:
             ChoreographyTask("right", "Right", "b", "a"),
         ),
         gateways=(
-            Gateway("split", GatewayKind.PARALLEL, GatewayDirection.SPLIT),
-            Gateway("join", GatewayKind.PARALLEL, GatewayDirection.JOIN),
+            Gateway("split", GatewayKind.PARALLEL),
+            Gateway("join", GatewayKind.PARALLEL),
         ),
         start_event="start",
         end_events=("end",),
@@ -60,8 +59,8 @@ def exclusive_model() -> ChoreographyModel:
             ChoreographyTask("no", "No", "a", "b"),
         ),
         gateways=(
-            Gateway("choice", GatewayKind.EXCLUSIVE, GatewayDirection.SPLIT),
-            Gateway("merge", GatewayKind.EXCLUSIVE, GatewayDirection.JOIN),
+            Gateway("choice", GatewayKind.EXCLUSIVE),
+            Gateway("merge", GatewayKind.EXCLUSIVE),
         ),
         start_event="start",
         end_events=("end",),
@@ -87,8 +86,8 @@ def autonomous_leftover_model() -> ChoreographyModel:
             ChoreographyTask("right", "Right", "b", "a"),
         ),
         gateways=(
-            Gateway("split", GatewayKind.PARALLEL, GatewayDirection.SPLIT),
-            Gateway("join", GatewayKind.PARALLEL, GatewayDirection.JOIN),
+            Gateway("split", GatewayKind.PARALLEL),
+            Gateway("join", GatewayKind.PARALLEL),
         ),
         start_event="start",
         end_events=("end",),
@@ -113,8 +112,8 @@ def loop_model() -> ChoreographyModel:
             ChoreographyTask("done", "Done", "a", "b"),
         ),
         gateways=(
-            Gateway("entry", GatewayKind.EXCLUSIVE, GatewayDirection.JOIN),
-            Gateway("exit", GatewayKind.EXCLUSIVE, GatewayDirection.SPLIT),
+            Gateway("entry", GatewayKind.EXCLUSIVE),
+            Gateway("exit", GatewayKind.EXCLUSIVE),
         ),
         start_event="start",
         end_events=("end",),
