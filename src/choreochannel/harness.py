@@ -75,11 +75,6 @@ def replay_trace(machine: ProcessStateMachine, events) -> tuple[list[bool], int,
     return verdicts, state, is_end_state(machine, state)
 
 
-def is_conforming(machine: ProcessStateMachine, events) -> bool:
-    verdicts, _, completed = replay_trace(machine, events)
-    return all(verdicts) and completed
-
-
 # -- trace mutation ----------------------------------------------------------
 
 
@@ -369,7 +364,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
         disputer = setup.nodes[trace.events[half].requester_role]
         if not disputer.raise_dispute():
             raise ScenarioError("dispute submission was rejected")
-        _expire_window(setup, spec.dispute_window)
+        _expire_window(setup)
         _enact_events(setup, trace.events[half:])
         setup.network.poll_all()
     else:  # WORST
@@ -378,14 +373,14 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
             raise ScenarioError("worst case needs at least two events to have stale state")
         _enact_events(setup, trace.events[:off_chain])
         adversary = setup.nodes[rng.choice(machine.role_ids)]
-        stale = adversary.archive.lowest_complete(adversary.case_id)
-        result = adversary.submit_archived(stale.payload.seq)
+        stale = adversary.archive.by_seq(adversary.case_id, 1)
+        result = setup.ledger.submit_state(setup.contract_id, stale, adversary.address)
         if not isinstance(result, Accepted):
             raise ScenarioError(f"stale submission rejected outright: {result}")
         setup.network.poll_all(exclude={adversary.role})
         view = setup.ledger.get_contract(setup.contract_id)
         installed_seq = view.seq
-        _expire_window(setup, spec.dispute_window)
+        _expire_window(setup)
         _enact_events(setup, trace.events[off_chain:])
         setup.network.poll_all()
 
@@ -418,8 +413,8 @@ def _enact_events(setup: ChannelSetup, events) -> None:
             )
 
 
-def _expire_window(setup: ChannelSetup, window: int) -> None:
-    setup.ledger.advance_blocks(window)
+def _expire_window(setup: ChannelSetup) -> None:
+    setup.ledger.advance_blocks(setup.ledger.contracts[setup.contract_id].dispute_window)
     setup.network.poll_all()
 
 
@@ -435,7 +430,7 @@ class UnavailabilityOutcome:
     stable: bool
 
 
-def run_unavailability(case: str, seed: int, *, dispute_window: int = 10) -> UnavailabilityOutcome:
+def run_unavailability(case: str, seed: int) -> UnavailabilityOutcome:
     """Silence one signer at a seeded event of a seeded variant; the run must
     still complete via on-chain continuation after the initiator's dispute."""
     case = normalize_case(case)
@@ -448,7 +443,7 @@ def run_unavailability(case: str, seed: int, *, dispute_window: int = 10) -> Una
     initiator = trace.events[fail_at - 1].requester_role
     silenced = rng.choice([r for r in machine.role_ids if r != initiator])
 
-    setup = build_network(machine, seed=seed, dispute_window=dispute_window, key_salt=case)
+    setup = build_network(machine, seed=seed, key_salt=case)
     _enact_events(setup, trace.events[: fail_at - 1])
     setup.network.silence(silenced)
     result = setup.nodes[initiator].enact(trace.events[fail_at - 1])
@@ -457,8 +452,8 @@ def run_unavailability(case: str, seed: int, *, dispute_window: int = 10) -> Una
     view = setup.ledger.get_contract(setup.contract_id)
     if view.phase is not Phase.DISPUTE:
         raise ScenarioError(f"contract not in dispute phase: {view.phase}")
-    _expire_window(setup, dispute_window)
-    went_on_chain = setup.nodes[initiator].on_chain_mode
+    _expire_window(setup)
+    went_on_chain = setup.nodes[initiator].observed_phase is Phase.ON_CHAIN
     _enact_events(setup, trace.events[fail_at - 1:])
     setup.network.poll_all()
     final = setup.ledger.get_contract(setup.contract_id)

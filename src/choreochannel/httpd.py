@@ -1,8 +1,9 @@
 """HTTP transport for trigger nodes: /propose, /confirm, /enact, /status.
 
-Envelopes travel as JSON; signed bytes stay the canonical binary encoding.
-A node only ever sends Propose and Confirm; a Sign travels back as the reply
-to a Propose. Each node's message handling is serialised behind one lock,
+Envelopes travel as JSON: a kind plus a `SignedStep` (`payload` and
+`signatures`), whose signed bytes stay the canonical binary encoding. A node
+only ever sends Propose and Confirm; a Sign travels back as the reply to a
+Propose. Each node's message handling is serialised behind one lock,
 matching the one-ordered-queue-per-node concurrency model. A request body
 that does not decode gets 400 and never reaches the node; a reply that does
 not decode counts as no reply. The in-process transport remains the default
@@ -23,11 +24,11 @@ from .wire import ChannelMessage, MessageKind
 
 
 class HttpTransport:
-    """Client side: deliver protocol messages to peer endpoints."""
+    """Client side: deliver protocol messages to peer endpoints, waiting at
+    most 10 seconds for each reply."""
 
-    def __init__(self, peer_endpoints: dict[str, str], timeout: float):
+    def __init__(self, peer_endpoints: dict[str, str]):
         self.peer_endpoints = peer_endpoints
-        self.timeout = timeout
 
     def request(self, target_role: str, message: ChannelMessage) -> ChannelMessage | None:
         base = self.peer_endpoints.get(target_role)
@@ -41,7 +42,7 @@ class HttpTransport:
             method="POST",
         )
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+            with urllib.request.urlopen(req, timeout=10.0) as resp:
                 body = resp.read()
                 if resp.status == 200 and body:
                     return ChannelMessage.from_wire(body.decode("utf-8"))
@@ -53,11 +54,11 @@ class HttpTransport:
 class NodeServer:
     """Server side: expose one trigger node over local HTTP."""
 
-    def __init__(self, node: TriggerNode, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, node: TriggerNode):
         self.node = node
         self.lock = threading.Lock()
         handler = self._make_handler()
-        self.httpd = ThreadingHTTPServer((host, port), handler)
+        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         self.port = self.httpd.server_address[1]
         self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
 
@@ -137,14 +138,12 @@ class NodeServer:
         return Handler
 
 
-def serve_network(nodes: dict[str, TriggerNode], host: str = "127.0.0.1",
-                  timeout: float = 10.0) -> dict[str, NodeServer]:
-    """Serve every node on an ephemeral port and wire their transports; each
-    peer request waits at most `timeout` seconds for its reply."""
-    servers = {role: NodeServer(node, host=host) for role, node in nodes.items()}
+def serve_network(nodes: dict[str, TriggerNode]) -> dict[str, NodeServer]:
+    """Serve every node on an ephemeral loopback port and wire their transports."""
+    servers = {role: NodeServer(node) for role, node in nodes.items()}
     for role, node in nodes.items():
         peers = {r: s.endpoint for r, s in servers.items() if r != role}
-        node.transport = HttpTransport(peers, timeout=timeout)
+        node.transport = HttpTransport(peers)
     for server in servers.values():
         server.start()
     return servers

@@ -414,7 +414,7 @@ class Ledger:
             self._finalize_case(contract, "completed-on-chain")
         return Accepted(contract.seq, contract.phase, new_state)
 
-    def close_channel(self, contract_id: bytes, final: SignedStep, sender: bytes = b"") -> SubmitResult:
+    def close_channel(self, contract_id: bytes, final: SignedStep, sender: bytes) -> SubmitResult:
         contract = self.contracts.get(contract_id)
         if contract is None:
             return Rejected("unknown-contract")

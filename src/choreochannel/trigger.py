@@ -2,9 +2,10 @@
 
 Each node owns its local state and archive; message handling for one case is
 serialised through the caller (the in-process network and the HTTP server both
-deliver one message at a time). Nodes never install a state without holding
-the full signature set, and they flush evidence to the archive before any
-Sign or Confirm leaves the node.
+deliver one message at a time). A message is a kind plus a `SignedStep`; a
+Propose or Sign names its sender by its one signature. Nodes never install a
+state without holding the full signature set, and they archive every
+`SignedStep` they sign or install before any Sign or Confirm leaves the node.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ class ArchiveStore:
             with open(self._path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-    def note_signed(self, payload: StepPayload, signature: bytes) -> None:
-        self._write({"type": "signed", "payload": payload.to_wire(), "sig": signature.hex()})
+    def note_signed(self, signed: SignedStep) -> None:
+        self._write({"type": "signed", "record": signed.to_wire()})
 
     def append_step(self, signed: SignedStep) -> None:
         case = signed.payload.case_id
@@ -72,12 +73,6 @@ class ArchiveStore:
         if not steps:
             return None
         return max(steps, key=lambda s: s.payload.seq)
-
-    def lowest_complete(self, case_id: int) -> SignedStep | None:
-        steps = self._steps.get(case_id)
-        if not steps:
-            return None
-        return min(steps, key=lambda s: s.payload.seq)
 
     def by_seq(self, case_id: int, seq: int) -> SignedStep | None:
         for s in self._steps.get(case_id, []):
@@ -109,10 +104,9 @@ class TriggerNode:
         self.seq = 0
         self.case_id = 0
         self.pending: StepPayload | None = None
-        # Remote proposals this node has signed, by seq: first proposal wins.
-        self.signed_remote: dict[int, StepPayload] = {}
+        # The remote proposal this node signed last: first proposal wins.
+        self.signed: StepPayload | None = None
         self.archive = ArchiveStore(archive_path)
-        self.on_chain_mode = False
         self.observed_phase = Phase.CHANNEL_OPEN
         self.events: list[str] = []
 
@@ -139,7 +133,7 @@ class TriggerNode:
 
     def enact(self, req: TaskRequest, retries: int = 2) -> EnactResult:
         """Propose a task to the channel, or to the contract when on-chain."""
-        if self.on_chain_mode:
+        if self.observed_phase is Phase.ON_CHAIN:
             return self._enact_on_chain(req)
         candidates = self.machine.manual_transitions(req.task_id)
         if not candidates:
@@ -172,17 +166,15 @@ class TriggerNode:
         )
         my_sig = sign_step(payload, self.signing_key)
         self.pending = payload
+        propose = ChannelMessage(MessageKind.PROPOSE, SignedStep(payload, {self.role: my_sig}))
         signatures = {self.role: my_sig}
         all_signed = True
         for peer in self._peers():
-            reply = self.transport.request(
-                peer,
-                ChannelMessage(MessageKind.PROPOSE, self.role, payload, {self.role: my_sig}),
-            )
+            reply = self.transport.request(peer, propose)
             if reply is None or reply.kind is not MessageKind.SIGN:
                 all_signed = False
                 continue
-            sig = reply.signatures.get(peer)
+            sig = reply.signed.signatures.get(peer)
             if sig is None or not verify_step(payload, sig, self.role_keys[peer]):
                 self._note(f"invalid sign reply from {peer} for seq {payload.seq}")
                 all_signed = False
@@ -196,7 +188,7 @@ class TriggerNode:
             self.state = self.machine.state_from_bytes(payload.new_state)
             self.seq = payload.seq
             self.pending = None
-            confirm = ChannelMessage(MessageKind.CONFIRM, self.role, payload, signatures)
+            confirm = ChannelMessage(MessageKind.CONFIRM, signed)
             for peer in self._peers():
                 self.transport.request(peer, confirm)
             return EnactResult("confirmed", new_state=self.state)
@@ -233,16 +225,15 @@ class TriggerNode:
     def on_propose(self, msg: ChannelMessage) -> ChannelMessage | None:
         """Verify a proposal; reply Sign if it conforms, otherwise stay silent
         (and raise a dispute when a validly signed proposal breaks the process)."""
-        payload = msg.step
-        proposer = msg.sender_role
+        payload = msg.signed.payload
+        ((proposer, sig),) = msg.signed.signatures.items()
         if payload.chain_id != self.ledger.chain_id or payload.contract_id != self.contract_id:
             self._note("proposal for foreign chain/contract ignored")
             return None
         if payload.case_id != self.case_id:
             self._note(f"proposal for case {payload.case_id}, local case is {self.case_id}")
             return None
-        sig = msg.signatures.get(proposer)
-        if proposer not in self.role_keys or sig is None or not verify_step(
+        if proposer not in self.role_keys or not verify_step(
             payload, sig, self.role_keys[proposer]
         ):
             self._note(f"bad initiator signature on proposal seq {payload.seq}")
@@ -256,8 +247,7 @@ class TriggerNode:
             self._note(f"proposal seq {payload.seq} does not follow local seq {self.seq}")
             self.raise_dispute()
             return None
-        already = self.signed_remote.get(payload.seq)
-        if already is not None and already != payload:
+        if self.signed not in (None, payload) and self.signed.seq == payload.seq:
             self._note(f"seq {payload.seq} already signed for a different proposal")
             return None
         try:
@@ -274,28 +264,25 @@ class TriggerNode:
             self.raise_dispute()
             return None
 
-        my_sig = sign_step(payload, self.signing_key)
+        signed = SignedStep(payload, {self.role: sign_step(payload, self.signing_key)})
         # Evidence first, then the signature leaves the node.
-        self.archive.note_signed(payload, my_sig)
-        self.signed_remote[payload.seq] = payload
-        return ChannelMessage(MessageKind.SIGN, self.role, payload, {self.role: my_sig})
+        self.archive.note_signed(signed)
+        self.signed = payload
+        return ChannelMessage(MessageKind.SIGN, signed)
 
     def on_confirm(self, msg: ChannelMessage) -> bool:
-        """Install a fully signed step previously signed by this node."""
-        payload = msg.step
-        pending = self.signed_remote.get(payload.seq)
-        if pending is None or pending != payload:
+        """Install a fully signed step this node signed for its next seq."""
+        payload = msg.signed.payload
+        if payload != self.signed or payload.seq != self.seq + 1:
             self._note(f"confirm for unknown step seq {payload.seq} ignored")
             return False
-        signed = SignedStep(payload, dict(msg.signatures))
-        if not signed.verify_all(self.role_keys):
+        if not msg.signed.verify_all(self.role_keys):
             self._note(f"confirm for seq {payload.seq} carries an incomplete signature set")
             self.raise_dispute()
             return False
-        self.archive.append_step(signed)
+        self.archive.append_step(msg.signed)
         self.state = self.machine.state_from_bytes(payload.new_state)
         self.seq = payload.seq
-        del self.signed_remote[payload.seq]
         return True
 
     # -- chain duties ---------------------------------------------------------
@@ -321,13 +308,6 @@ class TriggerNode:
         self._note(f"dispute submission seq {latest.payload.seq}: {result}")
         return isinstance(result, Accepted)
 
-    def submit_archived(self, seq: int):
-        """Submit a specific archived step; the adversarial (stale) path."""
-        target = self.archive.by_seq(self.case_id, seq)
-        if target is None:
-            raise ValueError(f"no archived step with seq {seq}")
-        return self.ledger.submit_state(self.contract_id, target, self.address)
-
     def poll_chain(self) -> None:
         """One polling pass: counter stale state, follow phase, follow resets."""
         view = self.ledger.get_contract(self.contract_id)
@@ -341,7 +321,6 @@ class TriggerNode:
                 result = self.ledger.submit_state(self.contract_id, latest, self.address)
                 self._note(f"countered stale state with seq {latest.payload.seq}: {result}")
         elif view.phase is Phase.ON_CHAIN:
-            self.on_chain_mode = True
             self.state = view.current_state
             self.seq = view.seq
 
@@ -350,8 +329,7 @@ class TriggerNode:
         self.seq = 0
         self.state = self.machine.initial_state
         self.pending = None
-        self.signed_remote.clear()
-        self.on_chain_mode = False
+        self.signed = None
         self.observed_phase = Phase.CHANNEL_OPEN
         self._note(f"reset for case {case_id}")
 

@@ -20,7 +20,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 CONTRACT_ID_BYTES = 32
-SIGNATURE_BYTES = 64
 _U64_MAX = 2**64 - 1
 _U32_MAX = 2**32 - 1
 
@@ -158,6 +157,14 @@ class SignedStep:
             "signatures": {role: sig.hex() for role, sig in sorted(self.signatures.items())},
         }
 
+    @classmethod
+    def from_wire(cls, data) -> "SignedStep":
+        """Decode an envelope or archive record; malformed input raises WireError."""
+        return cls(
+            payload=StepPayload.from_wire(_field(data, "payload", dict)),
+            signatures={r: _hex(s) for r, s in _field(data, "signatures", dict).items()},
+        )
+
 
 class MessageKind(Enum):
     PROPOSE = "propose"
@@ -167,42 +174,29 @@ class MessageKind(Enum):
 
 @dataclass(frozen=True)
 class ChannelMessage:
-    """Self-describing protocol envelope. Propose and Sign carry exactly one
-    signature (initiator's or signer's); Confirm carries the full set."""
+    """A protocol envelope: a kind plus signed evidence. Propose and Sign
+    carry exactly one signature, which names the sender; Confirm carries the
+    full set."""
 
     kind: MessageKind
-    sender_role: str
-    step: StepPayload
-    signatures: dict[str, bytes]
+    signed: SignedStep
 
     def __post_init__(self):
-        if self.kind in (MessageKind.PROPOSE, MessageKind.SIGN) and len(self.signatures) != 1:
+        count = len(self.signed.signatures)
+        if self.kind in (MessageKind.PROPOSE, MessageKind.SIGN) and count != 1:
             raise ValueError(f"{self.kind.value} message must carry exactly one signature")
-        if self.kind is MessageKind.CONFIRM and not self.signatures:
+        if self.kind is MessageKind.CONFIRM and not count:
             raise ValueError("confirm message must carry signatures")
 
     def to_wire(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind.value,
-                "sender_role": self.sender_role,
-                "step": self.step.to_wire(),
-                "signatures": {r: s.hex() for r, s in sorted(self.signatures.items())},
-            },
-            sort_keys=True,
-        )
+        return json.dumps({"kind": self.kind.value, **self.signed.to_wire()}, sort_keys=True)
 
     @classmethod
     def from_wire(cls, raw: str) -> "ChannelMessage":
         """Decode an envelope; any malformed input raises WireError."""
         try:
             data = json.loads(raw)
-            return cls(
-                kind=MessageKind(_field(data, "kind", str)),
-                sender_role=_field(data, "sender_role", str),
-                step=StepPayload.from_wire(_field(data, "step", dict)),
-                signatures={r: _hex(s) for r, s in _field(data, "signatures", dict).items()},
-            )
+            return cls(MessageKind(_field(data, "kind", str)), SignedStep.from_wire(data))
         except WireError:
             raise
         except (ValueError, RecursionError) as exc:  # JSON, kind, signature count

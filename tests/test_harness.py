@@ -7,7 +7,6 @@ from choreochannel.harness import (
     ScenarioSpec,
     Trace,
     break_even,
-    is_conforming,
     measure_case_costs,
     mutate_traces,
     replay_conformance,
@@ -192,9 +191,3 @@ def test_measure_case_costs_structure():
 def test_scenario_rejects_bad_variant_index():
     with pytest.raises(ScenarioError):
         run_scenario(ScenarioSpec("supply_chain", 9, ScenarioKind.BEST))
-
-
-def test_is_conforming_helper(supply):
-    machine, variants = supply
-    assert is_conforming(machine, variants[0].events)
-    assert not is_conforming(machine, variants[0].events[:-1])

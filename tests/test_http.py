@@ -52,11 +52,11 @@ def test_enact_and_status_over_http(http_network):
     assert len(states) == 1
 
 
-def _propose_with(**step_fields):
-    step = {"chain_id": 1, "contract_id": "00" * 32, "case_id": 0, "seq": 1,
-            "task_id": "t", "choice_data": "", "new_state": "00", **step_fields}
-    return json.dumps({"kind": "propose", "sender_role": "r", "signatures": {"r": "00"},
-                       "step": step}).encode()
+def _propose_with(**payload_fields):
+    payload = {"chain_id": 1, "contract_id": "00" * 32, "case_id": 0, "seq": 1,
+               "task_id": "t", "choice_data": "", "new_state": "00", **payload_fields}
+    return json.dumps({"kind": "propose", "signatures": {"r": "00"},
+                       "payload": payload}).encode()
 
 
 def test_propose_endpoint_rejects_garbage(http_network):
@@ -67,12 +67,20 @@ def test_propose_endpoint_rejects_garbage(http_network):
     assert request(server, "POST", "/nope", b"{}")[0] == 404
 
 
+def test_well_formed_proposal_for_another_contract_gets_204(http_network):
+    # The base of every malformed /propose body below decodes; only its own
+    # defect makes it a 400.
+    _, servers = http_network
+    server = next(iter(servers.values()))
+    assert request(server, "POST", "/propose", _propose_with())[0] == 204
+
+
 # Malformed requests: each must get 400, never a dropped connection.
 MALFORMED = {
     "propose-list": ("/propose", b"[]", None),
     "propose-number": ("/propose", b"1", None),
     "propose-step-list": ("/propose", json.dumps(
-        {"kind": "propose", "sender_role": "r", "signatures": {"r": "00"}, "step": [1]}
+        {"kind": "propose", "signatures": {"r": "00"}, "payload": [1]}
     ).encode(), None),
     "propose-int-contract-id": ("/propose", _propose_with(contract_id=5), None),
     "enact-list": ("/enact", b"[]", None),

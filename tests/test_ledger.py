@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from choreochannel.cases import build_machine, load_variants
@@ -5,6 +7,7 @@ from choreochannel.ledger import (
     Accepted,
     DeployError,
     Ledger,
+    LedgerError,
     Phase,
     Rejected,
     TxKind,
@@ -358,3 +361,50 @@ def test_highest_seq_wins_any_submission_order(machine, variant, order):
     view = ledger.get_contract(cid)
     assert view.seq == 4
     assert view.phase is Phase.ON_CHAIN
+
+
+def _forged(signed, keys, role="carrier", signer="supplier"):
+    """The complete set with `role`'s signature made by another role's key."""
+    forged = sign_step(signed.payload, keys[signer])
+    return SignedStep(signed.payload, {**signed.signatures, role: forged})
+
+
+def test_submit_and_close_reject_a_signature_from_another_key(machine, variant):
+    ledger, cid, keys, addrs = make_channel(machine)
+    mid = _forged(signed_after(machine, cid, keys, variant, 2), keys)
+    assert mid.is_complete(machine.role_ids)
+    assert ledger.submit_state(cid, mid, addrs["carrier"]) == Rejected("invalid-signature")
+    final = _forged(signed_after(machine, cid, keys, variant, len(variant)), keys)
+    assert ledger.close_channel(cid, final, addrs["carrier"]) == Rejected("invalid-signature")
+    view = ledger.get_contract(cid)
+    assert (view.phase, view.seq, view.case_id) == (Phase.CHANNEL_OPEN, 0, 0)
+    assert [(t.kind, t.reason) for t in ledger.log[1:]] == [
+        (TxKind.SUBMIT_STATE, "invalid-signature"), (TxKind.CLOSE, "invalid-signature")]
+
+
+def test_submit_rejects_bad_state_width(machine, variant):
+    ledger, cid, keys, addrs = make_channel(machine)
+    good = signed_after(machine, cid, keys, variant, 2)
+    payload = dataclasses.replace(good.payload, new_state=good.payload.new_state + b"\x00")
+    wide = SignedStep(payload, {r: sign_step(payload, k) for r, k in keys.items()})
+    assert ledger.submit_state(cid, wide, addrs["carrier"]) == Rejected("bad-state-width")
+    assert ledger.get_contract(cid).phase is Phase.CHANNEL_OPEN
+
+
+def test_unknown_contract_is_refused_without_a_log_entry(machine, variant):
+    ledger, cid, keys, addrs = make_channel(machine)
+    signed = signed_after(machine, cid, keys, variant, len(variant))
+    unknown = bytes(32)
+    sender = addrs["carrier"]
+    assert ledger.submit_state(unknown, signed, sender) == Rejected("unknown-contract")
+    assert ledger.on_chain_step(unknown, variant[0], sender) == Rejected("unknown-contract")
+    assert ledger.close_channel(unknown, signed, sender) == Rejected("unknown-contract")
+    assert [t.kind for t in ledger.log] == [TxKind.DEPLOY]
+
+
+@pytest.mark.parametrize("blocks", [0, -1])
+def test_advance_blocks_refuses_non_positive(machine, blocks):
+    ledger, _, _, _ = make_channel(machine)
+    with pytest.raises(LedgerError, match="at least one block"):
+        ledger.advance_blocks(blocks)
+    assert ledger.height == 0

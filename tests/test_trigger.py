@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import warnings
@@ -7,9 +8,16 @@ import pytest
 from choreochannel.harness import build_network
 from choreochannel.trigger import TriggerNode
 from choreochannel.cases import build_machine, load_variants
-from choreochannel.ledger import Accepted, Phase
+from choreochannel.ledger import Accepted, Phase, TxKind
 from choreochannel.machine import TaskRequest, step as machine_step
-from choreochannel.wire import ChannelMessage, MessageKind, StepPayload, sign_step, verify_step
+from choreochannel.wire import (
+    ChannelMessage,
+    MessageKind,
+    SignedStep,
+    StepPayload,
+    sign_step,
+    verify_step,
+)
 
 
 @pytest.fixture(scope="module")
@@ -92,10 +100,10 @@ def test_on_propose_returns_verifiable_signature(machine, variant):
             machine_step(machine, machine.initial_state, variant[0])),
     )
     sig = sign_step(payload, setup.keys["bulk_buyer"])
-    msg = ChannelMessage(MessageKind.PROPOSE, "bulk_buyer", payload, {"bulk_buyer": sig})
+    msg = ChannelMessage(MessageKind.PROPOSE, SignedStep(payload, {"bulk_buyer": sig}))
     reply = setup.nodes["supplier"].on_propose(msg)
     assert reply is not None and reply.kind is MessageKind.SIGN
-    assert verify_step(payload, reply.signatures["supplier"],
+    assert verify_step(payload, reply.signed.signatures["supplier"],
                        setup.ledger.role_keys(setup.contract_id)["supplier"])
 
 
@@ -122,7 +130,7 @@ def _propose(setup, machine, proposer, seq, task_id, new_state_bytes, signer="su
         task_id=task_id, choice_data=b"", new_state=new_state_bytes,
     )
     sig = sign_step(payload, setup.keys[proposer])
-    msg = ChannelMessage(MessageKind.PROPOSE, proposer, payload, {proposer: sig})
+    msg = ChannelMessage(MessageKind.PROPOSE, SignedStep(payload, {proposer: sig}))
     return setup.nodes[signer].on_propose(msg)
 
 
@@ -159,7 +167,7 @@ def test_on_propose_rejects_bad_signature(machine, variant):
             machine_step(machine, machine.initial_state, variant[0])),
     )
     sig = sign_step(payload, setup.keys["supplier"])  # wrong key for bulk_buyer
-    msg = ChannelMessage(MessageKind.PROPOSE, "bulk_buyer", payload, {"bulk_buyer": sig})
+    msg = ChannelMessage(MessageKind.PROPOSE, SignedStep(payload, {"bulk_buyer": sig}))
     assert setup.nodes["carrier"].on_propose(msg) is None
 
 
@@ -172,7 +180,7 @@ def test_on_propose_rejects_wrong_initiator_role(machine, variant):
             machine_step(machine, machine.initial_state, variant[0])),
     )
     sig = sign_step(payload, setup.keys["supplier"])
-    msg = ChannelMessage(MessageKind.PROPOSE, "supplier", payload, {"supplier": sig})
+    msg = ChannelMessage(MessageKind.PROPOSE, SignedStep(payload, {"supplier": sig}))
     assert setup.nodes["carrier"].on_propose(msg) is None
 
 
@@ -188,7 +196,7 @@ def test_first_proposal_wins_sequence_number(machine, variant):
         task_id="place_order", choice_data=b"\x01", new_state=good,
     )
     sig = sign_step(other, setup.keys["bulk_buyer"])
-    msg = ChannelMessage(MessageKind.PROPOSE, "bulk_buyer", other, {"bulk_buyer": sig})
+    msg = ChannelMessage(MessageKind.PROPOSE, SignedStep(other, {"bulk_buyer": sig}))
     assert setup.nodes["supplier"].on_propose(msg) is None
 
 
@@ -209,13 +217,12 @@ def test_on_confirm_rejects_missing_signature(machine, variant):
         new_state=machine.state_to_bytes(state),
     )
     sig = sign_step(payload, setup.keys["bulk_buyer"])
-    propose = ChannelMessage(MessageKind.PROPOSE, "bulk_buyer", payload, {"bulk_buyer": sig})
+    propose = ChannelMessage(MessageKind.PROPOSE, SignedStep(payload, {"bulk_buyer": sig}))
     signer = setup.nodes["supplier"]
     assert signer.on_propose(propose) is not None
-    incomplete = ChannelMessage(
-        MessageKind.CONFIRM, "bulk_buyer", payload,
-        {"bulk_buyer": sig, "supplier": sign_step(payload, setup.keys["supplier"])},
-    )
+    incomplete = ChannelMessage(MessageKind.CONFIRM, SignedStep(
+        payload, {"bulk_buyer": sig, "supplier": sign_step(payload, setup.keys["supplier"])},
+    ))
     assert signer.on_confirm(incomplete) is False
     assert signer.seq == 0  # nothing installed
 
@@ -229,7 +236,7 @@ def test_confirm_for_unknown_step_ignored(machine, variant):
         new_state=machine.state_to_bytes(state),
     )
     sigs = {r: sign_step(payload, k) for r, k in setup.keys.items()}
-    msg = ChannelMessage(MessageKind.CONFIRM, "bulk_buyer", payload, sigs)
+    msg = ChannelMessage(MessageKind.CONFIRM, SignedStep(payload, sigs))
     node = setup.nodes["carrier"]
     assert node.on_confirm(msg) is False  # never saw the proposal
     assert node.seq == 0
@@ -241,7 +248,8 @@ def test_watch_chain_counters_stale_state(machine, variant):
     for req in variant[:4]:
         assert setup.nodes[req.requester_role].enact(req).confirmed
     adversary = setup.nodes["middleman"]
-    result = adversary.submit_archived(2)
+    result = setup.ledger.submit_state(setup.contract_id, adversary.archive.by_seq(0, 2),
+                                       adversary.address)
     assert isinstance(result, Accepted)
     assert setup.ledger.get_contract(setup.contract_id).seq == 2
     setup.network.poll_all(exclude={"middleman"})
@@ -267,7 +275,7 @@ def test_on_chain_routing_after_window(machine, variant):
     setup.nodes[variant[5].requester_role].raise_dispute()
     setup.ledger.advance_blocks(10)
     setup.network.poll_all()
-    assert all(n.on_chain_mode for n in setup.nodes.values())
+    assert all(n.observed_phase is Phase.ON_CHAIN for n in setup.nodes.values())
     for req in variant[5:]:
         result = setup.nodes[req.requester_role].enact(req)
         assert result.confirmed, (req.task_id, result)
@@ -291,7 +299,9 @@ def test_close_vs_stale_submission_race(machine, variant):
     for req in variant:
         assert setup.nodes[req.requester_role].enact(req).confirmed
     adversary = setup.nodes["supplier"]
-    assert isinstance(adversary.submit_archived(3), Accepted)
+    stale = adversary.archive.by_seq(0, 3)
+    assert isinstance(setup.ledger.submit_state(setup.contract_id, stale, adversary.address),
+                      Accepted)
     closer = setup.nodes[variant[-1].requester_role]
     result = closer.close()
     assert result.status == "dispute_raised"
@@ -342,3 +352,135 @@ def test_enact_reports_rejected_when_no_dispute_was_sent(machine, variant):
     result = setup.nodes[variant[1].requester_role].enact(variant[1])
     assert (result.status, result.error) == ("rejected", "missing-signatures")
     assert [t.kind.value for t in setup.ledger.log] == ["deploy"]
+
+
+def _place_order(setup, machine, variant, **fields):
+    """bulk_buyer's Propose for the first task, with `fields` overridden."""
+    payload = dataclasses.replace(StepPayload(
+        chain_id=1, contract_id=setup.contract_id, case_id=0, seq=1,
+        task_id="place_order", choice_data=b"",
+        new_state=machine.state_to_bytes(
+            machine_step(machine, machine.initial_state, variant[0])),
+    ), **fields)
+    sig = sign_step(payload, setup.keys["bulk_buyer"])
+    return ChannelMessage(MessageKind.PROPOSE, SignedStep(payload, {"bulk_buyer": sig}))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("chain_id", 2), ("contract_id", bytes(32)), ("case_id", 1)])
+def test_on_propose_ignores_another_chain_contract_or_case(machine, variant, field, value):
+    setup = fresh(machine)
+    assert setup.nodes["bulk_buyer"].enact(variant[0]).confirmed  # evidence for a dispute
+    supplier = setup.nodes["supplier"]
+    msg = _place_order(setup, machine, variant, seq=2, **{field: value})
+    assert supplier.on_propose(msg) is None
+    assert supplier.signed.seq == 1  # nothing signed for seq 2
+    assert [t.kind for t in setup.ledger.log] == [TxKind.DEPLOY]
+
+
+def test_on_propose_ignores_a_signature_keyed_by_a_role_outside_the_process(machine, variant):
+    setup = fresh(machine)
+    msg = _place_order(setup, machine, variant)
+    outsider = ChannelMessage(MessageKind.PROPOSE, SignedStep(
+        msg.signed.payload, {"auditor": msg.signed.signatures["bulk_buyer"]}))
+    supplier = setup.nodes["supplier"]
+    assert supplier.handle_message(outsider) is None
+    assert supplier.signed is None
+    assert any("bad initiator signature" in e for e in supplier.events)
+    assert supplier.handle_message(msg) is not None  # the same step, keyed correctly
+
+
+class ForgedSign:
+    """Transport that replaces one peer's Sign reply by a signature made
+    with another role's key."""
+
+    def __init__(self, network, peer, forger_key):
+        self.network, self.peer, self.forger_key = network, peer, forger_key
+
+    def request(self, target_role, message):
+        reply = self.network.request(target_role, message)
+        if reply is None or target_role != self.peer:
+            return reply
+        payload = reply.signed.payload
+        forged = {self.peer: sign_step(payload, self.forger_key)}
+        return ChannelMessage(MessageKind.SIGN, SignedStep(payload, forged))
+
+
+def test_bad_sign_reply_leaves_the_initiator_unchanged(machine, variant):
+    setup = fresh(machine)
+    initiator = setup.nodes["bulk_buyer"]
+    initiator.transport = ForgedSign(setup.network, "carrier", setup.keys["supplier"])
+    result = initiator.enact(variant[0])
+    assert (result.status, result.error) == ("rejected", "missing-signatures")
+    assert (initiator.seq, initiator.pending) == (0, None)
+    assert initiator.archive.max_complete(0) is None
+    assert any("invalid sign reply from carrier" in e for e in initiator.events)
+    assert [t.kind for t in setup.ledger.log] == [TxKind.DEPLOY]
+
+
+def test_refused_on_chain_enact_reports_the_ledger_reason(machine, variant):
+    setup = fresh(machine)
+    assert setup.nodes["bulk_buyer"].enact(variant[0]).confirmed
+    setup.nodes["bulk_buyer"].raise_dispute()
+    setup.ledger.advance_blocks(10)
+    setup.network.poll_all()
+    result = setup.nodes["bulk_buyer"].enact(variant[0])  # place_order is done already
+    assert (result.status, result.error) == ("rejected", "not-enabled")
+    tasks = [t for t in setup.ledger.log if t.kind is TxKind.ON_CHAIN_TASK]
+    assert [(t.accepted, t.reason) for t in tasks] == [(False, "not-enabled")]
+    assert setup.ledger.get_contract(setup.contract_id).seq == 1
+
+
+def test_late_confirm_cannot_install_a_superseded_step(machine, variant):
+    setup = fresh(machine)
+    assert setup.nodes["bulk_buyer"].enact(variant[0]).confirmed
+    setup.network.silence("carrier")
+    assert setup.nodes["manufacturer"].enact(variant[1]).status == "dispute_raised"
+    supplier = setup.nodes["supplier"]
+    late = supplier.signed  # signed for seq 2, never confirmed
+    assert late.seq == 2
+    setup.ledger.advance_blocks(10)
+    setup.network.poll_all()
+    for req in variant[1:3]:
+        assert setup.nodes[req.requester_role].enact(req).confirmed
+    setup.network.poll_all()
+    before = (supplier.seq, supplier.state)
+    assert before[0] == 3
+    sigs = {r: sign_step(late, k) for r, k in setup.keys.items()}
+    assert supplier.on_confirm(ChannelMessage(MessageKind.CONFIRM, SignedStep(late, sigs))) is False
+    assert (supplier.seq, supplier.state) == before
+
+
+def test_raise_dispute_that_sees_on_chain_switches_enact_on_chain(machine, variant):
+    setup = fresh(machine)
+    for req in variant[:2]:
+        assert setup.nodes[req.requester_role].enact(req).confirmed
+    setup.nodes["bulk_buyer"].raise_dispute()
+    setup.ledger.advance_blocks(10)
+    middleman = setup.nodes["middleman"]  # has not polled since the window expired
+    assert middleman.raise_dispute() is False
+    assert middleman.observed_phase is Phase.ON_CHAIN
+    assert middleman.enact(variant[2]).confirmed
+    assert setup.ledger.log[-1].kind is TxKind.ON_CHAIN_TASK
+
+
+def test_every_archive_line_decodes_as_a_signed_step(machine, variant, tmp_path):
+    setup = build_network(machine, key_salt="archive", archive_dir=str(tmp_path))
+    for req in variant:
+        assert setup.nodes[req.requester_role].enact(req).confirmed
+    role_keys = setup.ledger.role_keys(setup.contract_id)
+    for role, node in setup.nodes.items():
+        types = []
+        for line in (tmp_path / f"{role}.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            signed = SignedStep.from_wire(record["record"])
+            types.append(record["type"])
+            if record["type"] == "signed":
+                assert list(signed.signatures) == [role]
+                assert verify_step(signed.payload, signed.signatures[role], role_keys[role])
+            else:
+                assert signed.verify_all(role_keys)
+                assert signed == node.archive.by_seq(0, signed.payload.seq)
+        assert set(types) <= {"signed", "step"}
+        assert types.count("step") == len(variant)
+        assert types.count("signed") == sum(1 for r in variant if r.requester_role != role)

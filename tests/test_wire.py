@@ -149,22 +149,31 @@ def test_address_is_hash_of_public_key():
     assert address_of(PUB) != address_of(public_key_of(generate_signing_key(b"x")))
 
 
+def test_signed_step_wire_roundtrip():
+    p = payload()
+    signed = SignedStep(p, {"b": sign_step(p, KEY), "a": sign_step(p, generate_signing_key(b"a"))})
+    assert SignedStep.from_wire(signed.to_wire()) == signed
+    assert SignedStep.from_wire(json.loads(json.dumps(signed.to_wire()))) == signed
+
+
 def test_message_envelope_roundtrip():
     p = payload()
-    msg = ChannelMessage(MessageKind.PROPOSE, "a", p, {"a": sign_step(p, KEY)})
+    msg = ChannelMessage(MessageKind.PROPOSE, SignedStep(p, {"a": sign_step(p, KEY)}))
     again = ChannelMessage.from_wire(msg.to_wire())
     assert again == msg
-    assert json.loads(msg.to_wire())["kind"] == "propose"
+    assert json.loads(msg.to_wire()) == {"kind": "propose", **msg.signed.to_wire()}
 
 
 def test_message_signature_cardinality():
     p = payload()
     sig = sign_step(p, KEY)
     with pytest.raises(ValueError):
-        ChannelMessage(MessageKind.PROPOSE, "a", p, {"a": sig, "b": sig})
+        ChannelMessage(MessageKind.PROPOSE, SignedStep(p, {"a": sig, "b": sig}))
     with pytest.raises(ValueError):
-        ChannelMessage(MessageKind.CONFIRM, "a", p, {})
-    ChannelMessage(MessageKind.CONFIRM, "a", p, {"a": sig, "b": sig})  # fine
+        ChannelMessage(MessageKind.SIGN, SignedStep(p, {}))
+    with pytest.raises(ValueError):
+        ChannelMessage(MessageKind.CONFIRM, SignedStep(p, {}))
+    ChannelMessage(MessageKind.CONFIRM, SignedStep(p, {"a": sig, "b": sig}))  # fine
 
 
 JSON = st.recursive(
@@ -173,16 +182,17 @@ JSON = st.recursive(
     max_leaves=12,
 )
 ENVELOPE = json.loads(ChannelMessage(
-    MessageKind.PROPOSE, "a", payload(), {"a": sign_step(payload(), KEY)}).to_wire())
+    MessageKind.PROPOSE, SignedStep(payload(), {"a": sign_step(payload(), KEY)})).to_wire())
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_message_from_wire_is_total(data):
     """Arbitrary JSON, and a valid envelope with one field of the envelope or
-    of its step replaced by arbitrary JSON, either decodes or raises WireError."""
+    of its payload or signatures replaced by arbitrary JSON, either decodes or
+    raises WireError."""
     doc = json.loads(json.dumps(ENVELOPE))
-    target = data.draw(st.sampled_from([None, doc, doc["step"], doc["signatures"]]))
+    target = data.draw(st.sampled_from([None, doc, doc["payload"], doc["signatures"]]))
     if target is None:
         doc = data.draw(JSON)
     else:
@@ -191,9 +201,11 @@ def test_message_from_wire_is_total(data):
         msg = ChannelMessage.from_wire(json.dumps(doc))
     except WireError:
         return
-    step = msg.step
-    assert isinstance(msg.sender_role, str) and isinstance(step.task_id, str)
+    step = msg.signed.payload
+    assert isinstance(step.task_id, str)
     assert {type(step.chain_id), type(step.case_id), type(step.seq)} == {int}
+    assert {type(r) for r in msg.signed.signatures} <= {str}
+    assert {type(s) for s in msg.signed.signatures.values()} <= {bytes}
 
 
 @pytest.mark.parametrize("raw", ["", "not json", "[" * 100000], ids=["empty", "text", "deep"])
