@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from choreochannel.bpmn import validate_model
@@ -221,3 +223,28 @@ def test_random_pipeline_property(seed):
     reduced = reduce_net(net)
     assert reduce_net(reduced) == reduced
     assert traces_equivalent(net, reduced, 10)
+
+
+# The five models at the larger size whose state space exceeds the bound.
+PINNED_MODELS = [(seed, {}) for seed in range(300)] + [
+    (seed, {"max_tasks": 12, "max_depth": 4})
+    for seed in (*range(300), 1133, 1264, 1510, 2324, 2583)
+]
+
+
+def explorer_digest() -> str:
+    """Digest of every safeness verdict, and of the reduction's equivalence
+    verdict for each safe net, over PINNED_MODELS."""
+    digest = hashlib.sha256()
+    for seed, size in PINNED_MODELS:
+        net = to_interaction_net(random_model(seed, **size))
+        verdict = check_safeness(net)
+        line = f"{seed} {size} {verdict!r}"
+        if isinstance(verdict, SafeOk):
+            line += f" {traces_equivalent(net, reduce_net(net), 10)}"
+        digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_explorers_pinned_over_random_models():
+    assert explorer_digest() == "f11741153af8114ee906f8b9ca9a9f6da86523474ea56295fc07d264efba4e90"
