@@ -28,7 +28,6 @@ from .petri import (
     check_safeness,
     reduce_net,
     to_interaction_net,
-    trace_language,
     traces_equivalent,
 )
 from .trigger import InProcessNetwork, TriggerNode

@@ -129,22 +129,22 @@ class ProcessStateMachine:
         )
 
 
-def compile_state_machine(net, max_places: int = 256) -> ProcessStateMachine:
+MAX_PLACES = 256
+
+
+def compile_state_machine(net) -> ProcessStateMachine:
     """Lower a reduced, safe interaction net onto bitmask transitions.
 
     Place bits follow the net's place order; transitions keep net order so the
     compiled layout is identical across runs. The initial state is the start
     place with any start-enabled autonomous transitions already applied.
     """
-    if len(net.places) > max_places:
-        raise CompileError(f"net has {len(net.places)} places, limit is {max_places}")
-    index = {pid: i for i, pid in enumerate(net.places)}
+    if len(net.places) > MAX_PLACES:
+        raise CompileError(f"net has {len(net.places)} places, limit is {MAX_PLACES}")
 
     transitions: list[CompiledTransition] = []
     roles: list[str] = []
-    for i, t in enumerate(net.transitions):
-        consume = sum(1 << index[p] for p in t.inputs)
-        produce = sum(1 << index[p] for p in t.outputs)
+    for i, (t, (consume, produce)) in enumerate(zip(net.transitions, net.ints.masks)):
         if t.label is None:
             transitions.append(CompiledTransition(i, consume, produce))
         else:
@@ -158,8 +158,8 @@ def compile_state_machine(net, max_places: int = 256) -> ProcessStateMachine:
     machine = ProcessStateMachine(
         places=tuple(net.places),
         transitions=tuple(transitions),
-        initial_state=1 << index[net.initial_place],
-        final_mask=sum(1 << index[p] for p in net.final_places),
+        initial_state=net.ints.initial,
+        final_mask=net.ints.final,
         role_ids=tuple(roles),
     )
     return replace(machine, initial_state=_autonomous_fixpoint(machine, machine.initial_state))

@@ -4,7 +4,10 @@ The net is the middle layer between the parsed choreography and the compiled
 state machine. Labelled transitions carry initiator/respondent roles; silent
 transitions come from gateways and empty exclusive branches. Reduction removes
 silent transitions only where the observable trace language provably stays
-the same; `traces_equivalent` is the oracle that backs every rule.
+the same. Every explorer, and the compiler, works on one int-marking view of
+a net (`InteractionNet.ints`), and `traces_equivalent` is the one language
+oracle: it compares a net or a compiled machine with another, so it backs
+both the reduction rules and compilation.
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bpmn import ChoreographyModel, GatewayKind, validate_model
+from .machine import ProcessStateMachine, TaskRequest, enabled_tasks, is_end_state, step
 
 
 @dataclass(frozen=True)
@@ -36,6 +41,15 @@ class NetTransition:
 
 
 @dataclass(frozen=True)
+class IntMarkings:
+    """A net's markings as ints: bit i is the net's i-th place."""
+
+    initial: int
+    final: int
+    masks: tuple[tuple[int, int], ...]  # (consume, produce), in transition order
+
+
+@dataclass(frozen=True)
 class InteractionNet:
     """1-safe labelled net; place and transition order is document order."""
 
@@ -43,6 +57,20 @@ class InteractionNet:
     transitions: tuple[NetTransition, ...]
     initial_place: str
     final_places: frozenset[str]
+
+    @cached_property
+    def ints(self) -> IntMarkings:
+        """The int-marking view every explorer and the compiler share."""
+        bit = {p: 1 << i for i, p in enumerate(self.places)}
+
+        def mask(ps: frozenset[str]) -> int:
+            return sum(bit[p] for p in ps)
+
+        return IntMarkings(
+            initial=bit[self.initial_place],
+            final=mask(self.final_places),
+            masks=tuple((mask(t.inputs), mask(t.outputs)) for t in self.transitions),
+        )
 
     def silent_count(self) -> int:
         return sum(1 for t in self.transitions if t.silent)
@@ -340,160 +368,109 @@ def _rule_bypass(t, trans, consumers, finals) -> bool:
 
 
 def check_safeness(net: InteractionNet, state_bound: int = 20000) -> SafenessResult:
-    """Exhaustively explore reachable markings, counting tokens per place.
+    """Exhaustively explore reachable markings breadth first.
 
-    Returns a witness firing sequence as soon as any place would hold two
-    tokens; returns BoundExceeded when more than `state_bound` markings exist.
+    Returns a witness firing sequence as soon as a firing would put a second
+    token on a place, naming the first such place in `net.places` order;
+    returns BoundExceeded when more than `state_bound` markings exist.
     """
-    initial = frozenset({(net.initial_place, 1)})
-    seen: set[frozenset] = {initial}
-    queue: deque[frozenset] = deque([initial])
-    parents: dict[frozenset, tuple[frozenset, str] | None] = {initial: None}
-
-    def path_to(marking: frozenset, last: str) -> tuple[str, ...]:
-        seq = [last]
-        cur = marking
-        while parents[cur] is not None:
-            prev, tid = parents[cur]
-            seq.append(tid)
-            cur = prev
-        return tuple(reversed(seq))
-
+    ints = net.ints
+    parents: dict[int, tuple[int, str] | None] = {ints.initial: None}
+    queue: deque[int] = deque([ints.initial])
     while queue:
         marking = queue.popleft()
-        counts = dict(marking)
-        for t in net.transitions:
-            if any(counts.get(p, 0) < 1 for p in t.inputs):
+        for t, (consume, produce) in zip(net.transitions, ints.masks):
+            if marking & consume != consume:
                 continue
-            nxt = dict(counts)
-            for p in t.inputs:
-                nxt[p] -= 1
-            for p in t.outputs:
-                nxt[p] = nxt.get(p, 0) + 1
-            for p, n in nxt.items():
-                if n > 1:
-                    return UnsafeWitness(firing_sequence=path_to(marking, t.id), place=p)
-            key = frozenset((p, n) for p, n in nxt.items() if n)
-            if key in seen:
+            rest = marking & ~consume
+            if double := rest & produce:
+                seq, cur = [t.id], marking
+                while parents[cur] is not None:
+                    cur, tid = parents[cur]
+                    seq.append(tid)
+                place = net.places[(double & -double).bit_length() - 1]
+                return UnsafeWitness(firing_sequence=tuple(reversed(seq)), place=place)
+            nxt = rest | produce
+            if nxt in parents:
                 continue
-            if len(seen) >= state_bound:
-                return BoundExceeded(explored=len(seen))
-            seen.add(key)
-            parents[key] = (marking, t.id)
-            queue.append(key)
-    return SafeOk(explored=len(seen))
+            if len(parents) >= state_bound:
+                return BoundExceeded(explored=len(parents))
+            parents[nxt] = (marking, t.id)
+            queue.append(nxt)
+    return SafeOk(explored=len(parents))
 
 
-def _is_final_marking(net: InteractionNet, marking: frozenset[str]) -> bool:
-    return bool(marking & net.final_places) and marking <= net.final_places
+def _language_view(x: InteractionNet | ProcessStateMachine):
+    """(start, completed, moves) of x's observable behaviour as a
+    deterministic automaton; `moves(state)` maps each enabled task to the
+    successor state.
 
-
-def trace_language(
-    net: InteractionNet, max_len: int, node_budget: int = 200_000
-) -> tuple[frozenset[tuple[str, ...]], frozenset[tuple[str, ...]]]:
-    """Observable language up to `max_len` by exhaustive reachability.
-
-    Returns (traces, completed): all label sequences with silent transitions
-    erased, and the subset after which a final marking is reached. Finer
-    equivalences (refusals, bisimulation) are deliberately out of scope.
+    A machine state is its int state. A net state is the frozenset of int
+    markings reachable by one observable prefix, silent moves closed away.
     """
-    start = frozenset({net.initial_place})
-    seen: set[tuple[frozenset[str], tuple[str, ...]]] = {(start, ())}
-    queue: deque[tuple[frozenset[str], tuple[str, ...]]] = deque([(start, ())])
-    traces: set[tuple[str, ...]] = set()
-    completed: set[tuple[str, ...]] = set()
+    if isinstance(x, ProcessStateMachine):
+        def machine_moves(state: int) -> dict[str, int]:
+            return {task: step(x, state, TaskRequest(task, role))
+                    for task, role in enabled_tasks(x, state)}
+        return x.initial_state, lambda state: is_end_state(x, state), machine_moves
 
-    while queue:
-        marking, trace = queue.popleft()
-        traces.add(trace)
-        if _is_final_marking(net, marking):
-            completed.add(trace)
-        for t in net.transitions:
-            if not t.inputs <= marking:
-                continue
-            if t.silent:
-                nxt = ((marking - t.inputs) | t.outputs, trace)
-            elif len(trace) < max_len:
-                nxt = ((marking - t.inputs) | t.outputs, trace + (t.label.task_id,))
-            else:
-                continue
-            if nxt not in seen:
-                if len(seen) >= node_budget:
-                    raise StateSpaceError(
-                        f"trace exploration exceeded {node_budget} nodes; lower max_len"
-                    )
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(traces), frozenset(completed)
+    ints = x.ints
+    silent = [m for t, m in zip(x.transitions, ints.masks) if t.silent]
+    labelled = [(t.label.task_id, *m) for t, m in zip(x.transitions, ints.masks) if not t.silent]
 
-
-def _silent_closure(net: InteractionNet, markings) -> frozenset[frozenset[str]]:
-    seen = set(markings)
-    stack = list(markings)
-    while stack:
-        m = stack.pop()
-        for t in net.transitions:
-            if t.silent and t.inputs <= m:
-                nxt = (m - t.inputs) | t.outputs
-                if nxt not in seen:
+    def close(markings) -> frozenset[int]:
+        seen = set(markings)
+        stack = list(seen)
+        while stack:
+            m = stack.pop()
+            for consume, produce in silent:
+                if m & consume == consume and (nxt := m & ~consume | produce) not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-    return frozenset(seen)
+        return frozenset(seen)
 
+    def completed(det: frozenset[int]) -> bool:
+        return any(m & ints.final and not m & ~ints.final for m in det)
 
-def _det_initial(net: InteractionNet) -> frozenset[frozenset[str]]:
-    return _silent_closure(net, [frozenset({net.initial_place})])
+    def net_moves(det: frozenset[int]) -> dict[str, frozenset[int]]:
+        fired: dict[str, list[int]] = {}
+        for task, consume, produce in labelled:
+            for m in det:
+                if m & consume == consume:
+                    fired.setdefault(task, []).append(m & ~consume | produce)
+        return {task: close(ms) for task, ms in fired.items()}
 
-
-def _det_labels(net: InteractionNet, det: frozenset[frozenset[str]]) -> set[str]:
-    return {
-        t.label.task_id
-        for t in net.transitions
-        if not t.silent
-        for m in det
-        if t.inputs <= m
-    }
-
-
-def _det_fire(net: InteractionNet, det, task_id: str) -> frozenset[frozenset[str]]:
-    moved = [
-        (m - t.inputs) | t.outputs
-        for t in net.transitions
-        if not t.silent and t.label.task_id == task_id
-        for m in det
-        if t.inputs <= m
-    ]
-    return _silent_closure(net, moved)
-
-
-def _det_completed(net: InteractionNet, det) -> bool:
-    return any(_is_final_marking(net, m) for m in det)
+    return close([ints.initial]), completed, net_moves
 
 
 def traces_equivalent(
-    a: InteractionNet, b: InteractionNet, max_len: int, node_budget: int = 200_000
+    a: InteractionNet | ProcessStateMachine,
+    b: InteractionNet | ProcessStateMachine,
+    max_len: int,
+    node_budget: int = 200_000,
 ) -> bool:
-    """Oracle for reduction correctness: equal observable trace sets and equal
-    completed-trace sets up to max_len.
+    """The language oracle for reduction and compilation: equal observable
+    trace sets and equal completed-trace sets up to max_len.
 
-    Walks the determinized reachability of both nets in lockstep (markings
-    grouped by observable prefix, silent moves closed away), so the comparison
-    is exact for the bounded language without materializing it.
+    Either side is a net or a compiled machine. Both are walked in lockstep
+    as deterministic automata, so the comparison is exact for the bounded
+    language without materializing it.
     """
-    start = (_det_initial(a), _det_initial(b))
-    seen = {start}
-    queue: deque = deque([(*start, 0)])
+    start_a, done_a, moves_a = _language_view(a)
+    start_b, done_b, moves_b = _language_view(b)
+    seen = {(start_a, start_b)}
+    queue: deque = deque([(start_a, start_b, 0)])
     while queue:
         da, db, depth = queue.popleft()
-        if _det_completed(a, da) != _det_completed(b, db):
+        if done_a(da) != done_b(db):
             return False
         if depth >= max_len:
             continue
-        labels_a = _det_labels(a, da)
-        if labels_a != _det_labels(b, db):
+        next_a, next_b = moves_a(da), moves_b(db)
+        if next_a.keys() != next_b.keys():
             return False
-        for task_id in sorted(labels_a):
-            pair = (_det_fire(a, da, task_id), _det_fire(b, db, task_id))
+        for task_id in sorted(next_a):
+            pair = (next_a[task_id], next_b[task_id])
             if pair not in seen:
                 if len(seen) >= node_budget:
                     raise StateSpaceError(

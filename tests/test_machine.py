@@ -5,6 +5,7 @@ import pytest
 
 from choreochannel.cases import CASES, build_machine, build_nets, load_variants
 from choreochannel.machine import (
+    MAX_PLACES,
     CompileError,
     CompiledTransition,
     NotEnabledError,
@@ -17,7 +18,14 @@ from choreochannel.machine import (
     is_end_state,
     step,
 )
-from choreochannel.petri import reduce_net, to_interaction_net, trace_language
+from choreochannel.petri import (
+    InteractionNet,
+    NetTransition,
+    TaskLabel,
+    reduce_net,
+    to_interaction_net,
+    traces_equivalent,
+)
 from util import autonomous_leftover_model, minimal_model
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -46,10 +54,23 @@ def test_fixture_machines_match_golden(case):
     assert ProcessStateMachine.from_dict(golden) == machine
 
 
+def chain_net(place_count):
+    places = tuple(f"p{i}" for i in range(place_count))
+    return InteractionNet(
+        places=places,
+        transitions=tuple(
+            NetTransition(f"t{i}", frozenset({a}), frozenset({b}), TaskLabel(f"t{i}", "a", "b"))
+            for i, (a, b) in enumerate(zip(places, places[1:]))
+        ),
+        initial_place=places[0],
+        final_places=frozenset({places[-1]}),
+    )
+
+
 def test_compile_width_limit():
-    _, reduced = build_nets("supply_chain")
-    with pytest.raises(CompileError):
-        compile_state_machine(reduced, max_places=4)
+    assert compile_state_machine(chain_net(MAX_PLACES)).place_count == MAX_PLACES
+    with pytest.raises(CompileError, match=f"limit is {MAX_PLACES}"):
+        compile_state_machine(chain_net(MAX_PLACES + 1))
 
 
 def test_autonomous_transition_compiled():
@@ -146,33 +167,11 @@ def test_autonomous_self_loop_does_not_hang():
     assert step(machine, machine.initial_state, TaskRequest("go", "a")) == 0b10
 
 
-def _machine_language(machine, max_len):
-    """All task sequences from the initial state, plus the completed subset."""
-    from collections import deque
-
-    seen = {(machine.initial_state, ())}
-    queue = deque(seen)
-    traces, completed = set(), set()
-    while queue:
-        state, trace = queue.popleft()
-        traces.add(trace)
-        if is_end_state(machine, state):
-            completed.add(trace)
-        if len(trace) >= max_len:
-            continue
-        for task_id, initiator in enabled_tasks(machine, state):
-            nxt = (step(machine, state, TaskRequest(task_id, initiator)), trace + (task_id,))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(traces), frozenset(completed)
-
-
 @pytest.mark.parametrize("case", CASES)
 def test_machine_agrees_with_net_language(case):
     net, reduced = build_nets(case)
     machine = compile_state_machine(reduced)
-    assert _machine_language(machine, 12) == trace_language(net, 12)
+    assert traces_equivalent(net, machine, 12)
 
 
 @pytest.mark.parametrize("case", CASES)

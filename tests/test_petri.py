@@ -4,6 +4,7 @@ import pytest
 
 from choreochannel.bpmn import validate_model
 from choreochannel.cases import CASES, build_nets
+from choreochannel.machine import TaskRequest, compile_state_machine, enabled_tasks, is_end_state, step
 from choreochannel.petri import (
     BoundExceeded,
     InteractionNet,
@@ -16,7 +17,6 @@ from choreochannel.petri import (
     reduce_net,
     to_interaction_net,
     to_pnml,
-    trace_language,
     traces_equivalent,
 )
 from choreochannel.randmodel import random_model
@@ -136,10 +136,14 @@ def test_loop_reduction_keeps_language():
     net = to_interaction_net(loop_model())
     reduced = reduce_net(net)
     assert traces_equivalent(net, reduced, 9)
-    traces, completed = trace_language(reduced, 7)
-    assert ("work", "done") in completed
-    assert ("work", "work", "work", "done") in completed
-    assert ("done",) not in traces  # the loop body runs at least once
+    machine = compile_state_machine(reduced)
+    # The loop body runs at least once.
+    assert ("done", "a") not in enabled_tasks(machine, machine.initial_state)
+    for trace in (("work", "done"), ("work", "work", "work", "done")):
+        state = machine.initial_state
+        for task_id in trace:
+            state = step(machine, state, TaskRequest(task_id, "a"))
+        assert is_end_state(machine, state)
 
 
 def test_net_equivalent_to_itself():
@@ -156,6 +160,22 @@ def test_deleted_transition_breaks_equivalence():
         final_places=reduced.final_places,
     )
     assert not traces_equivalent(reduced, broken, 12)
+
+
+def test_leftover_token_breaks_equivalence():
+    # Same traces, but a token left on "junk" means the case never completes.
+    def net(outputs):
+        return InteractionNet(
+            places=("start", "end", "junk"),
+            transitions=(NetTransition("a", frozenset({"start"}), outputs, TaskLabel("a", "x", "y")),),
+            initial_place="start",
+            final_places=frozenset({"end"}),
+        )
+
+    clean, leftover = net(frozenset({"end"})), net(frozenset({"end", "junk"}))
+    assert traces_equivalent(clean, compile_state_machine(clean), 2)
+    assert not traces_equivalent(clean, leftover, 2)
+    assert not traces_equivalent(clean, compile_state_machine(leftover), 2)
 
 
 def test_safeness_minimal_ok():
@@ -180,6 +200,21 @@ def test_safeness_unmatched_split_witness():
     assert verdict.firing_sequence == ("split", "back", "split")
 
 
+def test_safeness_witness_names_first_double_marked_place():
+    # The second split double-marks p2 and p3 at once; p2 comes first.
+    net = InteractionNet(
+        places=("p0", "p1", "p2", "p3"),
+        transitions=(
+            NetTransition("split", frozenset({"p0"}), frozenset({"p1", "p2", "p3"}), None),
+            NetTransition("back", frozenset({"p1"}), frozenset({"p0"}), TaskLabel("back", "a", "b")),
+        ),
+        initial_place="p0",
+        final_places=frozenset({"p2"}),
+    )
+    verdict = check_safeness(net)
+    assert verdict == UnsafeWitness(firing_sequence=("split", "back", "split"), place="p2")
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_safeness_fixtures(case):
     net, reduced = build_nets(case)
@@ -194,10 +229,10 @@ def test_safeness_bound_exceeded():
     assert verdict.explored == 3
 
 
-def test_trace_language_budget():
+def test_equivalence_node_budget():
     net, _ = build_nets("supply_chain")
     with pytest.raises(StateSpaceError):
-        trace_language(net, 12, node_budget=5)
+        traces_equivalent(net, net, 12, node_budget=5)
 
 
 def test_autonomous_leftover_net():
