@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from functools import cache
 from importlib import resources
 
 from .bpmn import ChoreographyModel, parse_choreography
@@ -62,4 +63,11 @@ def build_nets(case: str) -> tuple[InteractionNet, InteractionNet]:
 
 
 def build_machine(case: str) -> ProcessStateMachine:
+    """The compiled machine of a shipped case, compiled once per process: the
+    machine is frozen and holds only tuples, so every caller can share it."""
+    return _compiled_case(normalize_case(case))
+
+
+@cache
+def _compiled_case(case: str) -> ProcessStateMachine:
     return compile_model(load_model(case))

@@ -14,7 +14,10 @@ import json
 import logging
 from dataclasses import dataclass
 
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
 
 from .ledger import Accepted, Ledger, Phase
 from .machine import (
@@ -88,9 +91,12 @@ class TriggerNode:
     def __init__(self, role: str, signing_key: Ed25519PrivateKey, ledger: Ledger,
                  contract_id: bytes, *, prefilter: bool = True,
                  archive_path: str | None = None):
-        self.role_keys = ledger.role_keys(contract_id)
-        if self.role_keys.get(role) != public_key_of(signing_key):
+        role_keys = ledger.role_keys(contract_id)
+        if role_keys.get(role) != public_key_of(signing_key):
             raise ValueError(f"signing key is not the key bound to role {role!r}")
+        # Parsed once: every verify on this node reuses the key objects.
+        self.role_keys = {r: Ed25519PublicKey.from_public_bytes(pub)
+                          for r, pub in role_keys.items()}
         contract = ledger.contracts[contract_id]
         self.machine = contract.machine
         self.address = contract.role_binding[role]
@@ -104,8 +110,10 @@ class TriggerNode:
         self.seq = 0
         self.case_id = 0
         self.pending: StepPayload | None = None
-        # The remote proposal this node signed last: first proposal wins.
-        self.signed: StepPayload | None = None
+        # The remote proposal this node signed last (first proposal wins),
+        # with the two signatures it has already checked: the proposer's,
+        # verified in on_propose, and its own.
+        self.signed: SignedStep | None = None
         self.archive = ArchiveStore(archive_path)
         self.observed_phase = Phase.CHANNEL_OPEN
         self.events: list[str] = []
@@ -247,7 +255,8 @@ class TriggerNode:
             self._note(f"proposal seq {payload.seq} does not follow local seq {self.seq}")
             self.raise_dispute()
             return None
-        if self.signed not in (None, payload) and self.signed.seq == payload.seq:
+        if (self.signed is not None and self.signed.payload != payload
+                and self.signed.payload.seq == payload.seq):
             self._note(f"seq {payload.seq} already signed for a different proposal")
             return None
         try:
@@ -264,19 +273,21 @@ class TriggerNode:
             self.raise_dispute()
             return None
 
-        signed = SignedStep(payload, {self.role: sign_step(payload, self.signing_key)})
+        mine = sign_step(payload, self.signing_key)
+        signed = SignedStep(payload, {self.role: mine})
         # Evidence first, then the signature leaves the node.
         self.archive.note_signed(signed)
-        self.signed = payload
+        self.signed = SignedStep(payload, {proposer: sig, self.role: mine})
         return ChannelMessage(MessageKind.SIGN, signed)
 
     def on_confirm(self, msg: ChannelMessage) -> bool:
         """Install a fully signed step this node signed for its next seq."""
         payload = msg.signed.payload
-        if payload != self.signed or payload.seq != self.seq + 1:
+        if (self.signed is None or payload != self.signed.payload
+                or payload.seq != self.seq + 1):
             self._note(f"confirm for unknown step seq {payload.seq} ignored")
             return False
-        if not msg.signed.verify_all(self.role_keys):
+        if not self._all_signatures_valid(msg.signed):
             self._note(f"confirm for seq {payload.seq} carries an incomplete signature set")
             self.raise_dispute()
             return False
@@ -285,15 +296,30 @@ class TriggerNode:
         self.seq = payload.seq
         return True
 
+    def _all_signatures_valid(self, confirm: SignedStep) -> bool:
+        """Every role signed the slot's payload (equal to the Confirm's). A
+        signature byte-equal to one the slot holds was checked in on_propose,
+        or made here, and is not verified again; any other goes through
+        verify_step. Checking over the slot's payload reuses its encoding and
+        leaves the archived Confirm payload unencoded."""
+        slot = self.signed
+        for role, key in self.role_keys.items():
+            sig = confirm.signatures.get(role)
+            if sig is None:
+                return False
+            if sig != slot.signatures.get(role) and not verify_step(slot.payload, sig, key):
+                return False
+        return True
+
     # -- chain duties ---------------------------------------------------------
 
     def raise_dispute(self) -> bool:
         """Submit the highest archived complete step as dispute evidence;
         True iff the ledger accepted it.
 
-        Skips the transaction when a dispute is already pending at the same or
-        a higher sequence number; this node's evidence would be rejected as
-        stale and adds nothing the watcher duty does not already cover.
+        Skips the transaction whenever the contract can only refuse it: the
+        case is on-chain, closed or over, or a dispute is already pending at
+        the same or a higher sequence number (the watcher duty covers that).
         """
         latest = self.archive.max_complete(self.case_id)
         if latest is None:
@@ -301,6 +327,10 @@ class TriggerNode:
             return False
         view = self.ledger.get_contract(self.contract_id)
         self.observed_phase = view.phase
+        if view.phase in (Phase.ON_CHAIN, Phase.CLOSED) or view.case_id != self.case_id:
+            self._note(f"contract is {view.phase.value} at case {view.case_id}, "
+                       f"would refuse evidence for case {self.case_id}; holding it")
+            return False
         if view.phase is Phase.DISPUTE and view.seq >= latest.payload.seq:
             self._note(f"dispute already pending at seq {view.seq}; holding evidence")
             return False

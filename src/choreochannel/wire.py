@@ -12,6 +12,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -79,6 +80,12 @@ class StepPayload:
             new_state=_hex(_field(data, "new_state", str)),
         )
 
+    @cached_property
+    def encoded(self) -> bytes:
+        """`encode_step(self)`, computed once: every sign and verify of this
+        payload reuses the same bytes."""
+        return encode_step(self)
+
 
 def encode_step(p: StepPayload) -> bytes:
     """Deterministic, injective byte encoding of a step payload."""
@@ -121,13 +128,17 @@ def address_of(public_key: bytes) -> bytes:
 
 
 def sign_step(p: StepPayload, signing_key: Ed25519PrivateKey) -> bytes:
-    return signing_key.sign(encode_step(p))
+    return signing_key.sign(p.encoded)
 
 
-def verify_step(p: StepPayload, signature: bytes, public_key: bytes) -> bool:
-    """True iff signature covers encode_step(p) under the key; never raises."""
+def verify_step(p: StepPayload, signature: bytes,
+                public_key: Ed25519PublicKey | bytes) -> bool:
+    """True iff signature covers encode_step(p) under the key, given parsed
+    or as raw bytes; never raises."""
     try:
-        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, encode_step(p))
+        if not isinstance(public_key, Ed25519PublicKey):
+            public_key = Ed25519PublicKey.from_public_bytes(public_key)
+        public_key.verify(signature, p.encoded)
         return True
     except (InvalidSignature, ValueError, TypeError):
         return False

@@ -106,6 +106,13 @@ def test_step_unknown_task():
     assert machine_for(autonomous_leftover_model()).manual_transitions(None) == []
 
 
+def test_build_machine_compiles_each_case_once():
+    machine = build_machine("supply-chain")
+    assert build_machine("supply_chain") is machine
+    with pytest.raises(ValueError, match="unknown case"):
+        build_machine("no_such_case")
+
+
 def test_step_not_enabled():
     machine = build_machine("supply_chain")
     with pytest.raises(NotEnabledError):

@@ -5,9 +5,10 @@ import warnings
 
 import pytest
 
+from choreochannel import trigger
 from choreochannel.harness import build_network
 from choreochannel.trigger import TriggerNode
-from choreochannel.cases import build_machine, load_variants
+from choreochannel.cases import build_machine, compile_model, load_variants
 from choreochannel.ledger import Accepted, Phase, TxKind
 from choreochannel.machine import TaskRequest, step as machine_step
 from choreochannel.wire import (
@@ -18,6 +19,7 @@ from choreochannel.wire import (
     sign_step,
     verify_step,
 )
+from util import minimal_model
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +123,8 @@ def test_node_enforces_the_deployed_contract(machine):
     for role, node in setup.nodes.items():
         assert node.machine is contract.machine
         assert node.address == contract.role_binding[role] == setup.addresses[role]
-        assert node.role_keys == setup.ledger.role_keys(setup.contract_id)
+        raw = {r: k.public_bytes_raw() for r, k in node.role_keys.items()}
+        assert raw == setup.ledger.role_keys(setup.contract_id)
 
 
 def _propose(setup, machine, proposer, seq, task_id, new_state_bytes, signer="supplier"):
@@ -374,7 +377,7 @@ def test_on_propose_ignores_another_chain_contract_or_case(machine, variant, fie
     supplier = setup.nodes["supplier"]
     msg = _place_order(setup, machine, variant, seq=2, **{field: value})
     assert supplier.on_propose(msg) is None
-    assert supplier.signed.seq == 1  # nothing signed for seq 2
+    assert supplier.signed.payload.seq == 1  # nothing signed for seq 2
     assert [t.kind for t in setup.ledger.log] == [TxKind.DEPLOY]
 
 
@@ -437,7 +440,7 @@ def test_late_confirm_cannot_install_a_superseded_step(machine, variant):
     setup.network.silence("carrier")
     assert setup.nodes["manufacturer"].enact(variant[1]).status == "dispute_raised"
     supplier = setup.nodes["supplier"]
-    late = supplier.signed  # signed for seq 2, never confirmed
+    late = supplier.signed.payload  # signed for seq 2, never confirmed
     assert late.seq == 2
     setup.ledger.advance_blocks(10)
     setup.network.poll_all()
@@ -462,6 +465,9 @@ def test_raise_dispute_that_sees_on_chain_switches_enact_on_chain(machine, varia
     assert middleman.observed_phase is Phase.ON_CHAIN
     assert middleman.enact(variant[2]).confirmed
     assert setup.ledger.log[-1].kind is TxKind.ON_CHAIN_TASK
+    # The contract could only have refused the evidence: none was sent.
+    assert not [t for t in setup.ledger.log
+                if t.kind is TxKind.SUBMIT_STATE and not t.accepted]
 
 
 def test_every_archive_line_decodes_as_a_signed_step(machine, variant, tmp_path):
@@ -484,3 +490,140 @@ def test_every_archive_line_decodes_as_a_signed_step(machine, variant, tmp_path)
         assert set(types) <= {"signed", "step"}
         assert types.count("step") == len(variant)
         assert types.count("signed") == sum(1 for r in variant if r.requester_role != role)
+
+
+def test_raise_dispute_after_the_case_closed_sends_nothing(machine, variant):
+    setup = fresh(machine)
+    for req in variant:
+        assert setup.nodes[req.requester_role].enact(req).confirmed
+    assert setup.nodes[variant[-1].requester_role].close().confirmed
+    carrier = setup.nodes["carrier"]  # still on case 0: it has not polled
+    assert carrier.case_id == 0 and carrier.archive.max_complete(0) is not None
+    assert carrier.raise_dispute() is False
+    assert [t.kind for t in setup.ledger.log] == [TxKind.DEPLOY, TxKind.CLOSE]
+
+
+def _counting_verifies(monkeypatch):
+    """Record every verify_step call made by a trigger node."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return verify_step(*args)
+
+    monkeypatch.setattr(trigger, "verify_step", counting)
+    return calls
+
+
+@pytest.mark.parametrize("model,expected", [("supply_chain", 20), ("minimal", 2)])
+def test_conforming_step_verifies_each_signature_once_per_node(monkeypatch, model, expected):
+    if model == "minimal":
+        machine, req = compile_model(minimal_model()), TaskRequest("greet", "a")
+    else:
+        machine, req = build_machine(model), load_variants(model)[0][0]
+    n = len(machine.role_ids)
+    setup = fresh(machine)
+    calls = _counting_verifies(monkeypatch)
+    assert setup.nodes[req.requester_role].enact(req).confirmed
+    assert setup.network.stable() and setup.nodes[req.requester_role].seq == 1
+    assert len(calls) == n * (n - 1) == expected
+
+
+class TamperedConfirm:
+    """Transport that hands `target` a Confirm whose signature of `role` is
+    replaced by `forge(signed)`."""
+
+    def __init__(self, network, target, role, forge):
+        self.network, self.target, self.role, self.forge = network, target, role, forge
+
+    def request(self, target_role, message):
+        if message.kind is MessageKind.CONFIRM and target_role == self.target:
+            sigs = {**message.signed.signatures, self.role: self.forge(message.signed)}
+            message = ChannelMessage(MessageKind.CONFIRM, SignedStep(message.signed.payload, sigs))
+        return self.network.request(target_role, message)
+
+
+def _confirm_refused_by_carrier(setup, variant, role, forge):
+    """manufacturer enacts the second task; carrier receives a Confirm with
+    `role`'s signature forged. Returns carrier's (seq, state) before."""
+    assert setup.nodes["bulk_buyer"].enact(variant[0]).confirmed
+    carrier = setup.nodes["carrier"]
+    before = (carrier.seq, carrier.state)
+    manufacturer = setup.nodes["manufacturer"]
+    manufacturer.transport = TamperedConfirm(setup.network, "carrier", role, forge)
+    assert manufacturer.enact(variant[1]).confirmed  # every other peer installed it
+    assert (carrier.seq, carrier.state) == before
+    assert carrier.archive.max_complete(0).payload.seq == 1
+    assert any("incomplete signature set" in e for e in carrier.events)
+    # carrier disputed with the last step it holds.
+    disputes = [t for t in setup.ledger.log if t.kind is TxKind.SUBMIT_STATE]
+    assert [(t.sender, t.accepted, t.payload_seq) for t in disputes] == \
+        [(setup.addresses["carrier"], True, 1)]
+    return before
+
+
+def test_confirm_with_a_corrupted_third_party_signature_is_refused(machine, variant):
+    setup = fresh(machine)
+
+    def corrupt(signed):
+        sig = bytearray(signed.signatures["supplier"])
+        sig[0] ^= 0x01
+        return bytes(sig)
+
+    _confirm_refused_by_carrier(setup, variant, "supplier", corrupt)
+
+
+@pytest.mark.parametrize("role", ["manufacturer", "carrier"])
+def test_confirm_with_another_checked_signature_is_refused(machine, variant, role):
+    """The proposer's and the node's own signature are the ones the shortcut
+    skips; a valid signature by the same key over another payload must not
+    pass for them."""
+    setup = fresh(machine)
+
+    def over_other_payload(signed):
+        other = dataclasses.replace(signed.payload, choice_data=b"\x01")
+        return sign_step(other, setup.keys[role])
+
+    _confirm_refused_by_carrier(setup, variant, role, over_other_payload)
+
+
+def test_reset_for_case_drops_the_checked_signatures(monkeypatch, machine, variant):
+    setup = fresh(machine)
+    supplier = setup.nodes["supplier"]
+    propose = _place_order(setup, machine, variant)
+    assert supplier.on_propose(propose) is not None
+    payload = propose.signed.payload
+    sigs = {r: sign_step(payload, k) for r, k in setup.keys.items()}
+    old = ChannelMessage(MessageKind.CONFIRM, SignedStep(payload, sigs))
+    supplier._reset_for_case(1)
+    assert supplier.signed is None
+    assert supplier.on_confirm(old) is False
+    assert (supplier.case_id, supplier.seq, supplier.state) == (1, 0, machine.initial_state)
+    # In the new case only the new proposal's signatures are kept.
+    propose = _place_order(setup, machine, variant, case_id=1)
+    assert supplier.on_propose(propose) is not None
+    payload = propose.signed.payload
+    assert supplier.signed == SignedStep(payload, {
+        "bulk_buyer": propose.signed.signatures["bulk_buyer"],
+        "supplier": sign_step(payload, setup.keys["supplier"]),
+    })
+    calls = _counting_verifies(monkeypatch)
+    sigs = {r: sign_step(payload, k) for r, k in setup.keys.items()}
+    assert supplier.on_confirm(ChannelMessage(MessageKind.CONFIRM, SignedStep(payload, sigs)))
+    assert [args[2] for args in calls] == [
+        supplier.role_keys[r] for r in machine.role_ids if r not in ("bulk_buyer", "supplier")]
+
+
+def test_confirm_for_another_payload_with_the_slot_signatures_is_refused(machine, variant):
+    """on_confirm checks signatures over the slot's payload, so comparing the
+    Confirm's payload with it is what keeps another step out."""
+    setup = fresh(machine)
+    supplier = setup.nodes["supplier"]
+    propose = _place_order(setup, machine, variant)
+    assert supplier.on_propose(propose) is not None
+    payload = propose.signed.payload
+    sigs = {r: sign_step(payload, k) for r, k in setup.keys.items()}
+    other = dataclasses.replace(payload, choice_data=b"\x01")
+    assert supplier.on_confirm(ChannelMessage(MessageKind.CONFIRM, SignedStep(other, sigs))) is False
+    assert (supplier.seq, supplier.state) == (0, machine.initial_state)
+    assert supplier.archive.max_complete(0) is None

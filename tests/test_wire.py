@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +103,26 @@ def test_verify_never_raises_on_garbage():
     assert not verify_step(p, b"short", PUB)
     assert not verify_step(p, b"\x00" * 64, PUB)
     assert not verify_step(p, sign_step(p, KEY), b"not-a-key")
+    assert not verify_step(payload(seq=2**64), sign_step(p, KEY), PUB)  # unencodable
+
+
+def test_verify_same_verdict_with_parsed_or_raw_key():
+    p = payload()
+    sig = sign_step(p, KEY)
+    cases = [(p, sig), (p, b"short"), (p, b"\x00" * 64), (payload(seq=2**64), sig)]
+    raw = p.task_id.encode()
+    for i in range(len(raw)):
+        mutated = bytearray(raw)
+        mutated[i] ^= 0x01
+        cases.append((payload(task_id=mutated.decode("latin-1")), sig))
+    for i in range(len(sig)):
+        mutated = bytearray(sig)
+        mutated[i] ^= 0x01
+        cases.append((p, bytes(mutated)))
+    parsed = Ed25519PublicKey.from_public_bytes(PUB)
+    verdicts = [verify_step(q, s, PUB) for q, s in cases]
+    assert [verify_step(q, s, parsed) for q, s in cases] == verdicts
+    assert verdicts == [True] + [False] * (len(cases) - 1)
 
 
 payload_strategy = st.builds(
@@ -123,6 +144,14 @@ def test_encoding_injective(a, b):
         assert encode_step(a) != encode_step(b)
     else:
         assert encode_step(a) == encode_step(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=payload_strategy)
+def test_cached_encoding_is_encode_step(p):
+    assert p.encoded == encode_step(p)
+    assert p.encoded is p.encoded  # computed once
+    assert StepPayload.from_wire(p.to_wire()).encoded == p.encoded
 
 
 @settings(max_examples=40, deadline=None)
