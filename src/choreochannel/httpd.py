@@ -4,10 +4,17 @@ Envelopes travel as JSON: a kind plus a `SignedStep` (`payload` and
 `signatures`), whose signed bytes stay the canonical binary encoding. A node
 only ever sends Propose and Confirm; a Sign travels back as the reply to a
 Propose. Each node's message handling is serialised behind one lock,
-matching the one-ordered-queue-per-node concurrency model. A request body
-that does not decode gets 400 and never reaches the node; a reply that does
-not decode counts as no reply. The in-process transport remains the default
-for deterministic tests; this module exists for networked runs.
+matching the one-ordered-queue-per-node concurrency model.
+
+A node keeps one persistent HTTP/1.1 connection to each peer (RFC 9112 §9)
+and reconnects once when a reused connection turns out to have been dropped.
+The server side keeps connections alive and sends with Nagle's algorithm
+off: it writes a reply's headers and body in two sends, and with Nagle on
+the body would wait for the peer's delayed ACK. A request body that does not
+decode gets 400, which also closes the connection, and never reaches the
+node; a reply that does not decode counts as no reply. The in-process
+transport remains the default for deterministic tests; this module exists
+for networked runs.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ from __future__ import annotations
 import http.client
 import json
 import threading
-import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .machine import TaskRequest
@@ -24,35 +30,61 @@ from .wire import ChannelMessage, MessageKind
 
 
 class HttpTransport:
-    """Client side: deliver protocol messages to peer endpoints, waiting at
-    most 10 seconds for each reply."""
+    """Client side: deliver protocol messages to peer endpoints over one
+    persistent connection per peer, waiting at most 10 seconds for each reply.
 
-    def __init__(self, peer_endpoints: dict[str, str]):
-        self.peer_endpoints = peer_endpoints
+    The node's lock serialises its sends, so each connection carries one
+    request at a time.
+    """
+
+    def __init__(self, peer_ports: dict[str, int]):
+        self.connections = {role: http.client.HTTPConnection("127.0.0.1", port, timeout=10.0)
+                            for role, port in peer_ports.items()}
 
     def request(self, target_role: str, message: ChannelMessage) -> ChannelMessage | None:
-        base = self.peer_endpoints.get(target_role)
-        if base is None:
+        conn = self.connections.get(target_role)
+        if conn is None:
             return None
         path = {MessageKind.PROPOSE: "/propose", MessageKind.CONFIRM: "/confirm"}[message.kind]
-        req = urllib.request.Request(
-            base.rstrip("/") + path,
-            data=message.to_wire().encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=10.0) as resp:
-                body = resp.read()
-                if resp.status == 200 and body:
-                    return ChannelMessage.from_wire(body.decode("utf-8"))
+        body = message.to_wire().encode("utf-8")
+        # A reused connection the peer has dropped fails on first use: send
+        # once more on a new one. Should the peer have acted on the lost
+        # request, a re-sent Propose gets the same Sign back, and a re-sent
+        # Confirm no longer follows its seq and is ignored.
+        retry = conn.sock is not None
+        while True:
+            try:
+                conn.request("POST", path, body=body, headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                data = resp.read()
+                break
+            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected too
+                conn.close()
+                if not retry:
+                    return None
+                retry = False
+            except (OSError, http.client.HTTPException):
+                # A timed-out reply may still arrive: never read it as the
+                # reply to the next request.
+                conn.close()
                 return None
-        except (OSError, http.client.HTTPException, ValueError):
+        if resp.status != 200 or not data:
             return None
+        try:
+            return ChannelMessage.from_wire(data.decode("utf-8"))
+        except ValueError:
+            return None
+
+    def close(self) -> None:
+        for conn in self.connections.values():
+            conn.close()
 
 
 class NodeServer:
     """Server side: expose one trigger node over local HTTP."""
+
+    # How often serve_forever checks for shutdown; stop() waits up to this.
+    POLL_S = 0.05
 
     def __init__(self, node: TriggerNode):
         self.node = node
@@ -60,23 +92,26 @@ class NodeServer:
         handler = self._make_handler()
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         self.port = self.httpd.server_address[1]
-        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
-
-    @property
-    def endpoint(self) -> str:
-        return f"http://{self.httpd.server_address[0]}:{self.port}"
+        self.thread = threading.Thread(target=self.httpd.serve_forever,
+                                       args=(self.POLL_S,), daemon=True)
 
     def start(self) -> None:
         self.thread.start()
 
     def stop(self) -> None:
+        """Stop serving and close this node's connections to its peers, which
+        ends the peers' handler threads for them."""
         self.httpd.shutdown()
         self.httpd.server_close()
+        self.node.transport.close()
 
     def _make_handler(self):
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
+
             def log_message(self, *args):  # quiet test output
                 pass
 
@@ -84,11 +119,19 @@ class NodeServer:
                 body = b""
                 if payload is not None:
                     body = (payload if isinstance(payload, str) else json.dumps(payload)).encode()
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
+                try:
+                    self.send_response(status)
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(body)))
+                    if status == 400:
+                        # The request's length may be wrong, so whatever
+                        # follows it on this connection cannot be parsed.
+                        self.close_connection = True
+                        self.send_header("Connection", "close")
+                    self.end_headers()
+                    self.wfile.write(body)
+                except (BrokenPipeError, ConnectionResetError):
+                    self.close_connection = True  # the client has gone away
 
             def do_GET(self):
                 if self.path == "/status":
@@ -99,7 +142,9 @@ class NodeServer:
 
             def do_POST(self):
                 try:
-                    length = max(0, int(self.headers.get("Content-Length", "0")))
+                    length = int(self.headers.get("Content-Length", "0"))
+                    if length < 0:
+                        raise ValueError("negative Content-Length")
                     raw = self.rfile.read(length).decode("utf-8")
                     if self.path == "/enact":
                         data = json.loads(raw)
@@ -142,8 +187,7 @@ def serve_network(nodes: dict[str, TriggerNode]) -> dict[str, NodeServer]:
     """Serve every node on an ephemeral loopback port and wire their transports."""
     servers = {role: NodeServer(node) for role, node in nodes.items()}
     for role, node in nodes.items():
-        peers = {r: s.endpoint for r, s in servers.items() if r != role}
-        node.transport = HttpTransport(peers)
+        node.transport = HttpTransport({r: s.port for r, s in servers.items() if r != role})
     for server in servers.values():
         server.start()
     return servers

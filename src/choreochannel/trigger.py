@@ -52,10 +52,16 @@ class EnactResult:
 
 class ArchiveStore:
     """Append-only evidence store. Every record is flushed before the node
-    sends the message that depends on it."""
+    sends the message that depends on it.
+
+    The file holds every record of every case. Memory holds only the complete
+    steps of the node's current case, the only ones a dispute, counter or
+    close can still use: `start_case` drops the rest when the node moves on.
+    """
 
     def __init__(self, path: str | None):
-        self._steps: dict[int, list[SignedStep]] = {}
+        self._case_id = 0
+        self._steps: list[SignedStep] = []
         self._path = path
 
     def _write(self, record: dict) -> None:
@@ -63,22 +69,27 @@ class ArchiveStore:
             with open(self._path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
 
+    def start_case(self, case_id: int) -> None:
+        """Forget the steps held for the previous case."""
+        self._case_id = case_id
+        self._steps = []
+
     def note_signed(self, signed: SignedStep) -> None:
         self._write({"type": "signed", "record": signed.to_wire()})
 
     def append_step(self, signed: SignedStep) -> None:
-        case = signed.payload.case_id
-        self._steps.setdefault(case, []).append(signed)
+        self._steps.append(signed)
         self._write({"type": "step", "record": signed.to_wire()})
 
     def max_complete(self, case_id: int) -> SignedStep | None:
-        steps = self._steps.get(case_id)
-        if not steps:
+        if case_id != self._case_id or not self._steps:
             return None
-        return max(steps, key=lambda s: s.payload.seq)
+        return max(self._steps, key=lambda s: s.payload.seq)
 
     def by_seq(self, case_id: int, seq: int) -> SignedStep | None:
-        for s in self._steps.get(case_id, []):
+        if case_id != self._case_id:
+            return None
+        for s in self._steps:
             if s.payload.seq == seq:
                 return s
         return None
@@ -356,6 +367,7 @@ class TriggerNode:
 
     def _reset_for_case(self, case_id: int) -> None:
         self.case_id = case_id
+        self.archive.start_case(case_id)
         self.seq = 0
         self.state = self.machine.initial_state
         self.pending = None

@@ -2,6 +2,9 @@
 
 import http.client
 import json
+import socket
+import threading
+import time
 
 import pytest
 
@@ -87,6 +90,7 @@ MALFORMED = {
     "enact-int-choice-data": ("/enact", b'{"task_id": "t", "choice_data": 5}', None),
     "propose-not-utf8": ("/propose", b"\xff\xfe\xfa", None),
     "enact-bad-content-length": ("/enact", b"{}", "abc"),
+    "unknown-path-negative-content-length": ("/nope", b"{}", "-2"),
 }
 
 
@@ -106,3 +110,113 @@ def test_enact_null_task_is_an_unknown_task(http_network):
     status, body = request(server, "POST", "/enact", b'{"task_id": null}')
     assert status == 200
     assert (body["status"], body["error"]) == ("rejected", "unknown-task")
+
+
+def test_400_closes_its_connection(http_network):
+    """The unread rest of a request with a bad Content-Length is never parsed
+    as the next request: the 400 ends the connection."""
+    _, servers = http_network
+    server = next(iter(servers.values()))
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+        sock.sendall(b"POST /enact HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                     b"Content-Length: abc\r\n\r\n{}")
+        resp = http.client.HTTPResponse(sock)
+        resp.begin()
+        assert (resp.status, resp.getheader("Connection")) == (400, "close")
+        resp.read()
+        try:
+            sock.sendall(b"GET /status HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n")
+            rest = sock.recv(4096)
+        except (BrokenPipeError, ConnectionResetError):
+            rest = b""
+        assert rest == b""
+
+
+def test_reply_to_a_departed_client_prints_no_traceback(http_network, capsys):
+    setup, servers = http_network
+    req = load_variants("incident_management")[0][0]
+    server = servers[req.requester_role]
+    finished = threading.Event()
+    shutdown_request = server.httpd.shutdown_request
+
+    def noting_shutdown(request):
+        shutdown_request(request)
+        finished.set()
+
+    server.httpd.shutdown_request = noting_shutdown
+    body = json.dumps({"task_id": req.task_id}).encode()
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+        sock.sendall(b"POST /enact HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                     b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+    # The handler replies to a closed socket, then ends the connection.
+    assert finished.wait(10)
+    assert setup.nodes[req.requester_role].seq == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _count_accepts(servers):
+    """Record every socket each server accepts, as (socket, client address)."""
+    accepted = {role: [] for role in servers}
+    for role, server in servers.items():
+        def get_request(get_request=server.httpd.get_request, log=accepted[role]):
+            conn = get_request()
+            log.append(conn)
+            return conn
+        server.httpd.get_request = get_request
+    return accepted
+
+
+def _enact(servers, req):
+    status, body = request(servers[req.requester_role], "POST", "/enact",
+                           json.dumps({"task_id": req.task_id}).encode())
+    assert (status, body["status"]) == (200, "confirmed"), body
+
+
+def test_a_warm_initiator_opens_only_the_clients_connection(http_network):
+    """Each node keeps one connection per peer: an /enact by a node that has
+    enacted before opens only the client's connection (9 per /enact over a
+    connection-per-request transport)."""
+    _, servers = http_network
+    accepted = _count_accepts(servers)
+    variant = load_variants("incident_management")[1]
+    seen = set()
+    for req in variant:
+        before = sum(map(len, accepted.values()))
+        _enact(servers, req)
+        opened = sum(map(len, accepted.values())) - before
+        # A first-time initiator also connects to its 4 peers.
+        assert opened == (1 if req.requester_role in seen else 1 + 4), req
+        seen.add(req.requester_role)
+    assert len(seen) < len(variant)
+
+
+def test_a_dropped_keep_alive_connection_is_reopened_once(http_network):
+    setup, servers = http_network
+    accepted = _count_accepts(servers)
+    variant = load_variants("incident_management")[1]
+    for req in variant[:3]:
+        _enact(servers, req)
+    # first_level drops its idle connection from account_manager, the next
+    # initiator; the handler thread sees the end of the stream and exits.
+    client = setup.nodes["account_manager"].transport.connections["first_level"].sock
+    (sock,) = [s for s, addr in accepted["first_level"] if addr == client.getsockname()]
+    sock.shutdown(socket.SHUT_RDWR)
+    before = {role: len(log) for role, log in accepted.items()}
+    _enact(servers, variant[3])
+    opened = {role: len(log) - before[role] for role, log in accepted.items()}
+    assert opened == {**dict.fromkeys(servers, 0), "account_manager": 1, "first_level": 1}
+    statuses = {request(s, "GET", "/status")[1]["seq"] for s in servers.values()}
+    assert statuses == {4}
+
+
+def test_stopping_the_network_ends_every_handler_thread():
+    setup = build_network(build_machine("incident_management"), key_salt="http-tests")
+    servers = serve_network(setup.nodes)
+    for req in load_variants("incident_management")[0]:
+        _enact(servers, req)
+    for server in servers.values():
+        server.stop()
+    deadline = time.monotonic() + 10
+    while any("process_request_thread" in t.name for t in threading.enumerate()):
+        assert time.monotonic() < deadline, threading.enumerate()
+        time.sleep(0.01)

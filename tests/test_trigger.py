@@ -492,6 +492,37 @@ def test_every_archive_line_decodes_as_a_signed_step(machine, variant, tmp_path)
         assert types.count("signed") == sum(1 for r in variant if r.requester_role != role)
 
 
+def test_a_reset_drops_the_old_case_from_memory_but_not_from_the_file(machine, variant, tmp_path):
+    setup = fresh(machine, archive_dir=str(tmp_path))
+    for req in variant:
+        assert setup.nodes[req.requester_role].enact(req).confirmed
+    closer = setup.nodes[variant[-1].requester_role]
+    assert closer.archive.max_complete(0).payload.seq == len(variant)
+    assert closer.close().confirmed
+    setup.network.poll_all()
+    for role, node in setup.nodes.items():
+        assert node.case_id == 1
+        assert node.archive.max_complete(0) is None
+        assert node.archive.by_seq(0, 1) is None
+        records = [json.loads(line) for line in (tmp_path / f"{role}.jsonl").read_text().splitlines()]
+        steps = [SignedStep.from_wire(r["record"]).payload for r in records if r["type"] == "step"]
+        assert [(p.case_id, p.seq) for p in steps] == [(0, seq) for seq in range(1, len(variant) + 1)]
+
+
+def test_archive_memory_is_bounded_across_closed_cases(incident_machine, incident_variants):
+    """50 cases on one channel: no node ever holds more than one case's steps."""
+    setup = fresh(incident_machine)
+    events = incident_variants[0].events
+    closer = setup.nodes[events[-1].requester_role]
+    for case_id in range(50):
+        for req in events:
+            assert setup.nodes[req.requester_role].enact(req).confirmed
+        assert all(len(n.archive._steps) == len(events) for n in setup.nodes.values())
+        assert closer.close().confirmed
+        setup.network.poll_all()
+        assert all(n.case_id == case_id + 1 and not n.archive._steps for n in setup.nodes.values())
+
+
 def test_raise_dispute_after_the_case_closed_sends_nothing(machine, variant):
     setup = fresh(machine)
     for req in variant:
