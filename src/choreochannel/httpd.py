@@ -6,27 +6,122 @@ only ever sends Propose and Confirm; a Sign travels back as the reply to a
 Propose. Each node's message handling is serialised behind one lock,
 matching the one-ordered-queue-per-node concurrency model.
 
-A node keeps one persistent HTTP/1.1 connection to each peer (RFC 9112 §9)
-and reconnects once when a reused connection turns out to have been dropped.
-The server side keeps connections alive and sends with Nagle's algorithm
-off: it writes a reply's headers and body in two sends, and with Nagle on
-the body would wait for the peer's delayed ACK. A request body that does not
-decode gets 400, which also closes the connection, and never reaches the
-node; a reply that does not decode counts as no reply. The in-process
-transport remains the default for deterministic tests; this module exists
-for networked runs.
+The HTTP/1.1 framing is this module's own, on `socketserver` and `socket`:
+each request and each reply leaves in one send, so no message waits on
+Nagle's algorithm or wakes its reader twice. Both sides read the start line
+and at most 100 header lines of at most 64 KiB each, and interpret only
+`Content-Length` and `Connection`; any `Transfer-Encoding` is refused. A
+node keeps one persistent connection to each peer (RFC 9112 §9) and
+reconnects once when a reused connection turns out to have been dropped. A
+request that does not frame or whose body does not decode gets 400, which
+also closes the connection, and never reaches the node; a reply that does
+not frame or decode counts as no reply and closes the connection. An
+HTTP/1.0 request, or one that sends `Connection: close`, gets one reply and
+then the connection closes. The in-process transport remains the default
+for deterministic tests; this module exists for networked runs.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .machine import TaskRequest
 from .trigger import TriggerNode
 from .wire import ChannelMessage, MessageKind
+
+# The standard library's limits on one header line and on the header count.
+MAX_LINE = 65536
+MAX_HEADERS = 100
+# No envelope comes near this; a larger Content-Length is refused unread.
+MAX_BODY = 1 << 20
+TIMEOUT_S = 10.0
+REASONS = {200: b"OK", 204: b"No Content", 400: b"Bad Request", 404: b"Not Found"}
+PATHS = {MessageKind.PROPOSE: b"/propose", MessageKind.CONFIRM: b"/confirm"}
+
+
+def _read_fields(rfile) -> tuple[int | None, bool]:
+    """Read header lines up to the blank one that ends them.
+
+    Returns the Content-Length (None when absent) and whether the sender
+    asked to close the connection. Raises ValueError when the header does
+    not frame, and EOFError when the stream ends inside it.
+    """
+    length, close = None, False
+    for _ in range(MAX_HEADERS + 1):
+        line = rfile.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise ValueError("header line too long")
+        if line in (b"\r\n", b"\n"):
+            return length, close
+        if not line.endswith(b"\n"):
+            raise EOFError("stream ended inside the header")
+        name, colon, value = line.partition(b":")
+        name, value = name.lower(), value.strip()
+        if not colon or not name or name != name.strip():
+            raise ValueError(f"malformed header line {line[:40]!r}")
+        if name == b"content-length":
+            if length is not None or not value.isdigit():
+                raise ValueError("bad or repeated Content-Length")
+            length = int(value)
+        elif name == b"connection":
+            close = b"close" in (token.strip() for token in value.lower().split(b","))
+        elif name == b"transfer-encoding":
+            raise ValueError("Transfer-Encoding is not supported")
+    raise ValueError(f"more than {MAX_HEADERS} headers")
+
+
+def _read_body(rfile, length: int) -> bytes:
+    if length > MAX_BODY:
+        raise ValueError("body too large")
+    body = rfile.read(length)
+    if len(body) < length:
+        raise EOFError("stream ended inside the body")
+    return body
+
+
+class _Peer:
+    """One persistent connection to a peer; `sock` is None while closed."""
+
+    def __init__(self, port: int):
+        self.port = port
+        self.sock: socket.socket | None = None
+        self.rfile = None
+
+    def exchange(self, request: bytes) -> tuple[int, bytes]:
+        """Send one request in one send and read its reply: (status, body).
+
+        Raises ConnectionResetError when the peer closed the connection
+        before replying, ValueError or EOFError when the reply does not frame.
+        """
+        if self.sock is None:
+            sock = socket.create_connection(("127.0.0.1", self.port), timeout=TIMEOUT_S)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+            self.sock, self.rfile = sock, sock.makefile("rb")
+        self.sock.sendall(request)
+        line = self.rfile.readline(MAX_LINE + 1)
+        if not line:
+            raise ConnectionResetError("the peer closed the connection")
+        parts = line.split(None, 2)
+        if (len(line) > MAX_LINE or not line.endswith(b"\n") or len(parts) < 2
+                or not parts[0].startswith(b"HTTP/1.") or len(parts[1]) != 3
+                or not parts[1].isdigit()):
+            raise ValueError(f"malformed status line {line[:40]!r}")
+        length, close = _read_fields(self.rfile)
+        if length is None:
+            raise ValueError("reply without Content-Length")
+        body = _read_body(self.rfile, length)
+        if close:
+            self.close()
+        return int(parts[1]), body
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.rfile.close()
+            self.sock.close()
+            self.sock = self.rfile = None
 
 
 class HttpTransport:
@@ -38,37 +133,36 @@ class HttpTransport:
     """
 
     def __init__(self, peer_ports: dict[str, int]):
-        self.connections = {role: http.client.HTTPConnection("127.0.0.1", port, timeout=10.0)
-                            for role, port in peer_ports.items()}
+        self.connections = {role: _Peer(port) for role, port in peer_ports.items()}
 
     def request(self, target_role: str, message: ChannelMessage) -> ChannelMessage | None:
-        conn = self.connections.get(target_role)
-        if conn is None:
+        peer = self.connections.get(target_role)
+        if peer is None:
             return None
-        path = {MessageKind.PROPOSE: "/propose", MessageKind.CONFIRM: "/confirm"}[message.kind]
         body = message.to_wire().encode("utf-8")
+        request = (b"POST %s HTTP/1.1\r\nHost: 127.0.0.1:%d\r\n"
+                   b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n%s"
+                   % (PATHS[message.kind], peer.port, len(body), body))
         # A reused connection the peer has dropped fails on first use: send
         # once more on a new one. Should the peer have acted on the lost
         # request, a re-sent Propose gets the same Sign back, and a re-sent
         # Confirm no longer follows its seq and is ignored.
-        retry = conn.sock is not None
+        retry = peer.sock is not None
         while True:
             try:
-                conn.request("POST", path, body=body, headers={"Content-Type": "application/json"})
-                resp = conn.getresponse()
-                data = resp.read()
+                status, data = peer.exchange(request)
                 break
-            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected too
-                conn.close()
+            except (ConnectionResetError, BrokenPipeError):
+                peer.close()
                 if not retry:
                     return None
                 retry = False
-            except (OSError, http.client.HTTPException):
+            except (OSError, ValueError, EOFError):
                 # A timed-out reply may still arrive: never read it as the
                 # reply to the next request.
-                conn.close()
+                peer.close()
                 return None
-        if resp.status != 200 or not data:
+        if status != 200 or not data:
             return None
         try:
             return ChannelMessage.from_wire(data.decode("utf-8"))
@@ -76,8 +170,56 @@ class HttpTransport:
             return None
 
     def close(self) -> None:
-        for conn in self.connections.values():
-            conn.close()
+        for peer in self.connections.values():
+            peer.close()
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: answer its requests in order until it closes."""
+
+    disable_nagle_algorithm = True
+
+    def handle(self):
+        try:
+            while self.serve_one():
+                pass
+        except (ConnectionError, EOFError):
+            pass  # the client has gone away, or left mid-request
+
+    def serve_one(self) -> bool:
+        """Answer one request in one send; False when the connection ends."""
+        line = self.rfile.readline(MAX_LINE + 1)
+        if not line.endswith(b"\n") and len(line) <= MAX_LINE:
+            return False  # the stream ended, before or inside a request line
+        try:
+            if len(line) > MAX_LINE:
+                raise ValueError("request line too long")
+            method, path, version = line.split()
+            if version not in (b"HTTP/1.1", b"HTTP/1.0"):
+                raise ValueError(f"unsupported version {version[:20]!r}")
+            length, close = _read_fields(self.rfile)
+            body = _read_body(self.rfile, length or 0)
+        except ValueError:
+            status, reply, close = 400, b"", True
+        else:
+            status, reply = self.server.respond(method, path, body)
+            # The length of a refused request may be wrong, so whatever
+            # follows it on this connection cannot be parsed.
+            close = close or status == 400 or version == b"HTTP/1.0"
+        self.request.sendall(
+            b"HTTP/1.1 %d %s\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n%s\r\n%s"
+            % (status, REASONS[status], len(reply),
+               b"Connection: close\r\n" if close else b"", reply))
+        return not close
+
+
+class _Server(socketserver.ThreadingTCPServer):
+    daemon_threads = True
+
+    def __init__(self, respond):
+        self.respond = respond
+        super().__init__(("127.0.0.1", 0), _Handler)
 
 
 class NodeServer:
@@ -89,8 +231,7 @@ class NodeServer:
     def __init__(self, node: TriggerNode):
         self.node = node
         self.lock = threading.Lock()
-        handler = self._make_handler()
-        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        self.httpd = _Server(self.respond)
         self.port = self.httpd.server_address[1]
         self.thread = threading.Thread(target=self.httpd.serve_forever,
                                        args=(self.POLL_S,), daemon=True)
@@ -105,82 +246,37 @@ class NodeServer:
         self.httpd.server_close()
         self.node.transport.close()
 
-    def _make_handler(self):
-        server = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            disable_nagle_algorithm = True
-
-            def log_message(self, *args):  # quiet test output
-                pass
-
-            def _reply(self, status: int, payload: dict | str | None = None) -> None:
-                body = b""
-                if payload is not None:
-                    body = (payload if isinstance(payload, str) else json.dumps(payload)).encode()
-                try:
-                    self.send_response(status)
-                    self.send_header("Content-Type", "application/json")
-                    self.send_header("Content-Length", str(len(body)))
-                    if status == 400:
-                        # The request's length may be wrong, so whatever
-                        # follows it on this connection cannot be parsed.
-                        self.close_connection = True
-                        self.send_header("Connection", "close")
-                    self.end_headers()
-                    self.wfile.write(body)
-                except (BrokenPipeError, ConnectionResetError):
-                    self.close_connection = True  # the client has gone away
-
-            def do_GET(self):
-                if self.path == "/status":
-                    with server.lock:
-                        self._reply(200, server.node.status())
-                else:
-                    self._reply(404)
-
-            def do_POST(self):
-                try:
-                    length = int(self.headers.get("Content-Length", "0"))
-                    if length < 0:
-                        raise ValueError("negative Content-Length")
-                    raw = self.rfile.read(length).decode("utf-8")
-                    if self.path == "/enact":
-                        data = json.loads(raw)
-                        req = TaskRequest(
-                            task_id=data["task_id"],
-                            requester_role=data.get("requester_role", server.node.role),
-                            choice_data=bytes.fromhex(data.get("choice_data", "")),
-                        )
-                    elif self.path in ("/propose", "/confirm"):
-                        msg = ChannelMessage.from_wire(raw)
-                    else:
-                        self._reply(404)
-                        return
-                except (ValueError, KeyError, TypeError, RecursionError):
-                    self._reply(400)
-                    return
-                if self.path == "/enact":
-                    with server.lock:
-                        result = server.node.enact(req)
-                    self._reply(
-                        200,
-                        {
-                            "status": result.status,
-                            "error": result.error,
-                            "new_state": None if result.new_state is None else hex(result.new_state),
-                        },
-                    )
-                    return
-                with server.lock:
-                    reply = server.node.handle_message(msg)
-                if reply is not None:
-                    self._reply(200, reply.to_wire())
-                else:
-                    self._reply(204)
-
-        return Handler
+    def respond(self, method: bytes, path: bytes, body: bytes) -> tuple[int, bytes]:
+        """Answer one framed request: (status, reply body)."""
+        if (method, path) == (b"GET", b"/status"):
+            with self.lock:
+                return 200, json.dumps(self.node.status()).encode()
+        if method != b"POST" or path not in (b"/enact", b"/propose", b"/confirm"):
+            return 404, b""
+        try:
+            raw = body.decode("utf-8")
+            if path == b"/enact":
+                data = json.loads(raw)
+                req = TaskRequest(
+                    task_id=data["task_id"],
+                    requester_role=data.get("requester_role", self.node.role),
+                    choice_data=bytes.fromhex(data.get("choice_data", "")),
+                )
+            else:
+                msg = ChannelMessage.from_wire(raw)
+        except (ValueError, KeyError, TypeError, RecursionError):
+            return 400, b""
+        if path == b"/enact":
+            with self.lock:
+                result = self.node.enact(req)
+            return 200, json.dumps({
+                "status": result.status,
+                "error": result.error,
+                "new_state": None if result.new_state is None else hex(result.new_state),
+            }).encode()
+        with self.lock:
+            reply = self.node.handle_message(msg)
+        return (204, b"") if reply is None else (200, reply.to_wire().encode())
 
 
 def serve_network(nodes: dict[str, TriggerNode]) -> dict[str, NodeServer]:

@@ -64,8 +64,11 @@ class ArchiveStore:
         self._steps: list[SignedStep] = []
         self._path = path
 
-    def _write(self, record: dict) -> None:
+    def _write(self, kind: str, signed: SignedStep) -> None:
+        # The record, and the hex encoding of every signature in it, is
+        # built only when there is a file to write it to.
         if self._path is not None:
+            record = {"type": kind, "record": signed.to_wire()}
             with open(self._path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -75,11 +78,11 @@ class ArchiveStore:
         self._steps = []
 
     def note_signed(self, signed: SignedStep) -> None:
-        self._write({"type": "signed", "record": signed.to_wire()})
+        self._write("signed", signed)
 
     def append_step(self, signed: SignedStep) -> None:
         self._steps.append(signed)
-        self._write({"type": "step", "record": signed.to_wire()})
+        self._write("step", signed)
 
     def max_complete(self, case_id: int) -> SignedStep | None:
         if case_id != self._case_id or not self._steps:
