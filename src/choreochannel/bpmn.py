@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import io
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 
 BPMN_NS = "http://www.omg.org/spec/BPMN/20100524/MODEL"
 
@@ -90,6 +92,18 @@ class ChoreographyModel:
         ids.update(self.end_events)
         return ids
 
+    @cached_property
+    def flow_graph(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """(successors, predecessors) of every node with a flow, in flow
+        order; built once per model, so a node's flow degrees are the lengths
+        of its lists."""
+        succ: dict[str, list[str]] = {}
+        pred: dict[str, list[str]] = {}
+        for src, tgt in self.flows:
+            succ.setdefault(src, []).append(tgt)
+            pred.setdefault(tgt, []).append(src)
+        return succ, pred
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -98,6 +112,7 @@ class Diagnostic:
     message: str
 
 
+@lru_cache(maxsize=64)
 def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
@@ -207,11 +222,16 @@ def validate_model(model: ChoreographyModel) -> list[Diagnostic]:
     node_ids = model.node_ids()
     role_ids = set(model.role_ids())
 
-    seen: set[str] = set()
-    for nid in sorted(node_ids | role_ids):
-        if nid in seen:
-            diags.append(Diagnostic("DuplicateId", nid, f"id {nid!r} is not unique"))
-        seen.add(nid)
+    id_counts = Counter([
+        *model.role_ids(),
+        *(t.id for t in model.tasks),
+        *(g.id for g in model.gateways),
+        model.start_event,
+        *model.extra_start_events,
+        *model.end_events,
+    ])
+    for nid in sorted(nid for nid, n in id_counts.items() if n > 1):
+        diags.append(Diagnostic("DuplicateId", nid, f"id {nid!r} is not unique"))
 
     for sid in model.extra_start_events:
         diags.append(Diagnostic("MultipleStartEvents", sid, "more than one start event"))
@@ -231,25 +251,19 @@ def validate_model(model: ChoreographyModel) -> list[Diagnostic]:
             if end_ref not in node_ids:
                 diags.append(Diagnostic("DanglingFlow", end_ref, "flow references unknown node"))
 
+    succ, pred = model.flow_graph
     for gw in model.gateways:
-        ins = sum(1 for _, tgt in model.flows if tgt == gw.id)
-        outs = sum(1 for src, _ in model.flows if src == gw.id)
+        ins, outs = len(pred.get(gw.id, ())), len(succ.get(gw.id, ()))
         if ins >= 2 and outs >= 2:
             diags.append(Diagnostic("MixedGateway", gw.id, "gateway both joins and splits"))
         elif ins < 2 and outs < 2:
             diags.append(Diagnostic("GatewayDegree", gw.id, f"gateway has {ins} in / {outs} out flows"))
 
     for eid in model.end_events:
-        if any(src == eid for src, _ in model.flows):
+        if eid in succ:
             diags.append(Diagnostic("FlowFromEnd", eid, "end event has outgoing flow"))
-    if any(tgt == model.start_event for _, tgt in model.flows):
+    if model.start_event in pred:
         diags.append(Diagnostic("FlowIntoStart", model.start_event, "start event has incoming flow"))
-
-    succ: dict[str, list[str]] = {}
-    pred: dict[str, list[str]] = {}
-    for src, tgt in model.flows:
-        succ.setdefault(src, []).append(tgt)
-        pred.setdefault(tgt, []).append(src)
 
     reachable = _closure({model.start_event}, succ)
     for nid in sorted(node_ids - reachable):

@@ -30,15 +30,19 @@ def load_model(case: str) -> ChoreographyModel:
 
 
 def load_variants(case: str) -> list[list[TaskRequest]]:
-    """Conforming variant traces shipped with the case."""
-    case = normalize_case(case)
+    """Conforming variant traces shipped with the case, as fresh lists; the
+    fixture file is read and parsed once per process."""
+    return [list(variant) for variant in _parsed_variants(normalize_case(case))]
+
+
+@cache
+def _parsed_variants(case: str) -> tuple[tuple[TaskRequest, ...], ...]:
     raw = resources.files("choreochannel.fixtures").joinpath(f"{case}.variants.json").read_text()
-    data = json.loads(raw)
-    return [
-        [TaskRequest(e["task_id"], e["initiator"], bytes.fromhex(e.get("choice", "")))
-         for e in variant]
-        for variant in data["variants"]
-    ]
+    return tuple(
+        tuple(TaskRequest(e["task_id"], e["initiator"], bytes.fromhex(e.get("choice", "")))
+              for e in variant)
+        for variant in json.loads(raw)["variants"]
+    )
 
 
 def reduce_model(model: ChoreographyModel) -> InteractionNet:

@@ -64,7 +64,10 @@ class InteractionNet:
         bit = {p: 1 << i for i, p in enumerate(self.places)}
 
         def mask(ps: frozenset[str]) -> int:
-            return sum(bit[p] for p in ps)
+            m = 0
+            for p in ps:
+                m |= bit[p]
+            return m
 
         return IntMarkings(
             initial=bit[self.initial_place],
@@ -126,20 +129,17 @@ def to_interaction_net(model: ChoreographyModel) -> InteractionNet:
 
     # Union-find over place-mapped nodes, with live degree bookkeeping so each
     # merge decision sees the degrees of the *current* net, not the original.
+    succ, pred = model.flow_graph
     parent: dict[str, str] = {}
     order: dict[str, int] = {}
     in_deg: dict[str, int] = {}
     out_deg: dict[str, int] = {}
-
-    def add_place(pid: str) -> None:
-        parent[pid] = pid
-        order[pid] = len(order)
-        in_deg[pid] = sum(1 for _, tgt in model.flows if tgt == pid)
-        out_deg[pid] = sum(1 for src, _ in model.flows if src == pid)
-
     for nid, placey in is_place_node.items():
         if placey:
-            add_place(nid)
+            parent[nid] = nid
+            order[nid] = len(order)
+            in_deg[nid] = len(pred.get(nid, ()))
+            out_deg[nid] = len(succ.get(nid, ()))
 
     def find(pid: str) -> str:
         while parent[pid] != pid:
@@ -211,7 +211,7 @@ def to_interaction_net(model: ChoreographyModel) -> InteractionNet:
             trans_outputs[src].add(mid)
             trans_inputs[tgt].add(mid)
 
-    merged_places = [pid for pid in sorted(order, key=order.get) if find(pid) == pid]
+    merged_places = [pid for pid in order if find(pid) == pid]
     places = tuple(merged_places + extra_places)
     transitions = tuple(
         NetTransition(
@@ -368,36 +368,65 @@ def _rule_bypass(t, trans, consumers, finals) -> bool:
 
 
 def check_safeness(net: InteractionNet, state_bound: int = 20000) -> SafenessResult:
-    """Exhaustively explore reachable markings breadth first.
+    """Exhaustively explore reachable markings breadth first, one level at a
+    time, trying each marking's transitions in net order.
 
     Returns a witness firing sequence as soon as a firing would put a second
     token on a place, naming the first such place in `net.places` order;
-    returns BoundExceeded when more than `state_bound` markings exist.
+    returns BoundExceeded when more than `state_bound` markings exist. The
+    walk keeps only each marking's parent marking; the rare witness is
+    rebuilt from those afterwards.
     """
     ints = net.ints
-    parents: dict[int, tuple[int, str] | None] = {ints.initial: None}
-    queue: deque[int] = deque([ints.initial])
-    while queue:
-        marking = queue.popleft()
-        for t, (consume, produce) in zip(net.transitions, ints.masks):
-            if marking & consume != consume:
-                continue
-            rest = marking & ~consume
-            if double := rest & produce:
-                seq, cur = [t.id], marking
-                while parents[cur] is not None:
-                    cur, tid = parents[cur]
-                    seq.append(tid)
-                place = net.places[(double & -double).bit_length() - 1]
-                return UnsafeWitness(firing_sequence=tuple(reversed(seq)), place=place)
-            nxt = rest | produce
-            if nxt in parents:
-                continue
-            if len(parents) >= state_bound:
-                return BoundExceeded(explored=len(parents))
-            parents[nxt] = (marking, t.id)
-            queue.append(nxt)
+    masks = ints.masks
+    parents: dict[int, int] = {ints.initial: ints.initial}
+    level = [ints.initial]
+    while level:
+        frontier, level = level, []
+        for marking in frontier:
+            for consume, produce in masks:
+                if marking & consume != consume:
+                    continue
+                rest = marking ^ consume
+                if double := rest & produce:
+                    return UnsafeWitness(
+                        firing_sequence=_witness(net, parents, marking, (consume, produce)),
+                        place=net.places[(double & -double).bit_length() - 1],
+                    )
+                nxt = rest | produce
+                if nxt in parents:
+                    continue
+                if len(parents) >= state_bound:
+                    return BoundExceeded(explored=len(parents))
+                parents[nxt] = marking
+                level.append(nxt)
     return SafeOk(explored=len(parents))
+
+
+def _witness(
+    net: InteractionNet, parents: dict[int, int], marking: int, last: tuple[int, int]
+) -> tuple[str, ...]:
+    """The firing sequence check_safeness took to `marking`, then the unsafe
+    firing of the transition with masks `last`.
+
+    The walk recorded each parent -> child edge at the first transition in
+    net order that fires it, so that is the one named here. An earlier
+    transition with masks `last` would have been unsafe first, so the first
+    one with those masks is the one the walk was at.
+    """
+    ints = net.ints
+    path = [marking]
+    while path[-1] != ints.initial:
+        path.append(parents[path[-1]])
+    path.reverse()
+    pairs = tuple(zip(net.transitions, ints.masks))
+    seq = [
+        next(t.id for t, (consume, produce) in pairs
+             if src & consume == consume and src ^ consume | produce == dst)
+        for src, dst in zip(path, path[1:])
+    ]
+    seq.append(net.transitions[ints.masks.index(last)].id)
+    return tuple(seq)
 
 
 def _language_view(x: InteractionNet | ProcessStateMachine):

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from choreochannel.bpmn import (
     ChoreographyModel,
+    ChoreographyTask,
     Diagnostic,
     Gateway,
     GatewayKind,
@@ -195,3 +198,31 @@ def test_diagnostics_name_existing_nodes():
     known = model.node_ids() | set(model.role_ids())
     for diag in validate_model(model):
         assert diag.node_id in known
+
+
+def duplicate_ids(model) -> list[str]:
+    return [d.node_id for d in validate_model(model) if d.rule == "DuplicateId"]
+
+
+def test_duplicate_task_id_flagged():
+    model = load_model("supply_chain")
+    first = model.tasks[0]
+    twin = ChoreographyTask(first.id, "Twin", first.initiator, first.respondent)
+    model = replace(model, tasks=model.tasks + (twin,))
+    assert duplicate_ids(model) == [first.id]
+    assert Diagnostic("DuplicateId", first.id, f"id {first.id!r} is not unique") in validate_model(model)
+
+
+def test_gateway_reusing_node_ids_flagged_once_each_sorted():
+    # "greet" is a task and two gateways, "end" an end event and a gateway.
+    model = replace(minimal_model(), gateways=(
+        Gateway("greet", GatewayKind.EXCLUSIVE),
+        Gateway("end", GatewayKind.PARALLEL),
+        Gateway("greet", GatewayKind.PARALLEL),
+    ))
+    assert duplicate_ids(model) == ["end", "greet"]
+
+
+def test_role_id_reused_as_node_id_flagged():
+    model = replace(minimal_model(), end_events=("b",), flows=(("start", "greet"), ("greet", "b")))
+    assert duplicate_ids(model) == ["b"]

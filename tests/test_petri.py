@@ -229,6 +229,54 @@ def test_safeness_bound_exceeded():
     assert verdict.explored == 3
 
 
+def test_safeness_bound_equal_to_reachable_count():
+    net, _ = build_nets("supply_chain")
+    n = check_safeness(net).explored
+    assert check_safeness(net, state_bound=n) == SafeOk(explored=n)
+    assert check_safeness(net, state_bound=n - 1) == BoundExceeded(explored=n - 1)
+
+
+def test_safeness_witness_through_marking_with_two_parents():
+    # {p3} is reached from {p1} (by c) and from {p2} (by d); the breadth-first
+    # walk reaches it from {p1} first, so the witness goes a, c. The join
+    # before c would also turn {p1} into {p3}, but it is never enabled.
+    def t(tid, ins, outs):
+        return NetTransition(tid, frozenset(ins), frozenset(outs), TaskLabel(tid, "x", "y"))
+
+    net = InteractionNet(
+        places=("p0", "p1", "p2", "p3", "p4", "p5"),
+        transitions=(
+            t("a", {"p0"}, {"p1"}),
+            t("b", {"p0"}, {"p2"}),
+            t("d", {"p2"}, {"p3"}),
+            t("join", {"p1", "p2"}, {"p3"}),
+            t("c", {"p1"}, {"p3"}),
+            t("e", {"p3"}, {"p4", "p5"}),
+            t("f", {"p4"}, {"p3"}),
+        ),
+        initial_place="p0",
+        final_places=frozenset({"p5"}),
+    )
+    assert check_safeness(net) == UnsafeWitness(firing_sequence=("a", "c", "e", "f", "e"), place="p5")
+
+
+def test_safeness_witness_names_first_of_equal_transitions():
+    # Each twin has the same masks as the transition before it; the witness
+    # names the one that comes first in net order at every step.
+    net = InteractionNet(
+        places=("p0", "p1", "p2"),
+        transitions=(
+            NetTransition("split", frozenset({"p0"}), frozenset({"p1", "p2"}), None),
+            NetTransition("split_twin", frozenset({"p0"}), frozenset({"p1", "p2"}), None),
+            NetTransition("back", frozenset({"p1"}), frozenset({"p0"}), TaskLabel("back", "a", "b")),
+            NetTransition("back_twin", frozenset({"p1"}), frozenset({"p0"}), TaskLabel("back", "a", "b")),
+        ),
+        initial_place="p0",
+        final_places=frozenset({"p2"}),
+    )
+    assert check_safeness(net) == UnsafeWitness(firing_sequence=("split", "back", "split"), place="p2")
+
+
 def test_equivalence_node_budget():
     net, _ = build_nets("supply_chain")
     with pytest.raises(StateSpaceError):
