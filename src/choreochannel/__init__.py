@@ -36,6 +36,7 @@ from .wire import (
     SignedStep,
     StepPayload,
     address_of,
+    decode_step,
     encode_step,
     generate_signing_key,
     public_key_of,

@@ -1,7 +1,10 @@
 """HTTP transport for trigger nodes: /propose, /confirm, /enact, /status.
 
-Envelopes travel as JSON: a kind plus a `SignedStep` (`payload` and
-`signatures`), whose signed bytes stay the canonical binary encoding. A node
+A `/propose` or `/confirm` body, and a Sign reply, is the byte envelope of
+`ChannelMessage.to_wire` (`application/octet-stream`): the signed
+`encode_step` bytes plus each signer's role id and signature, so a node
+verifies over the bytes it received. `/enact` and `/status` speak JSON to
+clients (`application/json`); an empty body has no `Content-Type`. A node
 only ever sends Propose and Confirm; a Sign travels back as the reply to a
 Propose. Each node's message handling is serialised behind one lock,
 matching the one-ordered-queue-per-node concurrency model.
@@ -13,9 +16,11 @@ and at most 100 header lines of at most 64 KiB each, and interpret only
 `Content-Length` and `Connection`; any `Transfer-Encoding` is refused. A
 node keeps one persistent connection to each peer (RFC 9112 §9) and
 reconnects once when a reused connection turns out to have been dropped. A
-request that does not frame or whose body does not decode gets 400, which
-also closes the connection, and never reaches the node; a reply that does
-not frame or decode counts as no reply and closes the connection. An
+request that does not frame, whose body does not decode, or whose envelope
+kind is not the one its path names gets 400, which also closes the
+connection, and never reaches the node. A reply that does
+not frame counts as no reply and closes the connection; one that frames but
+is not an envelope counts as no reply. An
 HTTP/1.0 request, or one that sends `Connection: close`, gets one reply and
 then the connection closes. The in-process transport remains the default
 for deterministic tests; this module exists for networked runs.
@@ -30,7 +35,7 @@ import threading
 
 from .machine import TaskRequest
 from .trigger import TriggerNode
-from .wire import ChannelMessage, MessageKind
+from .wire import ChannelMessage, MessageKind, WireError
 
 # The standard library's limits on one header line and on the header count.
 MAX_LINE = 65536
@@ -40,6 +45,8 @@ MAX_BODY = 1 << 20
 TIMEOUT_S = 10.0
 REASONS = {200: b"OK", 204: b"No Content", 400: b"Bad Request", 404: b"Not Found"}
 PATHS = {MessageKind.PROPOSE: b"/propose", MessageKind.CONFIRM: b"/confirm"}
+EVIDENCE_TYPE = b"application/octet-stream"
+JSON_TYPE = b"application/json"
 
 
 def _read_fields(rfile) -> tuple[int | None, bool]:
@@ -139,10 +146,10 @@ class HttpTransport:
         peer = self.connections.get(target_role)
         if peer is None:
             return None
-        body = message.to_wire().encode("utf-8")
+        body = message.to_wire()
         request = (b"POST %s HTTP/1.1\r\nHost: 127.0.0.1:%d\r\n"
-                   b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n%s"
-                   % (PATHS[message.kind], peer.port, len(body), body))
+                   b"Content-Type: %s\r\nContent-Length: %d\r\n\r\n%s"
+                   % (PATHS[message.kind], peer.port, EVIDENCE_TYPE, len(body), body))
         # A reused connection the peer has dropped fails on first use: send
         # once more on a new one. Should the peer have acted on the lost
         # request, a re-sent Propose gets the same Sign back, and a re-sent
@@ -165,8 +172,8 @@ class HttpTransport:
         if status != 200 or not data:
             return None
         try:
-            return ChannelMessage.from_wire(data.decode("utf-8"))
-        except ValueError:
+            return ChannelMessage.from_wire(data)
+        except WireError:
             return None
 
     def close(self) -> None:
@@ -200,17 +207,17 @@ class _Handler(socketserver.StreamRequestHandler):
             length, close = _read_fields(self.rfile)
             body = _read_body(self.rfile, length or 0)
         except ValueError:
-            status, reply, close = 400, b"", True
+            status, content_type, reply, close = 400, None, b"", True
         else:
-            status, reply = self.server.respond(method, path, body)
+            status, content_type, reply = self.server.respond(method, path, body)
             # The length of a refused request may be wrong, so whatever
             # follows it on this connection cannot be parsed.
             close = close or status == 400 or version == b"HTTP/1.0"
         self.request.sendall(
-            b"HTTP/1.1 %d %s\r\nContent-Type: application/json\r\n"
-            b"Content-Length: %d\r\n%s\r\n%s"
-            % (status, REASONS[status], len(reply),
-               b"Connection: close\r\n" if close else b"", reply))
+            b"HTTP/1.1 %d %s\r\n%sContent-Length: %d\r\n%s\r\n%s"
+            % (status, REASONS[status],
+               b"Content-Type: %s\r\n" % content_type if content_type else b"",
+               len(reply), b"Connection: close\r\n" if close else b"", reply))
         return not close
 
 
@@ -246,37 +253,40 @@ class NodeServer:
         self.httpd.server_close()
         self.node.transport.close()
 
-    def respond(self, method: bytes, path: bytes, body: bytes) -> tuple[int, bytes]:
-        """Answer one framed request: (status, reply body)."""
+    def respond(self, method: bytes, path: bytes,
+                body: bytes) -> tuple[int, bytes | None, bytes]:
+        """Answer one framed request: (status, Content-Type or None, reply body)."""
         if (method, path) == (b"GET", b"/status"):
             with self.lock:
-                return 200, json.dumps(self.node.status()).encode()
+                return 200, JSON_TYPE, json.dumps(self.node.status()).encode()
         if method != b"POST" or path not in (b"/enact", b"/propose", b"/confirm"):
-            return 404, b""
-        try:
-            raw = body.decode("utf-8")
-            if path == b"/enact":
-                data = json.loads(raw)
-                req = TaskRequest(
-                    task_id=data["task_id"],
-                    requester_role=data.get("requester_role", self.node.role),
-                    choice_data=bytes.fromhex(data.get("choice_data", "")),
-                )
-            else:
-                msg = ChannelMessage.from_wire(raw)
-        except (ValueError, KeyError, TypeError, RecursionError):
-            return 400, b""
-        if path == b"/enact":
+            return 404, None, b""
+        if path != b"/enact":
+            try:
+                msg = ChannelMessage.from_wire(body)
+            except WireError:
+                return 400, None, b""
+            if PATHS.get(msg.kind) != path:
+                return 400, None, b""
             with self.lock:
-                result = self.node.enact(req)
-            return 200, json.dumps({
-                "status": result.status,
-                "error": result.error,
-                "new_state": None if result.new_state is None else hex(result.new_state),
-            }).encode()
+                reply = self.node.handle_message(msg)
+            return (204, None, b"") if reply is None else (200, EVIDENCE_TYPE, reply.to_wire())
+        try:
+            data = json.loads(body.decode("utf-8"))
+            req = TaskRequest(
+                task_id=data["task_id"],
+                requester_role=data.get("requester_role", self.node.role),
+                choice_data=bytes.fromhex(data.get("choice_data", "")),
+            )
+        except (ValueError, KeyError, TypeError, RecursionError):
+            return 400, None, b""
         with self.lock:
-            reply = self.node.handle_message(msg)
-        return (204, b"") if reply is None else (200, reply.to_wire().encode())
+            result = self.node.enact(req)
+        return 200, JSON_TYPE, json.dumps({
+            "status": result.status,
+            "error": result.error,
+            "new_state": None if result.new_state is None else hex(result.new_state),
+        }).encode()
 
 
 def serve_network(nodes: dict[str, TriggerNode]) -> dict[str, NodeServer]:

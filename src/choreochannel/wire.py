@@ -1,14 +1,21 @@
 """Canonical byte encoding, Ed25519 signing, and off-chain message envelopes.
 
-Signatures always cover `encode_step` output, never the JSON envelope, so
-bit-exactness is confined to one function. The encoding is injective: fixed
-big-endian integers in field order, then length-prefixed variable fields.
+Signatures always cover `encode_step` output. The encoding is injective:
+fixed big-endian integers in field order, then length-prefixed variable
+fields. `decode_step` is its exact inverse, so a received payload keeps the
+bytes it arrived in and is verified over them, never re-encoded.
+
+A protocol envelope (`ChannelMessage.to_wire`) carries those same bytes: a
+kind byte, the u32-length-prefixed payload encoding, a u8 signer count, then
+per signer, in role order, a u8-length-prefixed UTF-8 role id and its 64-byte
+signature. Each message has exactly one byte form. The archive's JSON lines
+(`SignedStep.to_wire`) are the one JSON form of evidence, written for people
+to read.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,6 +30,13 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 CONTRACT_ID_BYTES = 32
 _U64_MAX = 2**64 - 1
 _U32_MAX = 2**32 - 1
+_U8_MAX = 255
+SIGNATURE_BYTES = 64
+# chain_id, contract_id, case_id, seq, then the length of the task id.
+_STEP_HEAD = struct.Struct(">Q32sQQI")
+_U32 = struct.Struct(">I")
+# The kind byte, then the length of the payload bytes that follow it.
+_ENVELOPE_HEAD = struct.Struct(">BI")
 
 
 class EncodingError(ValueError):
@@ -30,7 +44,8 @@ class EncodingError(ValueError):
 
 
 class WireError(ValueError):
-    """A wire form whose JSON does not have the expected shape or types."""
+    """Bytes that are not an envelope or step encoding, or an archive record
+    whose JSON does not have the expected shape or types."""
 
 
 def _field(data, key: str, kind: type):
@@ -98,19 +113,41 @@ def encode_step(p: StepPayload) -> bytes:
     for name, blob in (("task_id", task_bytes), ("choice_data", p.choice_data), ("new_state", p.new_state)):
         if len(blob) > _U32_MAX:
             raise EncodingError(f"{name} exceeds 32-bit length prefix")
-    parts = [
-        struct.pack(">Q", p.chain_id),
-        p.contract_id,
-        struct.pack(">Q", p.case_id),
-        struct.pack(">Q", p.seq),
-        struct.pack(">I", len(task_bytes)),
+    return b"".join((
+        _STEP_HEAD.pack(p.chain_id, p.contract_id, p.case_id, p.seq, len(task_bytes)),
         task_bytes,
-        struct.pack(">I", len(p.choice_data)),
+        _U32.pack(len(p.choice_data)),
         p.choice_data,
-        struct.pack(">I", len(p.new_state)),
+        _U32.pack(len(p.new_state)),
         p.new_state,
-    ]
-    return b"".join(parts)
+    ))
+
+
+def decode_step(raw: bytes) -> StepPayload:
+    """The payload whose `encode_step` bytes are exactly `raw`; its cached
+    `encoded` is `raw` itself. Anything else, trailing bytes included,
+    raises WireError."""
+    try:
+        chain_id, contract_id, case_id, seq, size = _STEP_HEAD.unpack_from(raw)
+        at = _STEP_HEAD.size + size
+        task_bytes = raw[_STEP_HEAD.size:at]
+        (size,) = _U32.unpack_from(raw, at)
+        at += _U32.size + size
+        choice_data = raw[at - size:at]
+        (size,) = _U32.unpack_from(raw, at)
+        at += _U32.size + size
+        new_state = raw[at - size:at]
+        task_id = task_bytes.decode("utf-8")
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise WireError(f"not a step encoding: {exc}") from None
+    # A field cut short leaves `at` past the end: offsets only ever advance
+    # by the lengths the encoding declares.
+    if at != len(raw):
+        raise WireError(f"step encoding declares {at} bytes, got {len(raw)}")
+    payload = StepPayload(chain_id, contract_id, case_id, seq, task_id, choice_data, new_state)
+    # Sound because encode_step(payload) == raw for every raw accepted here.
+    payload.__dict__["encoded"] = bytes(raw)
+    return payload
 
 
 def generate_signing_key(seed: bytes) -> Ed25519PrivateKey:
@@ -170,7 +207,7 @@ class SignedStep:
 
     @classmethod
     def from_wire(cls, data) -> "SignedStep":
-        """Decode an envelope or archive record; malformed input raises WireError."""
+        """Decode an archive record; malformed input raises WireError."""
         return cls(
             payload=StepPayload.from_wire(_field(data, "payload", dict)),
             signatures={r: _hex(s) for r, s in _field(data, "signatures", dict).items()},
@@ -178,9 +215,14 @@ class SignedStep:
 
 
 class MessageKind(Enum):
-    PROPOSE = "propose"
-    SIGN = "sign"
-    CONFIRM = "confirm"
+    """A message kind; its value is the envelope's kind byte."""
+
+    PROPOSE = 1
+    SIGN = 2
+    CONFIRM = 3
+
+
+_KINDS = {kind.value: kind for kind in MessageKind}
 
 
 @dataclass(frozen=True)
@@ -195,20 +237,51 @@ class ChannelMessage:
     def __post_init__(self):
         count = len(self.signed.signatures)
         if self.kind in (MessageKind.PROPOSE, MessageKind.SIGN) and count != 1:
-            raise ValueError(f"{self.kind.value} message must carry exactly one signature")
+            raise ValueError(f"{self.kind.name} message must carry exactly one signature")
         if self.kind is MessageKind.CONFIRM and not count:
-            raise ValueError("confirm message must carry signatures")
+            raise ValueError("CONFIRM message must carry signatures")
 
-    def to_wire(self) -> str:
-        return json.dumps({"kind": self.kind.value, **self.signed.to_wire()}, sort_keys=True)
+    def to_wire(self) -> bytes:
+        """The envelope's one byte form (see the module docstring)."""
+        payload = self.signed.payload.encoded
+        signatures = sorted(self.signed.signatures.items())
+        if len(signatures) > _U8_MAX:
+            raise EncodingError(f"{len(signatures)} signers exceed the u8 count")
+        parts = [_ENVELOPE_HEAD.pack(self.kind.value, len(payload)), payload,
+                 bytes((len(signatures),))]
+        for role, sig in signatures:
+            name = role.encode("utf-8")
+            if len(name) > _U8_MAX or len(sig) != SIGNATURE_BYTES:
+                raise EncodingError(f"role {role[:20]!r} or its signature does not fit")
+            parts += (bytes((len(name),)), name, sig)
+        return b"".join(parts)
 
     @classmethod
-    def from_wire(cls, raw: str) -> "ChannelMessage":
-        """Decode an envelope; any malformed input raises WireError."""
+    def from_wire(cls, raw: bytes) -> "ChannelMessage":
+        """Decode an envelope. Any bytes that `to_wire` would not write, such
+        as repeated or unordered roles or a signature count wrong for the
+        kind, raise WireError."""
         try:
-            data = json.loads(raw)
-            return cls(MessageKind(_field(data, "kind", str)), SignedStep.from_wire(data))
+            code, size = _ENVELOPE_HEAD.unpack_from(raw)
+            kind = _KINDS[code]
+            at = _ENVELOPE_HEAD.size + size
+            payload = raw[_ENVELOPE_HEAD.size:at]
+            count = raw[at]
+            at += 1
+            signatures: dict[str, bytes] = {}
+            role = None
+            for _ in range(count):
+                size = raw[at]
+                previous, role = role, raw[at + 1:at + 1 + size].decode("utf-8")
+                if previous is not None and role <= previous:
+                    raise WireError("signer roles repeat or are out of order")
+                at += 1 + size + SIGNATURE_BYTES
+                signatures[role] = raw[at - SIGNATURE_BYTES:at]
+            # As in decode_step, a field cut short leaves `at` past the end.
+            if at != len(raw):
+                raise WireError(f"envelope declares {at} bytes, got {len(raw)}")
+            return cls(kind, SignedStep(decode_step(payload), signatures))
         except WireError:
             raise
-        except (ValueError, RecursionError) as exc:  # JSON, kind, signature count
-            raise WireError(str(exc)) from exc
+        except (struct.error, KeyError, IndexError, ValueError) as exc:  # kind, UTF-8, count
+            raise WireError(f"not an envelope: {exc}") from None

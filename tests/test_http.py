@@ -11,6 +11,7 @@ import pytest
 from choreochannel.cases import build_machine, load_variants
 from choreochannel.harness import build_network
 from choreochannel.httpd import serve_network
+from util import CONFIRM, PROPOSE, envelope, step_bytes
 
 
 @pytest.fixture
@@ -28,7 +29,8 @@ def request(server, method, path, body=b"", content_length=None):
     conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
     try:
         conn.putrequest(method, path)
-        conn.putheader("Content-Type", "application/json")
+        evidence = path in ("/propose", "/confirm")
+        conn.putheader("Content-Type", "application/octet-stream" if evidence else "application/json")
         conn.putheader("Content-Length", content_length or str(len(body)))
         conn.endheaders(body)
         resp = conn.getresponse()
@@ -55,17 +57,15 @@ def test_enact_and_status_over_http(http_network):
     assert len(states) == 1
 
 
-def _propose_with(**payload_fields):
-    payload = {"chain_id": 1, "contract_id": "00" * 32, "case_id": 0, "seq": 1,
-               "task_id": "t", "choice_data": "", "new_state": "00", **payload_fields}
-    return json.dumps({"kind": "propose", "signatures": {"r": "00"},
-                       "payload": payload}).encode()
+def _propose_with(**step_fields):
+    """A Propose envelope for contract 0…0, signed (not validly) by role r."""
+    return envelope(PROPOSE, step_bytes(**step_fields), [(b"r", bytes(64))])
 
 
 def test_propose_endpoint_rejects_garbage(http_network):
     _, servers = http_network
     server = next(iter(servers.values()))
-    assert request(server, "POST", "/propose", b"not json")[0] == 400
+    assert request(server, "POST", "/propose", b"not an envelope")[0] == 400
     assert request(server, "GET", "/nope")[0] == 404
     assert request(server, "POST", "/nope", b"{}")[0] == 404
 
@@ -78,17 +78,23 @@ def test_well_formed_proposal_for_another_contract_gets_204(http_network):
     assert request(server, "POST", "/propose", _propose_with())[0] == 204
 
 
-# Malformed requests: each must get 400, never a dropped connection.
+# Malformed requests: each must get 400, never a dropped connection. A JSON
+# body, as a client of the old JSON envelope would send, is not an envelope.
 MALFORMED = {
     "propose-list": ("/propose", b"[]", None),
     "propose-number": ("/propose", b"1", None),
-    "propose-step-list": ("/propose", json.dumps(
-        {"kind": "propose", "signatures": {"r": "00"}, "payload": [1]}
-    ).encode(), None),
-    "propose-int-contract-id": ("/propose", _propose_with(contract_id=5), None),
+    "propose-json-envelope": ("/propose", json.dumps(
+        {"kind": "propose", "signatures": {"r": "00" * 64}, "payload": {}}).encode(), None),
+    "propose-payload-not-a-step": ("/propose", envelope(PROPOSE, b"\x01", [(b"r", bytes(64))]),
+                                   None),
+    "propose-short-contract-id": ("/propose", _propose_with(contract_id=bytes(31)), None),
+    "confirm-no-signer": ("/confirm", envelope(CONFIRM, step_bytes(), []), None),
+    "propose-sent-to-confirm": ("/confirm", _propose_with(), None),
+    "confirm-sent-to-propose": ("/propose", envelope(CONFIRM, step_bytes(), [(b"r", bytes(64))]),
+                                None),
     "enact-list": ("/enact", b"[]", None),
     "enact-int-choice-data": ("/enact", b'{"task_id": "t", "choice_data": 5}', None),
-    "propose-not-utf8": ("/propose", b"\xff\xfe\xfa", None),
+    "propose-not-utf8": ("/propose", _propose_with(task_id=b"\xff\xfe\xfa"), None),
     "enact-bad-content-length": ("/enact", b"{}", "abc"),
     "unknown-path-negative-content-length": ("/nope", b"{}", "-2"),
 }

@@ -17,16 +17,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import choreochannel
-from choreochannel.cases import build_machine
+from choreochannel.cases import build_machine, load_variants
 from choreochannel.harness import build_network
 from choreochannel.httpd import MAX_HEADERS, MAX_LINE, HttpTransport, serve_network
-from choreochannel.wire import ChannelMessage
+from choreochannel.machine import step
+from choreochannel.wire import (
+    ChannelMessage,
+    MessageKind,
+    SignedStep,
+    StepPayload,
+    sign_step,
+    verify_step,
+)
+from util import CONFIRM, envelope, flipped, step_bytes
+from util import PROPOSE as PROPOSE_KIND
 
-PROPOSE = json.dumps({
-    "kind": "propose", "signatures": {"r": "00"},
-    "payload": {"chain_id": 1, "contract_id": "00" * 32, "case_id": 0, "seq": 1,
-                "task_id": "t", "choice_data": "", "new_state": "00"},
-}).encode()
+# A Propose for another contract, signed (not validly) by role r: it decodes,
+# and the node ignores it with 204.
+PROPOSE = envelope(PROPOSE_KIND, step_bytes(), [(b"r", bytes(64))])
 ROUTES = {(b"GET", b"/status"), (b"POST", b"/enact"), (b"POST", b"/propose"),
           (b"POST", b"/confirm")}
 
@@ -91,9 +99,14 @@ def exchange(server, data: bytes, *, end_writes: bool = False):
         return parse_replies(read_until_closed(sock))
 
 
-def assert_serving(server):
+def status_of(server) -> dict:
     ((status, _, body),) = exchange(server, http_request(b"GET", b"/status", b"", version=b"HTTP/1.0"))
-    assert status == 200 and json.loads(body)["role"] == server.node.role
+    assert status == 200
+    return json.loads(body)
+
+
+def assert_serving(server):
+    assert status_of(server)["role"] == server.node.role
 
 
 @pytest.mark.parametrize("request_bytes", [
@@ -185,7 +198,7 @@ requests = st.fixed_dictionaries({
     | st.sampled_from([b"abc", b"-1", b"+3", b"1 2", b"", b"0x10", b"\xd9\xa3"]),
     "body": st.sampled_from([b"", b"{}", b"[]", b"null", b'{"task_id": null}',
                              b'{"task_id": "t", "choice_data": "zz"}', PROPOSE,
-                             b'{"kind": "confirm", "signatures": {}, "payload": {}}',
+                             envelope(CONFIRM, step_bytes(), []),
                              b"\xff\xfe"]) | st.binary(max_size=64),
 })
 
@@ -223,6 +236,76 @@ def test_fuzzed_requests_get_only_the_documented_statuses(server, r):
     # Bytes past the Content-Length read as further requests.
     assert {status for status, _, _ in replies} <= {200, 204, 400, 404}
     assert_serving(server)
+
+
+# -- evidence bodies: any bytes on /propose and /confirm ----------------------
+
+@pytest.fixture(scope="module")
+def signer():
+    """A served incident_management channel and one node, not the first
+    task's initiator, that has signed a valid Propose of that first step;
+    with the Propose and a valid Confirm of it."""
+    setup = build_network(build_machine("incident_management"), key_salt="evidence-fuzz")
+    servers = serve_network(setup.nodes)
+    req = load_variants("incident_management")[0][0]
+    role = next(r for r in servers if r != req.requester_role)
+    machine = setup.nodes[role].machine
+    payload = StepPayload(setup.ledger.chain_id, setup.contract_id, 0, 1, req.task_id, b"",
+                          machine.state_to_bytes(step(machine, machine.initial_state, req)))
+    sigs = {r: sign_step(payload, key) for r, key in setup.keys.items()}
+    propose = ChannelMessage(MessageKind.PROPOSE,
+                             SignedStep(payload, {req.requester_role: sigs[req.requester_role]}))
+    confirm = ChannelMessage(MessageKind.CONFIRM, SignedStep(payload, sigs))
+    # Signed first, so that an edited Confirm meets the signature checks.
+    assert setup.nodes[role].handle_message(propose).kind is MessageKind.SIGN
+    yield servers[role], setup, propose.to_wire(), confirm.to_wire()
+    for s in servers.values():
+        s.stop()
+
+
+def test_content_type_names_each_body(signer, server):
+    """Evidence is octet-stream, /enact and /status JSON, and an empty body
+    has no Content-Type."""
+    node_server, setup, propose, _ = signer
+    cases = [
+        (node_server, b"POST", b"/propose", propose, 200, b"application/octet-stream"),
+        (server, b"POST", b"/propose", PROPOSE, 204, None),
+        (server, b"POST", b"/confirm", b"not an envelope", 400, None),
+        (server, b"GET", b"/status", b"", 200, b"application/json"),
+        (server, b"POST", b"/enact", b'{"task_id": "no-such-task"}', 200, b"application/json"),
+        (server, b"POST", b"/enact", b"[]", 400, None),
+        (server, b"GET", b"/nope", b"", 404, None),
+    ]
+    replies = []
+    for target, method, path, body, expected_status, expected_type in cases:
+        ((status, fields, reply),) = exchange(
+            target, http_request(method, path, body, version=b"HTTP/1.0"))
+        assert (status, fields.get(b"Content-Type")) == (expected_status, expected_type), path
+        assert bool(reply) == (expected_type is not None)
+        replies.append(reply)
+    # The octet-stream reply is the node's Sign of that Propose.
+    sign = ChannelMessage.from_wire(replies[0])
+    ((role, sig),) = sign.signed.signatures.items()
+    assert (sign.kind, role) == (MessageKind.SIGN, node_server.node.role)
+    assert verify_step(sign.signed.payload, sig, setup.keys[role].public_key())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_evidence_gets_only_the_documented_statuses(signer, data):
+    """Arbitrary bytes and one-byte edits of a valid Propose or Confirm, on
+    /propose or /confirm, get 200, 204 or 400; only the valid Propose sent to
+    /propose gets 200 (the node's Sign), and nothing moves the node's case,
+    seq or state."""
+    server, _, propose, confirm = signer
+    before = status_of(server)
+    body = data.draw(st.binary(max_size=400) | flipped(propose) | flipped(confirm)
+                     | st.just(propose))
+    path = data.draw(st.sampled_from([b"/propose", b"/confirm"]))
+    ((status, _, _),) = exchange(server, http_request(b"POST", path, body, version=b"HTTP/1.0"))
+    assert status in (200, 204, 400)
+    assert (status == 200) == (body == propose and path == b"/propose")
+    assert status_of(server) == before
 
 
 # -- client side ---------------------------------------------------------------
@@ -270,12 +353,12 @@ def echo(body):
     b"HTTP/1.1 200 OK\r\nContent-Length: -2\r\n\r\n{}",
     b"HTTP/1.1 200 OK\r\n\r\n{}",
     b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
-    b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"kind\"",
+    b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(PROPOSE), PROPOSE[:10]),
     b"HTTP/1.1 200 OK\r\nContent-Len",
 ], ids=["garbled-status", "no-status-line", "bad-length", "negative-length", "no-length",
         "chunked", "truncated-body", "truncated-header"])
 def test_a_malformed_reply_is_no_reply_and_the_next_request_reconnects(bad_reply):
-    message = ChannelMessage.from_wire(PROPOSE.decode())
+    message = ChannelMessage.from_wire(PROPOSE)
     peer = ScriptedPeer([echo, bad_reply, echo])
     transport = HttpTransport({"p": peer.port})
     try:
@@ -286,6 +369,17 @@ def test_a_malformed_reply_is_no_reply_and_the_next_request_reconnects(bad_reply
         assert transport.connections["p"].sock is None
         assert transport.request("p", message) == message
         assert peer.accepted == 3
+    finally:
+        transport.close()
+        peer.close()
+
+
+def test_a_reply_that_is_not_an_envelope_is_no_reply():
+    message = ChannelMessage.from_wire(PROPOSE)
+    peer = ScriptedPeer([lambda body: echo(body[:-1])])
+    transport = HttpTransport({"p": peer.port})
+    try:
+        assert transport.request("p", message) is None
     finally:
         transport.close()
         peer.close()

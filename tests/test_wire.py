@@ -5,6 +5,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choreochannel import wire
 from choreochannel.machine import TaskRequest, step
 from choreochannel.cases import build_machine
 from choreochannel.wire import (
@@ -15,12 +16,14 @@ from choreochannel.wire import (
     StepPayload,
     WireError,
     address_of,
+    decode_step,
     encode_step,
     generate_signing_key,
     public_key_of,
     sign_step,
     verify_step,
 )
+from util import CONFIRM, PROPOSE, SIGN, envelope, flipped, step_bytes
 
 KEY = generate_signing_key(b"wire-tests")
 PUB = public_key_of(KEY)
@@ -137,7 +140,7 @@ payload_strategy = st.builds(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(a=payload_strategy, b=payload_strategy)
 def test_encoding_injective(a, b):
     if a != b:
@@ -146,7 +149,7 @@ def test_encoding_injective(a, b):
         assert encode_step(a) == encode_step(b)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(p=payload_strategy)
 def test_cached_encoding_is_encode_step(p):
     assert p.encoded == encode_step(p)
@@ -154,7 +157,7 @@ def test_cached_encoding_is_encode_step(p):
     assert StepPayload.from_wire(p.to_wire()).encoded == p.encoded
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(p=payload_strategy)
 def test_payload_wire_roundtrip(p):
     assert StepPayload.from_wire(p.to_wire()) == p
@@ -187,10 +190,16 @@ def test_signed_step_wire_roundtrip():
 
 def test_message_envelope_roundtrip():
     p = payload()
-    msg = ChannelMessage(MessageKind.PROPOSE, SignedStep(p, {"a": sign_step(p, KEY)}))
+    sig_a, sig_b = sign_step(p, KEY), sign_step(p, generate_signing_key(b"b"))
+    msg = ChannelMessage(MessageKind.PROPOSE, SignedStep(p, {"a": sig_a}))
+    assert msg.to_wire() == envelope(PROPOSE, encode_step(p), [(b"a", sig_a)])
     again = ChannelMessage.from_wire(msg.to_wire())
     assert again == msg
-    assert json.loads(msg.to_wire()) == {"kind": "propose", **msg.signed.to_wire()}
+    assert again.signed.payload.encoded == encode_step(p)
+    # Signers go out in role order, whatever order they were collected in.
+    confirm = ChannelMessage(MessageKind.CONFIRM, SignedStep(p, {"b": sig_b, "a": sig_a}))
+    assert confirm.to_wire() == envelope(CONFIRM, encode_step(p), [(b"a", sig_a), (b"b", sig_b)])
+    assert ChannelMessage.from_wire(confirm.to_wire()) == confirm
 
 
 def test_message_signature_cardinality():
@@ -205,39 +214,135 @@ def test_message_signature_cardinality():
     ChannelMessage(MessageKind.CONFIRM, SignedStep(p, {"a": sig, "b": sig}))  # fine
 
 
-JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
-    max_leaves=12,
-)
-ENVELOPE = json.loads(ChannelMessage(
-    MessageKind.PROPOSE, SignedStep(payload(), {"a": sign_step(payload(), KEY)})).to_wire())
+def test_message_to_wire_refuses_what_it_cannot_write():
+    p = payload()
+    sig = sign_step(p, KEY)
+    for signed in (SignedStep(p, {"r" * 256: sig}), SignedStep(p, {"a": sig[:63]}),
+                   SignedStep(payload(seq=2**64), {"a": sig})):
+        with pytest.raises(EncodingError):
+            ChannelMessage(MessageKind.PROPOSE, signed).to_wire()
+    many = {f"r{i:03}": sig for i in range(256)}
+    with pytest.raises(EncodingError):
+        ChannelMessage(MessageKind.CONFIRM, SignedStep(p, many)).to_wire()
 
 
-@settings(max_examples=300, deadline=None)
+def test_a_received_payload_is_verified_over_its_bytes_never_re_encoded(monkeypatch):
+    p = payload()
+    sig = sign_step(p, KEY)
+    raw = ChannelMessage(MessageKind.PROPOSE, SignedStep(p, {"a": sig})).to_wire()
+
+    def no_encoding(_):
+        raise AssertionError("a received payload was encoded again")
+
+    monkeypatch.setattr(wire, "encode_step", no_encoding)
+    msg = ChannelMessage.from_wire(raw)
+    assert verify_step(msg.signed.payload, sig, PUB)
+    assert msg.to_wire() == raw
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=payload_strategy)
+def test_decode_step_inverts_encode_step(p):
+    raw = encode_step(p)
+    decoded = decode_step(raw)
+    assert decoded == p
+    assert decoded.encoded == raw
+
+
+def edits(base: bytes):
+    """`base` with one byte changed, with a span replaced by arbitrary bytes
+    (inserting or deleting some), or cut short."""
+    spliced = st.tuples(st.integers(0, len(base)), st.integers(0, 4), st.binary(max_size=4)).map(
+        lambda t: base[:t[0]] + t[2] + base[t[0] + t[1]:])
+    return flipped(base) | spliced | st.integers(0, len(base)).map(lambda i: base[:i])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_message_from_wire_is_total(data):
-    """Arbitrary JSON, and a valid envelope with one field of the envelope or
-    of its payload or signatures replaced by arbitrary JSON, either decodes or
-    raises WireError."""
-    doc = json.loads(json.dumps(ENVELOPE))
-    target = data.draw(st.sampled_from([None, doc, doc["payload"], doc["signatures"]]))
-    if target is None:
-        doc = data.draw(JSON)
-    else:
-        target[data.draw(st.sampled_from(sorted(target) + ["extra"]))] = data.draw(JSON)
+def test_decode_step_is_total(data):
+    """Arbitrary bytes, and edits of a valid encoding, either raise WireError
+    or are the encoding of the payload they decode to."""
+    base = encode_step(data.draw(payload_strategy))
+    raw = data.draw(st.binary(max_size=120) | edits(base))
     try:
-        msg = ChannelMessage.from_wire(json.dumps(doc))
+        decoded = decode_step(raw)
     except WireError:
         return
-    step = msg.signed.payload
-    assert isinstance(step.task_id, str)
-    assert {type(step.chain_id), type(step.case_id), type(step.seq)} == {int}
-    assert {type(r) for r in msg.signed.signatures} <= {str}
-    assert {type(s) for s in msg.signed.signatures.values()} <= {bytes}
+    assert encode_step(decoded) == raw
+    assert decoded.encoded == raw
 
 
-@pytest.mark.parametrize("raw", ["", "not json", "[" * 100000], ids=["empty", "text", "deep"])
+ROLE = st.text(max_size=6).filter(lambda r: len(r.encode()) <= 255)
+SIGNATURE = st.binary(min_size=64, max_size=64)
+message_strategy = st.one_of(
+    st.builds(lambda kind, p, role, sig: ChannelMessage(kind, SignedStep(p, {role: sig})),
+              st.sampled_from([MessageKind.PROPOSE, MessageKind.SIGN]), payload_strategy,
+              ROLE, SIGNATURE),
+    st.builds(lambda p, sigs: ChannelMessage(MessageKind.CONFIRM, SignedStep(p, sigs)),
+              payload_strategy, st.dictionaries(ROLE, SIGNATURE, min_size=1, max_size=5)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(msg=message_strategy)
+def test_message_wire_roundtrip(msg):
+    again = ChannelMessage.from_wire(msg.to_wire())
+    assert again == msg
+    assert again.signed.payload.encoded == encode_step(msg.signed.payload)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_message_from_wire_is_total(data):
+    """Arbitrary bytes, and edits of a valid envelope, either raise WireError
+    or decode to a message whose envelope is exactly those bytes, with the
+    received payload bytes as its encoding."""
+    base = data.draw(message_strategy).to_wire()
+    raw = data.draw(st.binary(max_size=200) | edits(base))
+    try:
+        msg = ChannelMessage.from_wire(raw)
+    except WireError:
+        return
+    assert msg.to_wire() == raw
+    assert msg.signed.payload.encoded == encode_step(msg.signed.payload)
+
+
+@pytest.mark.parametrize("raw", [b"", b"not json", b"[" * 100000], ids=["empty", "text", "deep"])
 def test_message_from_wire_rejects_undecodable_text(raw):
     with pytest.raises(WireError):
         ChannelMessage.from_wire(raw)
+
+
+SIG = bytes(range(64))
+STEP = step_bytes()
+BASE = envelope(PROPOSE, STEP, [(b"a", SIG)])
+# Each body differs from a decodable one by the one defect its id names.
+DEFECTS = {
+    "kind-zero": envelope(0, STEP, [(b"a", SIG)]),
+    "kind-four": envelope(4, STEP, [(b"a", SIG)]),
+    "payload-length-too-long": BASE[:1] + (len(STEP) + 1).to_bytes(4, "big") + BASE[5:],
+    "trailing-byte": BASE + b"\x00",
+    "cut-short": BASE[:-1],
+    "short-signature": envelope(PROPOSE, STEP, [(b"a", SIG[:63])]),
+    "step-trailing-byte": envelope(PROPOSE, STEP + b"\x00", [(b"a", SIG)]),
+    "step-short-contract-id": envelope(PROPOSE, step_bytes(contract_id=bytes(31)), [(b"a", SIG)]),
+    "step-task-not-utf8": envelope(PROPOSE, step_bytes(task_id=b"\xff\xfe\xfa"), [(b"a", SIG)]),
+    "role-not-utf8": envelope(PROPOSE, STEP, [(b"\xff", SIG)]),
+    "propose-two-signers": envelope(PROPOSE, STEP, [(b"a", SIG), (b"b", SIG)]),
+    "sign-no-signer": envelope(SIGN, STEP, []),
+    "confirm-no-signer": envelope(CONFIRM, STEP, []),
+    "confirm-repeated-role": envelope(CONFIRM, STEP, [(b"a", SIG), (b"a", SIG)]),
+    "confirm-unordered-roles": envelope(CONFIRM, STEP, [(b"b", SIG), (b"a", SIG)]),
+}
+
+
+@pytest.mark.parametrize("name", DEFECTS)
+def test_message_from_wire_refuses_each_defect(name):
+    with pytest.raises(WireError):
+        ChannelMessage.from_wire(DEFECTS[name])
+
+
+def test_hand_built_envelopes_decode():
+    for raw in (BASE, envelope(SIGN, STEP, [(b"a", SIG)]),
+                envelope(CONFIRM, STEP, [(b"a", SIG), (b"b", SIG)])):
+        assert ChannelMessage.from_wire(raw).to_wire() == raw

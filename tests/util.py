@@ -1,6 +1,10 @@
-"""Shared model builders for the test suite."""
+"""Shared model builders and hand-built wire bytes for the test suite."""
 
 from __future__ import annotations
+
+import struct
+
+from hypothesis import strategies as st
 
 from choreochannel.bpmn import (
     ChoreographyModel,
@@ -126,3 +130,32 @@ def loop_model() -> ChoreographyModel:
             ("done", "end"),
         ),
     )
+
+
+# Envelope kind bytes, as the wire format documents them.
+PROPOSE, SIGN, CONFIRM = 1, 2, 3
+
+
+def step_bytes(chain_id=1, contract_id=bytes(32), case_id=0, seq=1, task_id=b"t",
+               choice_data=b"", new_state=b"\x00") -> bytes:
+    """A step encoding built by hand from the documented layout: three u64s
+    around the 32-byte contract id, then three u32-length-prefixed fields."""
+    fields = (task_id, choice_data, new_state)
+    return (struct.pack(">Q", chain_id) + contract_id + struct.pack(">QQ", case_id, seq)
+            + b"".join(struct.pack(">I", len(f)) + f for f in fields))
+
+
+def envelope(kind: int, payload: bytes, signers) -> bytes:
+    """A byte envelope built by hand: the kind byte, the u32-length-prefixed
+    payload, a u8 signer count, then each (role, signature) in the order
+    given, the role u8-length-prefixed."""
+    out = struct.pack(">BI", kind, len(payload)) + payload + bytes([len(signers)])
+    for role, sig in signers:
+        out += bytes([len(role)]) + role + sig
+    return out
+
+
+def flipped(base: bytes):
+    """Strategy: `base` with one byte changed to any other value."""
+    return st.tuples(st.integers(0, len(base) - 1), st.integers(1, 255)).map(
+        lambda t: base[:t[0]] + bytes([base[t[0]] ^ t[1]]) + base[t[0] + 1:])
