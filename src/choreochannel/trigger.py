@@ -6,6 +6,11 @@ deliver one message at a time). A message is a kind plus a `SignedStep`; a
 Propose or Sign names its sender by its one signature. Nodes never install a
 state without holding the full signature set, and they archive every
 `SignedStep` they sign or install before any Sign or Confirm leaves the node.
+
+A node verifies a signature before it signs or disputes on the strength of
+it, and only then: a refused proposal after which the node sends nothing is
+not verified, and the initiator stops verifying Sign replies once one is
+missing or invalid, since the step can no longer collect its full set.
 """
 
 from __future__ import annotations
@@ -193,6 +198,8 @@ class TriggerNode:
         all_signed = True
         for peer in self._peers():
             reply = self.transport.request(peer, propose)
+            if not all_signed:
+                continue  # the step cannot complete; the reply goes unused
             if reply is None or reply.kind is not MessageKind.SIGN:
                 all_signed = False
                 continue
@@ -245,8 +252,14 @@ class TriggerNode:
         return None
 
     def on_propose(self, msg: ChannelMessage) -> ChannelMessage | None:
-        """Verify a proposal; reply Sign if it conforms, otherwise stay silent
-        (and raise a dispute when a validly signed proposal breaks the process)."""
+        """Check a proposal; reply Sign if it conforms, otherwise stay silent
+        and dispute when it breaks the process.
+
+        The cheap checks come first. The proposer's signature is verified
+        last, and only where the node then acts: before it signs, and before
+        it submits dispute evidence. A refused proposal after which the node
+        would send nothing (no archived step, a dispute already pending, a
+        contract that would refuse the evidence) costs no verify."""
         payload = msg.signed.payload
         ((proposer, sig),) = msg.signed.signatures.items()
         if payload.chain_id != self.ledger.chain_id or payload.contract_id != self.contract_id:
@@ -255,19 +268,18 @@ class TriggerNode:
         if payload.case_id != self.case_id:
             self._note(f"proposal for case {payload.case_id}, local case is {self.case_id}")
             return None
-        if proposer not in self.role_keys or not verify_step(
-            payload, sig, self.role_keys[proposer]
-        ):
+        key = self.role_keys.get(proposer)
+        if key is None:
             self._note(f"bad initiator signature on proposal seq {payload.seq}")
             return None
         candidates = self.machine.manual_transitions(payload.task_id)
         if not candidates or candidates[0].initiator != proposer:
             self._note(f"proposal from {proposer} for task it does not initiate")
-            self.raise_dispute()
+            self._dispute_proposal(payload, sig, key)
             return None
         if payload.seq != self.seq + 1:
             self._note(f"proposal seq {payload.seq} does not follow local seq {self.seq}")
-            self.raise_dispute()
+            self._dispute_proposal(payload, sig, key)
             return None
         if (self.signed is not None and self.signed.payload != payload
                 and self.signed.payload.seq == payload.seq):
@@ -280,11 +292,13 @@ class TriggerNode:
             )
         except ConformanceError as exc:
             self._note(f"non-conforming proposal {payload.task_id}: {exc.reason}")
-            self.raise_dispute()
+            self._dispute_proposal(payload, sig, key)
             return None
         if self.machine.state_to_bytes(expected) != payload.new_state:
             self._note(f"proposal {payload.task_id} leads to a different state")
-            self.raise_dispute()
+            self._dispute_proposal(payload, sig, key)
+            return None
+        if not self._proposer_signed(payload, sig, key):
             return None
 
         mine = sign_step(payload, self.signing_key)
@@ -293,6 +307,22 @@ class TriggerNode:
         self.archive.note_signed(signed)
         self.signed = SignedStep(payload, {proposer: sig, self.role: mine})
         return ChannelMessage(MessageKind.SIGN, signed)
+
+    def _proposer_signed(self, payload: StepPayload, sig: bytes,
+                         key: Ed25519PublicKey) -> bool:
+        if verify_step(payload, sig, key):
+            return True
+        self._note(f"bad initiator signature on proposal seq {payload.seq}")
+        return False
+
+    def _dispute_proposal(self, payload: StepPayload, sig: bytes,
+                          key: Ed25519PublicKey) -> None:
+        """Dispute a refused proposal, once it is known that evidence would be
+        sent and that the proposer really signed it: a forged proposal must
+        not put the channel on-chain."""
+        latest = self._dispute_evidence()
+        if latest is not None and self._proposer_signed(payload, sig, key):
+            self._submit_dispute(latest)
 
     def on_confirm(self, msg: ChannelMessage) -> bool:
         """Install a fully signed step this node signed for its next seq."""
@@ -329,25 +359,36 @@ class TriggerNode:
 
     def raise_dispute(self) -> bool:
         """Submit the highest archived complete step as dispute evidence;
-        True iff the ledger accepted it.
+        True iff the ledger accepted it. `_dispute_evidence` decides whether
+        there is anything to send."""
+        latest = self._dispute_evidence()
+        return latest is not None and self._submit_dispute(latest)
 
-        Skips the transaction whenever the contract can only refuse it: the
-        case is on-chain, closed or over, or a dispute is already pending at
-        the same or a higher sequence number (the watcher duty covers that).
+    def _dispute_evidence(self) -> SignedStep | None:
+        """The step a dispute would submit, or None when nothing would be sent.
+
+        Nothing is sent without an archived complete step, or whenever the
+        contract can only refuse it: the case is on-chain, closed or over, or
+        a dispute is already pending at the same or a higher sequence number
+        (the watcher duty covers that). Reads the contract, and so refreshes
+        `observed_phase`, once there is an archived step.
         """
         latest = self.archive.max_complete(self.case_id)
         if latest is None:
             self._note("dispute intended but no complete step archived yet")
-            return False
+            return None
         view = self.ledger.get_contract(self.contract_id)
         self.observed_phase = view.phase
         if view.phase in (Phase.ON_CHAIN, Phase.CLOSED) or view.case_id != self.case_id:
             self._note(f"contract is {view.phase.value} at case {view.case_id}, "
                        f"would refuse evidence for case {self.case_id}; holding it")
-            return False
+            return None
         if view.phase is Phase.DISPUTE and view.seq >= latest.payload.seq:
             self._note(f"dispute already pending at seq {view.seq}; holding evidence")
-            return False
+            return None
+        return latest
+
+    def _submit_dispute(self, latest: SignedStep) -> bool:
         result = self.ledger.submit_state(self.contract_id, latest, self.address)
         self._note(f"dispute submission seq {latest.payload.seq}: {result}")
         return isinstance(result, Accepted)

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from choreochannel import harness
 from choreochannel.cases import CASES, build_machine, load_variants
 from choreochannel.harness import (
     ScenarioError,
@@ -87,6 +90,38 @@ def test_replay_conformance_rejects_mutants_at_first_bad_event(supply):
     for result in report.results:
         oracle_first = result.oracle_verdicts.index(False)
         assert result.first_reject == oracle_first
+
+
+def replay_digest(monkeypatch) -> str:
+    """Digest of replay_conformance's verdicts and of every fresh channel's
+    ledger log, per case over its variants plus the first 20 mutants that
+    criterion 1 draws (mutation seed 42), at key seed 0."""
+    setups = []
+    build = harness.build_network
+
+    def capture(*args, **kwargs):
+        setups.append(build(*args, **kwargs))
+        return setups[-1]
+
+    monkeypatch.setattr(harness, "build_network", capture)
+    digest = hashlib.sha256()
+    for case in CASES:
+        machine = build_machine(case)
+        variants = [Trace(tuple(v)) for v in load_variants(case)]
+        traces = variants + mutate_traces(machine, variants, 20, seed=42).traces
+        setups.clear()
+        report = replay_conformance(case, traces, seed=0)
+        assert len(setups) == len(report.results) == len(traces)
+        for result, setup in zip(report.results, setups):
+            digest.update(f"{case} {result.index} {result.network_verdicts} "
+                          f"{result.oracle_verdicts}\n{setup.ledger.export_log()}\n".encode())
+    return digest.hexdigest()
+
+
+def test_replay_outputs_pinned(monkeypatch):
+    # Verdicts and ledger logs of a replay round: which proposals a node
+    # refuses, disputes or signs must not depend on when it verifies them.
+    assert replay_digest(monkeypatch) == "9e1306b3f81a6a59b9c630ad6bb8032c75537cd215d5d83e3d59b4202b3c54c5"
 
 
 def test_best_case_scenario_ledger_shape():

@@ -5,7 +5,6 @@ import warnings
 
 import pytest
 
-from choreochannel import trigger
 from choreochannel.harness import build_network
 from choreochannel.trigger import TriggerNode
 from choreochannel.cases import build_machine, compile_model, load_variants
@@ -19,7 +18,7 @@ from choreochannel.wire import (
     sign_step,
     verify_step,
 )
-from util import minimal_model
+from util import counting_calls, counting_verifies, minimal_model
 
 
 @pytest.fixture(scope="module")
@@ -161,8 +160,9 @@ def test_on_propose_rejects_stale_seq_and_disputes(machine, variant):
     assert view.seq == 2  # the signer submitted its best archived step
 
 
-def test_on_propose_rejects_bad_signature(machine, variant):
-    setup = fresh(machine)
+def test_on_propose_rejects_bad_signature(monkeypatch, machine, variant, tmp_path):
+    """A forged proposal that conforms fails its one verify before any Sign."""
+    setup = fresh(machine, archive_dir=str(tmp_path))
     payload = StepPayload(
         chain_id=1, contract_id=setup.contract_id, case_id=0, seq=1,
         task_id="place_order", choice_data=b"",
@@ -171,7 +171,13 @@ def test_on_propose_rejects_bad_signature(machine, variant):
     )
     sig = sign_step(payload, setup.keys["supplier"])  # wrong key for bulk_buyer
     msg = ChannelMessage(MessageKind.PROPOSE, SignedStep(payload, {"bulk_buyer": sig}))
-    assert setup.nodes["carrier"].on_propose(msg) is None
+    carrier = setup.nodes["carrier"]
+    verifies = counting_verifies(monkeypatch)
+    signs = counting_calls(monkeypatch, "sign_step")
+    assert carrier.on_propose(msg) is None
+    assert (len(verifies), signs) == (1, [])
+    assert carrier.signed is None and not (tmp_path / "carrier.jsonl").exists()
+    assert [t.kind for t in setup.ledger.log] == [TxKind.DEPLOY]
 
 
 def test_on_propose_rejects_wrong_initiator_role(machine, variant):
@@ -534,18 +540,6 @@ def test_raise_dispute_after_the_case_closed_sends_nothing(machine, variant):
     assert [t.kind for t in setup.ledger.log] == [TxKind.DEPLOY, TxKind.CLOSE]
 
 
-def _counting_verifies(monkeypatch):
-    """Record every verify_step call made by a trigger node."""
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return verify_step(*args)
-
-    monkeypatch.setattr(trigger, "verify_step", counting)
-    return calls
-
-
 @pytest.mark.parametrize("model,expected", [("supply_chain", 20), ("minimal", 2)])
 def test_conforming_step_verifies_each_signature_once_per_node(monkeypatch, model, expected):
     if model == "minimal":
@@ -554,7 +548,7 @@ def test_conforming_step_verifies_each_signature_once_per_node(monkeypatch, mode
         machine, req = build_machine(model), load_variants(model)[0][0]
     n = len(machine.role_ids)
     setup = fresh(machine)
-    calls = _counting_verifies(monkeypatch)
+    calls = counting_verifies(monkeypatch)
     assert setup.nodes[req.requester_role].enact(req).confirmed
     assert setup.network.stable() and setup.nodes[req.requester_role].seq == 1
     assert len(calls) == n * (n - 1) == expected
@@ -638,7 +632,7 @@ def test_reset_for_case_drops_the_checked_signatures(monkeypatch, machine, varia
         "bulk_buyer": propose.signed.signatures["bulk_buyer"],
         "supplier": sign_step(payload, setup.keys["supplier"]),
     })
-    calls = _counting_verifies(monkeypatch)
+    calls = counting_verifies(monkeypatch)
     sigs = {r: sign_step(payload, k) for r, k in setup.keys.items()}
     assert supplier.on_confirm(ChannelMessage(MessageKind.CONFIRM, SignedStep(payload, sigs)))
     assert [args[2] for args in calls] == [
@@ -658,3 +652,85 @@ def test_confirm_for_another_payload_with_the_slot_signatures_is_refused(machine
     assert supplier.on_confirm(ChannelMessage(MessageKind.CONFIRM, SignedStep(other, sigs))) is False
     assert (supplier.seq, supplier.state) == (0, machine.initial_state)
     assert supplier.archive.max_complete(0) is None
+
+
+def _second_task_by_bulk_buyer(setup, machine, variant, signer_key=None):
+    """After place_order is confirmed, bulk_buyer proposes place_order again
+    for seq 2: a proposal that does not conform. `signer_key` forges it."""
+    assert setup.nodes["bulk_buyer"].enact(variant[0]).confirmed  # evidence for a dispute
+    state = machine_step(machine, machine.initial_state, variant[0])
+    msg = _place_order(setup, machine, variant, seq=2, new_state=machine.state_to_bytes(state))
+    if signer_key is None:
+        return msg
+    payload = msg.signed.payload
+    forged = {"bulk_buyer": sign_step(payload, signer_key)}
+    return ChannelMessage(MessageKind.PROPOSE, SignedStep(payload, forged))
+
+
+def test_forged_nonconforming_proposal_fails_one_verify_and_sends_nothing(
+        monkeypatch, machine, variant):
+    setup = fresh(machine)
+    supplier = setup.nodes["supplier"]
+    msg = _second_task_by_bulk_buyer(setup, machine, variant, setup.keys["carrier"])
+    slot = supplier.signed
+    calls = counting_verifies(monkeypatch)
+    assert supplier.on_propose(msg) is None
+    # Evidence exists and the channel is open, so only the signature stops
+    # the dispute a validly signed proposal would raise.
+    assert [verify_step(*args) for args in calls] == [False]
+    assert [t.kind for t in setup.ledger.log] == [TxKind.DEPLOY]
+    assert supplier.signed is slot and (supplier.seq, supplier.pending) == (1, None)
+    assert supplier.events[-1] == "bad initiator signature on proposal seq 2"
+
+
+def test_nonconforming_proposal_under_a_pending_dispute_is_not_verified(
+        monkeypatch, machine, variant):
+    setup = fresh(machine)
+    msg = _second_task_by_bulk_buyer(setup, machine, variant)
+    assert setup.nodes["carrier"].raise_dispute()  # pending at seq 1
+    log = setup.ledger.export_log()
+    supplier = setup.nodes["supplier"]
+    calls = counting_verifies(monkeypatch)
+    assert supplier.on_propose(msg) is None
+    assert calls == []
+    assert setup.ledger.export_log() == log
+    assert supplier.events[-1] == "dispute already pending at seq 1; holding evidence"
+
+
+def test_nonconforming_proposal_is_verified_once_before_the_dispute(
+        monkeypatch, machine, variant):
+    setup = fresh(machine)
+    msg = _second_task_by_bulk_buyer(setup, machine, variant)
+    calls = counting_verifies(monkeypatch)
+    verifies_at_submit = []
+    submit = setup.ledger.submit_state
+
+    def recording_submit(*args):
+        verifies_at_submit.append(len(calls))
+        return submit(*args)
+
+    monkeypatch.setattr(setup.ledger, "submit_state", recording_submit)
+    assert setup.nodes["supplier"].on_propose(msg) is None
+    assert verifies_at_submit == [1] and len(calls) == 1
+    view = setup.ledger.get_contract(setup.contract_id)
+    assert (view.phase, view.seq) == (Phase.DISPUTE, 1)
+
+
+@pytest.mark.parametrize("silenced", range(4))
+def test_initiator_stops_verifying_replies_once_one_is_missing(
+        monkeypatch, machine, variant, silenced):
+    setup = fresh(machine)
+    initiator = setup.nodes["bulk_buyer"]
+    peers = initiator._peers()
+    setup.network.silence(peers[silenced])
+    mine = {id(k) for k in initiator.role_keys.values()}
+    calls = counting_verifies(monkeypatch)
+    result = initiator.enact(variant[0])
+    assert (result.status, result.error) == ("rejected", "missing-signatures")
+    # Only the replies before the missing one are verified ...
+    assert [args[2] for args in calls if id(args[2]) in mine] == [
+        initiator.role_keys[p] for p in peers[:silenced]]
+    # ... but every peer that can be reached still got the Propose and signed it.
+    assert initiator.archive.max_complete(0) is None
+    assert [setup.nodes[p].signed is not None for p in peers] == [
+        p != peers[silenced] for p in peers]

@@ -1,4 +1,4 @@
-"""Shared model builders and hand-built wire bytes for the test suite."""
+"""Shared model builders, call counters and hand-built wire bytes for the test suite."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import struct
 
 from hypothesis import strategies as st
 
+from choreochannel import trigger
 from choreochannel.bpmn import (
     ChoreographyModel,
     ChoreographyTask,
@@ -15,6 +16,25 @@ from choreochannel.bpmn import (
 )
 
 ROLES_AB = (Role("a", "A"), Role("b", "B"))
+
+
+def counting_calls(monkeypatch, name: str) -> list[tuple]:
+    """Record the arguments of every call trigger nodes make to the `trigger`
+    module's `name` (`verify_step`, `sign_step`), then make the call."""
+    calls = []
+    original = getattr(trigger, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(trigger, name, counting)
+    return calls
+
+
+def counting_verifies(monkeypatch) -> list[tuple]:
+    """Record every verify_step call made by a trigger node."""
+    return counting_calls(monkeypatch, "verify_step")
 
 
 def minimal_model() -> ChoreographyModel:
