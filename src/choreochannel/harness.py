@@ -164,7 +164,7 @@ def build_network(machine: ProcessStateMachine, *, seed: int = 0, dispute_window
     nodes: dict[str, TriggerNode] = {}
     for role, key in keys.items():
         node = TriggerNode(role, key, ledger, contract_id, prefilter=prefilter,
-                           archive_path=f"{archive_dir}/{role}.jsonl" if archive_dir else None)
+                           archive_path=f"{archive_dir}/{role}.hex" if archive_dir else None)
         network.register(node)
         nodes[role] = node
     return ChannelSetup(ledger, network, nodes, contract_id, addresses, keys)

@@ -250,31 +250,8 @@ def reduce_net(net: InteractionNet) -> InteractionNet:
     ]
     initial = net.initial_place
     finals = set(net.final_places)
-
-    def producers(p: str) -> list[dict]:
-        return [t for t in trans if p in t["outputs"]]
-
-    def consumers(p: str) -> list[dict]:
-        return [t for t in trans if p in t["inputs"]]
-
-    changed = True
-    while changed:
-        changed = False
-        for t in list(trans):
-            if t["label"] is not None:
-                continue
-            if _rule_noop(t, trans):
-                changed = True
-                break
-            if _rule_fuse_pre(t, trans, places, producers, initial, finals):
-                changed = True
-                break
-            if _rule_fuse_post(t, trans, places, consumers, initial, finals):
-                changed = True
-                break
-            if _rule_bypass(t, trans, consumers, finals):
-                changed = True
-                break
+    while _rewrite_once(trans, places, initial, finals):
+        pass
 
     return InteractionNet(
         places=tuple(places),
@@ -287,23 +264,30 @@ def reduce_net(net: InteractionNet) -> InteractionNet:
     )
 
 
-def _rule_noop(t: dict, trans: list[dict]) -> bool:
+def _producers(trans: list[dict], p: str) -> list[dict]:
+    return [t for t in trans if p in t["outputs"]]
+
+
+def _consumers(trans: list[dict], p: str) -> list[dict]:
+    return [t for t in trans if p in t["inputs"]]
+
+
+def _rule_noop(t, trans, places, initial, finals) -> bool:
     if t["inputs"] != t["outputs"]:
         return False
     trans.remove(t)
     return True
 
 
-def _rule_fuse_pre(t, trans, places, producers, initial, finals) -> bool:
+def _rule_fuse_pre(t, trans, places, initial, finals) -> bool:
     if len(t["inputs"]) != 1:
         return False
     (p,) = t["inputs"]
     if p == initial or p in finals or p in t["outputs"]:
         return False
-    consumers_of_p = [x for x in trans if p in x["inputs"]]
-    if consumers_of_p != [t]:
+    if _consumers(trans, p) != [t]:
         return False
-    prods = producers(p)
+    prods = _producers(trans, p)
     if any((u["outputs"] - {p}) & t["outputs"] for u in prods):
         return False
     for u in prods:
@@ -314,16 +298,15 @@ def _rule_fuse_pre(t, trans, places, producers, initial, finals) -> bool:
     return True
 
 
-def _rule_fuse_post(t, trans, places, consumers, initial, finals) -> bool:
+def _rule_fuse_post(t, trans, places, initial, finals) -> bool:
     if len(t["outputs"]) != 1:
         return False
     (q,) = t["outputs"]
     if q == initial or q in finals or q in t["inputs"]:
         return False
-    producers_of_q = [x for x in trans if q in x["outputs"]]
-    if producers_of_q != [t]:
+    if _producers(trans, q) != [t]:
         return False
-    cons = consumers(q)
+    cons = _consumers(trans, q)
     if not cons:
         return False
     if any((v["inputs"] - {q}) & t["inputs"] for v in cons):
@@ -336,14 +319,14 @@ def _rule_fuse_post(t, trans, places, consumers, initial, finals) -> bool:
     return True
 
 
-def _rule_bypass(t, trans, consumers, finals) -> bool:
+def _rule_bypass(t, trans, places, initial, finals) -> bool:
     if len(t["inputs"]) != 1 or len(t["outputs"]) != 1:
         return False
     (p,) = t["inputs"]
     (q,) = t["outputs"]
     if p == q or q in finals:
         return False
-    cons = consumers(q)
+    cons = _consumers(trans, q)
     if not cons or any(c["label"] is None for c in cons):
         return False
     if any(p in c["inputs"] for c in cons):
@@ -365,6 +348,21 @@ def _rule_bypass(t, trans, consumers, finals) -> bool:
             )
     trans.remove(t)
     return True
+
+
+_RULES = (_rule_noop, _rule_fuse_pre, _rule_fuse_post, _rule_bypass)
+
+
+def _rewrite_once(trans, places, initial, finals) -> bool:
+    """Apply the first rule, in _RULES order, that fires on the first silent
+    transition any rule fires on. Each rewrite restarts the scan from the
+    first transition; the compiled layout depends on this order."""
+    for t in list(trans):
+        if t["label"] is None:
+            for rule in _RULES:
+                if rule(t, trans, places, initial, finals):
+                    return True
+    return False
 
 
 def check_safeness(net: InteractionNet, state_bound: int = 20000) -> SafenessResult:

@@ -4,8 +4,9 @@ Each node owns its local state and archive; message handling for one case is
 serialised through the caller (the in-process network and the HTTP server both
 deliver one message at a time). A message is a kind plus a `SignedStep`; a
 Propose or Sign names its sender by its one signature. Nodes never install a
-state without holding the full signature set, and they archive every
-`SignedStep` they sign or install before any Sign or Confirm leaves the node.
+state without holding the full signature set, and they archive every Sign
+they return and every Confirm they send or install, as the envelope itself,
+before any Sign or Confirm leaves the node.
 
 A node verifies a signature before it signs or disputes on the strength of
 it, and only then: a refused proposal after which the node sends nothing is
@@ -15,7 +16,6 @@ missing or invalid, since the step can no longer collect its full set.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -56,10 +56,13 @@ class EnactResult:
 
 
 class ArchiveStore:
-    """Append-only evidence store. Every record is flushed before the node
-    sends the message that depends on it.
+    """Append-only evidence store: one line per envelope the node handles,
+    the hex of its `ChannelMessage.to_wire()` bytes, which are the bytes the
+    HTTP transport carries. A SIGN line is a Sign the node returned; a CONFIRM
+    line is a Confirm it sent or installed. Every line is flushed before the
+    node sends the message that depends on it.
 
-    The file holds every record of every case. Memory holds only the complete
+    The file holds every envelope of every case. Memory holds only the complete
     steps of the node's current case, the only ones a dispute, counter or
     close can still use: `start_case` drops the rest when the node moves on.
     """
@@ -69,25 +72,23 @@ class ArchiveStore:
         self._steps: list[SignedStep] = []
         self._path = path
 
-    def _write(self, kind: str, signed: SignedStep) -> None:
-        # The record, and the hex encoding of every signature in it, is
-        # built only when there is a file to write it to.
+    def _write(self, message: ChannelMessage) -> None:
+        # The envelope is encoded only when there is a file to write it to.
         if self._path is not None:
-            record = {"type": kind, "record": signed.to_wire()}
-            with open(self._path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            with open(self._path, "a", encoding="ascii") as fh:
+                fh.write(message.to_wire().hex() + "\n")
 
     def start_case(self, case_id: int) -> None:
         """Forget the steps held for the previous case."""
         self._case_id = case_id
         self._steps = []
 
-    def note_signed(self, signed: SignedStep) -> None:
-        self._write("signed", signed)
+    def note_signed(self, sign: ChannelMessage) -> None:
+        self._write(sign)
 
-    def append_step(self, signed: SignedStep) -> None:
-        self._steps.append(signed)
-        self._write("step", signed)
+    def append_step(self, confirm: ChannelMessage) -> None:
+        self._write(confirm)
+        self._steps.append(confirm.signed)
 
     def max_complete(self, case_id: int) -> SignedStep | None:
         if case_id != self._case_id or not self._steps:
@@ -211,13 +212,12 @@ class TriggerNode:
             signatures[peer] = sig
 
         if all_signed:
-            signed = SignedStep(payload, signatures)
+            confirm = ChannelMessage(MessageKind.CONFIRM, SignedStep(payload, signatures))
             # Durability before Confirm: the evidence must outlive the send.
-            self.archive.append_step(signed)
+            self.archive.append_step(confirm)
             self.state = self.machine.state_from_bytes(payload.new_state)
             self.seq = payload.seq
             self.pending = None
-            confirm = ChannelMessage(MessageKind.CONFIRM, signed)
             for peer in self._peers():
                 self.transport.request(peer, confirm)
             return EnactResult("confirmed", new_state=self.state)
@@ -302,11 +302,11 @@ class TriggerNode:
             return None
 
         mine = sign_step(payload, self.signing_key)
-        signed = SignedStep(payload, {self.role: mine})
+        reply = ChannelMessage(MessageKind.SIGN, SignedStep(payload, {self.role: mine}))
         # Evidence first, then the signature leaves the node.
-        self.archive.note_signed(signed)
+        self.archive.note_signed(reply)
         self.signed = SignedStep(payload, {proposer: sig, self.role: mine})
-        return ChannelMessage(MessageKind.SIGN, signed)
+        return reply
 
     def _proposer_signed(self, payload: StepPayload, sig: bytes,
                          key: Ed25519PublicKey) -> bool:
@@ -335,7 +335,7 @@ class TriggerNode:
             self._note(f"confirm for seq {payload.seq} carries an incomplete signature set")
             self.raise_dispute()
             return False
-        self.archive.append_step(msg.signed)
+        self.archive.append_step(msg)
         self.state = self.machine.state_from_bytes(payload.new_state)
         self.seq = payload.seq
         return True
@@ -344,8 +344,7 @@ class TriggerNode:
         """Every role signed the slot's payload (equal to the Confirm's). A
         signature byte-equal to one the slot holds was checked in on_propose,
         or made here, and is not verified again; any other goes through
-        verify_step. Checking over the slot's payload reuses its encoding and
-        leaves the archived Confirm payload unencoded."""
+        verify_step. Checking over the slot's payload reuses its encoding."""
         slot = self.signed
         for role, key in self.role_keys.items():
             sig = confirm.signatures.get(role)

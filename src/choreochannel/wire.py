@@ -8,16 +8,16 @@ bytes it arrived in and is verified over them, never re-encoded.
 A protocol envelope (`ChannelMessage.to_wire`) carries those same bytes: a
 kind byte, the u32-length-prefixed payload encoding, a u8 signer count, then
 per signer, in role order, a u8-length-prefixed UTF-8 role id and its 64-byte
-signature. Each message has exactly one byte form. The archive's JSON lines
-(`SignedStep.to_wire`) are the one JSON form of evidence, written for people
-to read.
+signature. Each message has exactly one byte form, and it is the only form
+of evidence: a node's archive stores the same bytes, hex encoded, one
+envelope per line.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -44,22 +44,7 @@ class EncodingError(ValueError):
 
 
 class WireError(ValueError):
-    """Bytes that are not an envelope or step encoding, or an archive record
-    whose JSON does not have the expected shape or types."""
-
-
-def _field(data, key: str, kind: type):
-    value = data.get(key) if type(data) is dict else None
-    if type(value) is not kind:
-        raise WireError(f"{key!r} must be a {kind.__name__}")
-    return value
-
-
-def _hex(value) -> bytes:
-    try:
-        return bytes.fromhex(value)
-    except (TypeError, ValueError):
-        raise WireError(f"not a hex string: {value!r}") from None
+    """Bytes that are not an envelope or step encoding."""
 
 
 @dataclass(frozen=True)
@@ -71,29 +56,6 @@ class StepPayload:
     task_id: str
     choice_data: bytes
     new_state: bytes
-
-    def to_wire(self) -> dict:
-        return {
-            "chain_id": self.chain_id,
-            "contract_id": self.contract_id.hex(),
-            "case_id": self.case_id,
-            "seq": self.seq,
-            "task_id": self.task_id,
-            "choice_data": self.choice_data.hex(),
-            "new_state": self.new_state.hex(),
-        }
-
-    @classmethod
-    def from_wire(cls, data) -> "StepPayload":
-        return cls(
-            chain_id=_field(data, "chain_id", int),
-            contract_id=_hex(_field(data, "contract_id", str)),
-            case_id=_field(data, "case_id", int),
-            seq=_field(data, "seq", int),
-            task_id=_field(data, "task_id", str),
-            choice_data=_hex(_field(data, "choice_data", str)),
-            new_state=_hex(_field(data, "new_state", str)),
-        )
 
     @cached_property
     def encoded(self) -> bytes:
@@ -186,7 +148,7 @@ class SignedStep:
     """A step payload plus collected signatures, keyed by role id."""
 
     payload: StepPayload
-    signatures: dict[str, bytes] = field(default_factory=dict)
+    signatures: dict[str, bytes]
 
     def is_complete(self, roles) -> bool:
         return set(roles) <= set(self.signatures)
@@ -198,20 +160,6 @@ class SignedStep:
             if sig is None or not verify_step(self.payload, sig, pub):
                 return False
         return True
-
-    def to_wire(self) -> dict:
-        return {
-            "payload": self.payload.to_wire(),
-            "signatures": {role: sig.hex() for role, sig in sorted(self.signatures.items())},
-        }
-
-    @classmethod
-    def from_wire(cls, data) -> "SignedStep":
-        """Decode an archive record; malformed input raises WireError."""
-        return cls(
-            payload=StepPayload.from_wire(_field(data, "payload", dict)),
-            signatures={r: _hex(s) for r, s in _field(data, "signatures", dict).items()},
-        )
 
 
 class MessageKind(Enum):

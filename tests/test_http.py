@@ -11,6 +11,7 @@ import pytest
 from choreochannel.cases import build_machine, load_variants
 from choreochannel.harness import build_network
 from choreochannel.httpd import serve_network
+from choreochannel.wire import ChannelMessage, MessageKind
 from util import CONFIRM, PROPOSE, envelope, step_bytes
 
 
@@ -226,3 +227,39 @@ def test_stopping_the_network_ends_every_handler_thread():
     while any("process_request_thread" in t.name for t in threading.enumerate()):
         assert time.monotonic() < deadline, threading.enumerate()
         time.sleep(0.01)
+
+
+def test_archive_lines_are_the_envelopes_that_leave_the_node(tmp_path):
+    """A Sign line is the body the signer served; a Confirm line is the same
+    on every node."""
+    machine = build_machine("incident_management")
+    setup = build_network(machine, key_salt="http-tests", archive_dir=str(tmp_path))
+    servers = serve_network(setup.nodes)
+    served = {role: [] for role in servers}
+    for role, server in servers.items():
+        def respond(method, path, body, respond=server.httpd.respond, log=served[role]):
+            status, content_type, reply = respond(method, path, body)
+            if path == b"/propose" and status == 200:
+                log.append(reply)
+            return status, content_type, reply
+        server.httpd.respond = respond
+    variant = load_variants("incident_management")[0]
+    try:
+        for req in variant:
+            _enact(servers, req)
+    finally:
+        for server in servers.values():
+            server.stop()
+    assert sum(map(len, served.values())) == (len(servers) - 1) * len(variant)
+    confirms = set()
+    for role in servers:
+        lines = (tmp_path / f"{role}.hex").read_text().splitlines()
+        kinds = [ChannelMessage.from_wire(bytes.fromhex(line)).kind for line in lines]
+        assert all(line == bytes.fromhex(line).hex() for line in lines)
+        assert [bytes.fromhex(line) for line, kind in zip(lines, kinds)
+                if kind is MessageKind.SIGN] == served[role]
+        confirms.add(tuple(line for line, kind in zip(lines, kinds)
+                           if kind is MessageKind.CONFIRM))
+    (steps,) = confirms
+    assert [ChannelMessage.from_wire(bytes.fromhex(line)).signed.payload.seq
+            for line in steps] == list(range(1, len(variant) + 1))

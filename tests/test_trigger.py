@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import json
 import warnings
 
 import pytest
@@ -33,6 +32,12 @@ def variant():
 
 def fresh(machine, **kwargs):
     return build_network(machine, key_salt="trigger-tests", **kwargs)
+
+
+def _archive(tmp_path, role) -> list[ChannelMessage]:
+    """The envelopes in `role`'s archive file, one per line."""
+    return [ChannelMessage.from_wire(bytes.fromhex(line))
+            for line in (tmp_path / f"{role}.hex").read_text().splitlines()]
 
 
 def test_happy_path_all_nodes_agree(machine, variant):
@@ -176,7 +181,7 @@ def test_on_propose_rejects_bad_signature(monkeypatch, machine, variant, tmp_pat
     signs = counting_calls(monkeypatch, "sign_step")
     assert carrier.on_propose(msg) is None
     assert (len(verifies), signs) == (1, [])
-    assert carrier.signed is None and not (tmp_path / "carrier.jsonl").exists()
+    assert carrier.signed is None and not (tmp_path / "carrier.hex").exists()
     assert [t.kind for t in setup.ledger.log] == [TxKind.DEPLOY]
 
 
@@ -326,14 +331,25 @@ def test_close_vs_stale_submission_race(machine, variant):
 
 def test_archive_flushed_before_confirm(machine, variant, tmp_path):
     setup = build_network(machine, key_salt="durability", archive_dir=str(tmp_path))
-    assert setup.nodes["bulk_buyer"].enact(variant[0]).confirmed
-    # Signer journal: the signed payload is on disk before the Sign reply.
-    supplier_log = (tmp_path / "supplier.jsonl").read_text().splitlines()
-    kinds = [json.loads(line)["type"] for line in supplier_log]
-    assert kinds[0] == "signed"
-    assert "step" in kinds
-    initiator_log = (tmp_path / "bulk_buyer.jsonl").read_text().splitlines()
-    assert any(json.loads(line)["type"] == "step" for line in initiator_log)
+    initiator = variant[0].requester_role
+    deliver = setup.network.request
+    on_disk = []
+
+    def watching(target, message):
+        if message.kind is MessageKind.CONFIRM:
+            # The initiator's Confirm is on disk before it is sent.
+            on_disk.append(_archive(tmp_path, initiator)[-1] == message)
+        reply = deliver(target, message)
+        if reply is not None:
+            # A signer's Sign is on disk before it is returned.
+            on_disk.append(_archive(tmp_path, target)[-1] == reply)
+        return reply
+
+    setup.network.request = watching
+    assert setup.nodes[initiator].enact(variant[0]).confirmed
+    assert on_disk == [True] * 2 * (len(setup.nodes) - 1)
+    assert [m.kind for m in _archive(tmp_path, "supplier")] == [MessageKind.SIGN,
+                                                                MessageKind.CONFIRM]
 
 
 def test_archive_leaves_no_file_open(machine, variant, tmp_path):
@@ -344,7 +360,7 @@ def test_archive_leaves_no_file_open(machine, variant, tmp_path):
         del setup
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
-    assert len((tmp_path / "supplier.jsonl").read_text().splitlines()) == 2
+    assert len(_archive(tmp_path, "supplier")) == 2
 
 
 def test_prefilter_disabled_proposes_and_network_rejects(machine, variant):
@@ -482,20 +498,19 @@ def test_every_archive_line_decodes_as_a_signed_step(machine, variant, tmp_path)
         assert setup.nodes[req.requester_role].enact(req).confirmed
     role_keys = setup.ledger.role_keys(setup.contract_id)
     for role, node in setup.nodes.items():
-        types = []
-        for line in (tmp_path / f"{role}.jsonl").read_text().splitlines():
-            record = json.loads(line)
-            signed = SignedStep.from_wire(record["record"])
-            types.append(record["type"])
-            if record["type"] == "signed":
+        kinds = []
+        for message in _archive(tmp_path, role):
+            signed = message.signed
+            kinds.append(message.kind)
+            if message.kind is MessageKind.SIGN:
                 assert list(signed.signatures) == [role]
                 assert verify_step(signed.payload, signed.signatures[role], role_keys[role])
             else:
+                assert message.kind is MessageKind.CONFIRM
                 assert signed.verify_all(role_keys)
                 assert signed == node.archive.by_seq(0, signed.payload.seq)
-        assert set(types) <= {"signed", "step"}
-        assert types.count("step") == len(variant)
-        assert types.count("signed") == sum(1 for r in variant if r.requester_role != role)
+        assert kinds.count(MessageKind.CONFIRM) == len(variant)
+        assert kinds.count(MessageKind.SIGN) == sum(1 for r in variant if r.requester_role != role)
 
 
 def test_a_reset_drops_the_old_case_from_memory_but_not_from_the_file(machine, variant, tmp_path):
@@ -510,8 +525,8 @@ def test_a_reset_drops_the_old_case_from_memory_but_not_from_the_file(machine, v
         assert node.case_id == 1
         assert node.archive.max_complete(0) is None
         assert node.archive.by_seq(0, 1) is None
-        records = [json.loads(line) for line in (tmp_path / f"{role}.jsonl").read_text().splitlines()]
-        steps = [SignedStep.from_wire(r["record"]).payload for r in records if r["type"] == "step"]
+        steps = [m.signed.payload for m in _archive(tmp_path, role)
+                 if m.kind is MessageKind.CONFIRM]
         assert [(p.case_id, p.seq) for p in steps] == [(0, seq) for seq in range(1, len(variant) + 1)]
 
 
