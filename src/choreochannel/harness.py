@@ -373,7 +373,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
             raise ScenarioError("worst case needs at least two events to have stale state")
         _enact_events(setup, trace.events[:off_chain])
         adversary = setup.nodes[rng.choice(machine.role_ids)]
-        stale = adversary.archive.by_seq(adversary.case_id, 1)
+        stale = adversary.archive.by_seq(1)
         result = setup.ledger.submit_state(setup.contract_id, stale, adversary.address)
         if not isinstance(result, Accepted):
             raise ScenarioError(f"stale submission rejected outright: {result}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .machine import (
@@ -77,7 +77,6 @@ class CostParams:
 
 @dataclass(frozen=True)
 class CostRecord:
-    tx_kind: TxKind
     cost_units: int
     payload_bytes: int
     sig_count: int
@@ -85,7 +84,6 @@ class CostRecord:
 
     def to_wire(self) -> dict:
         return {
-            "tx_kind": self.tx_kind.value,
             "cost_units": self.cost_units,
             "payload_bytes": self.payload_bytes,
             "sig_count": self.sig_count,
@@ -119,7 +117,7 @@ class TxRecord:
             "case_id": self.case_id,
             "contract_seq": self.contract_seq,
             "payload_seq": self.payload_seq,
-            "cost": self.cost.to_wire(),
+            "cost": {"tx_kind": self.kind.value, **self.cost.to_wire()},
         }
 
 
@@ -149,14 +147,12 @@ class ChannelContract:
     case_id: int = 0
     phase: Phase = Phase.CHANNEL_OPEN
     dispute_deadline: int | None = None
-    closed_cases: list[dict] = field(default_factory=list)
     # Set only by deploy_baseline: the contract never leaves ON_CHAIN.
     baseline: bool = False
 
 
 @dataclass(frozen=True)
 class ContractView:
-    contract_id: bytes
     phase: Phase
     seq: int
     case_id: int
@@ -184,7 +180,7 @@ class Ledger:
 
     # -- cost model -------------------------------------------------------
 
-    def _units(self, kind: TxKind, payload_bytes: int, sig_count: int, words: int,
+    def _units(self, payload_bytes: int, sig_count: int, words: int,
                surcharge: int = 0) -> CostRecord:
         p = self.params
         units = (
@@ -194,7 +190,7 @@ class Ledger:
             + p.per_storage_write * words
             + surcharge
         )
-        return CostRecord(kind, units, payload_bytes, sig_count, words)
+        return CostRecord(units, payload_bytes, sig_count, words)
 
     def _deploy_cost(self, machine: ProcessStateMachine, channel: bool) -> CostRecord:
         p = self.params
@@ -207,25 +203,26 @@ class Ledger:
         writes = (p.channel_deploy_writes if channel else p.baseline_deploy_writes) + len(
             machine.role_ids
         )
-        return self._units(TxKind.DEPLOY, payload, 0, writes)
+        return self._units(payload, 0, writes)
 
     def _state_words(self, machine: ProcessStateMachine) -> int:
         bits_per_word = 8 * self.params.word_bytes
         return max(1, -(-machine.place_count // bits_per_word))
 
-    def _step_tx_cost(self, kind: TxKind, machine: ProcessStateMachine, sig_count: int) -> CostRecord:
+    def _step_tx_cost(self, machine: ProcessStateMachine) -> CostRecord:
+        """A fully signed step: every role's signature is posted and checked."""
         p = self.params
+        sig_count = len(machine.role_ids)
         payload = (
             (p.step_calldata_head_words + self._state_words(machine)) * p.word_bytes
             + sig_count * p.signature_bytes
         )
-        return self._units(kind, payload, sig_count, p.submit_writes)
+        return self._units(payload, sig_count, p.submit_writes)
 
     def _task_cost(self, with_dispute_check: bool) -> CostRecord:
         p = self.params
         surcharge = p.dispute_check_surcharge if with_dispute_check else 0
-        return self._units(TxKind.ON_CHAIN_TASK, p.task_calldata_words * p.word_bytes, 0,
-                           p.task_writes, surcharge)
+        return self._units(p.task_calldata_words * p.word_bytes, 0, p.task_writes, surcharge)
 
     # -- transaction log --------------------------------------------------
 
@@ -309,7 +306,6 @@ class Ledger:
     def get_contract(self, contract_id: bytes) -> ContractView:
         c = self.contracts[contract_id]
         return ContractView(
-            contract_id=c.contract_id,
             phase=c.phase,
             seq=c.seq,
             case_id=c.case_id,
@@ -357,8 +353,7 @@ class Ledger:
         contract = self.contracts.get(contract_id)
         if contract is None:
             return Rejected("unknown-contract")
-        cost = self._step_tx_cost(TxKind.SUBMIT_STATE, contract.machine,
-                                  len(contract.machine.role_ids))
+        cost = self._step_tx_cost(contract.machine)
         reason = self._check_signed(contract, signed, (Phase.CHANNEL_OPEN, Phase.DISPUTE))
         if reason is not None:
             return self._reject(TxKind.SUBMIT_STATE, contract, sender, signed.payload.seq,
@@ -382,7 +377,7 @@ class Ledger:
             if contract.phase is Phase.DISPUTE and contract.dispute_deadline is not None \
                     and contract.dispute_deadline <= self.height:
                 if is_end_state(contract.machine, contract.current_state):
-                    self._finalize_case(contract, "dispute-window-expired-at-end")
+                    self._finalize_case(contract)
                 else:
                     contract.phase = Phase.ON_CHAIN
                     contract.dispute_deadline = None
@@ -411,14 +406,14 @@ class Ledger:
         self._record(TxKind.ON_CHAIN_TASK, contract_id, sender, True, None,
                      contract.case_id, contract.seq, None, cost)
         if is_end_state(contract.machine, new_state):
-            self._finalize_case(contract, "completed-on-chain")
+            self._finalize_case(contract)
         return Accepted(contract.seq, contract.phase, new_state)
 
     def close_channel(self, contract_id: bytes, final: SignedStep, sender: bytes) -> SubmitResult:
         contract = self.contracts.get(contract_id)
         if contract is None:
             return Rejected("unknown-contract")
-        cost = self._step_tx_cost(TxKind.CLOSE, contract.machine, len(contract.machine.role_ids))
+        cost = self._step_tx_cost(contract.machine)
         reason = self._check_signed(contract, final, (Phase.CHANNEL_OPEN,))
         if reason is None:
             final_state = contract.machine.state_from_bytes(final.payload.new_state)
@@ -427,27 +422,14 @@ class Ledger:
         if reason is not None:
             return self._reject(TxKind.CLOSE, contract, sender, final.payload.seq, cost, reason)
 
-        closing_case = contract.case_id
-        contract.current_state = final_state
-        contract.seq = final.payload.seq
         self._record(TxKind.CLOSE, contract_id, sender, True, None,
-                     closing_case, contract.seq, final.payload.seq, cost)
-        self._finalize_case(contract, "closed-unanimously")
+                     contract.case_id, final.payload.seq, final.payload.seq, cost)
+        self._finalize_case(contract)
         return Accepted(0, contract.phase, contract.current_state)
 
-    def _finalize_case(self, contract: ChannelContract, mode: str) -> None:
-        """Pass through CLOSED, then reset so the contract serves the next case;
-        a baseline contract stays on-chain."""
-        contract.closed_cases.append(
-            {
-                "case_id": contract.case_id,
-                "final_state": hex(contract.current_state),
-                "final_seq": contract.seq,
-                "height": self.height,
-                "mode": mode,
-                "phase": Phase.CLOSED.value,
-            }
-        )
+    def _finalize_case(self, contract: ChannelContract) -> None:
+        """Reset the contract to serve the next case; a baseline contract stays
+        on-chain. Only the ledger log records how the case ended."""
         contract.case_id += 1
         contract.seq = 0
         contract.current_state = contract.machine.initial_state

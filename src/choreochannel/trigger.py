@@ -62,13 +62,14 @@ class ArchiveStore:
     line is a Confirm it sent or installed. Every line is flushed before the
     node sends the message that depends on it.
 
-    The file holds every envelope of every case. Memory holds only the complete
-    steps of the node's current case, the only ones a dispute, counter or
-    close can still use: `start_case` drops the rest when the node moves on.
+    The file holds every envelope of every case. Memory holds the complete
+    steps of the node's current case in seq order, the only ones a dispute,
+    counter or close can still use: `start_case` drops them when the node
+    moves on. A node appends only the step at its seq + 1, so the last step
+    held is the highest.
     """
 
     def __init__(self, path: str | None):
-        self._case_id = 0
         self._steps: list[SignedStep] = []
         self._path = path
 
@@ -78,9 +79,8 @@ class ArchiveStore:
             with open(self._path, "a", encoding="ascii") as fh:
                 fh.write(message.to_wire().hex() + "\n")
 
-    def start_case(self, case_id: int) -> None:
+    def start_case(self) -> None:
         """Forget the steps held for the previous case."""
-        self._case_id = case_id
         self._steps = []
 
     def note_signed(self, sign: ChannelMessage) -> None:
@@ -90,14 +90,10 @@ class ArchiveStore:
         self._write(confirm)
         self._steps.append(confirm.signed)
 
-    def max_complete(self, case_id: int) -> SignedStep | None:
-        if case_id != self._case_id or not self._steps:
-            return None
-        return max(self._steps, key=lambda s: s.payload.seq)
+    def latest(self) -> SignedStep | None:
+        return self._steps[-1] if self._steps else None
 
-    def by_seq(self, case_id: int, seq: int) -> SignedStep | None:
-        if case_id != self._case_id:
-            return None
+    def by_seq(self, seq: int) -> SignedStep | None:
         for s in self._steps:
             if s.payload.seq == seq:
                 return s
@@ -344,12 +340,14 @@ class TriggerNode:
         """Every role signed the slot's payload (equal to the Confirm's). A
         signature byte-equal to one the slot holds was checked in on_propose,
         or made here, and is not verified again; any other goes through
-        verify_step. Checking over the slot's payload reuses its encoding."""
+        verify_step. Checking over the slot's payload reuses its encoding.
+        A Confirm signed by any set of roles but exactly the contract's is
+        refused, so every node archives the same bytes for a step."""
+        if confirm.signatures.keys() != self.role_keys.keys():
+            return False
         slot = self.signed
         for role, key in self.role_keys.items():
-            sig = confirm.signatures.get(role)
-            if sig is None:
-                return False
+            sig = confirm.signatures[role]
             if sig != slot.signatures.get(role) and not verify_step(slot.payload, sig, key):
                 return False
         return True
@@ -372,7 +370,7 @@ class TriggerNode:
         (the watcher duty covers that). Reads the contract, and so refreshes
         `observed_phase`, once there is an archived step.
         """
-        latest = self.archive.max_complete(self.case_id)
+        latest = self.archive.latest()
         if latest is None:
             self._note("dispute intended but no complete step archived yet")
             return None
@@ -400,17 +398,16 @@ class TriggerNode:
             self._reset_for_case(view.case_id)
             return
         if view.phase is Phase.DISPUTE:
-            latest = self.archive.max_complete(self.case_id)
+            latest = self.archive.latest()
             if latest is not None and view.seq < latest.payload.seq:
-                result = self.ledger.submit_state(self.contract_id, latest, self.address)
-                self._note(f"countered stale state with seq {latest.payload.seq}: {result}")
+                self._submit_dispute(latest)
         elif view.phase is Phase.ON_CHAIN:
             self.state = view.current_state
             self.seq = view.seq
 
     def _reset_for_case(self, case_id: int) -> None:
         self.case_id = case_id
-        self.archive.start_case(case_id)
+        self.archive.start_case()
         self.seq = 0
         self.state = self.machine.initial_state
         self.pending = None
@@ -422,7 +419,7 @@ class TriggerNode:
         """Submit the archived final step to close the case unanimously."""
         if not is_end_state(self.machine, self.state):
             return EnactResult("rejected", error="not-at-end-state")
-        final = self.archive.max_complete(self.case_id)
+        final = self.archive.latest()
         if final is None:
             return EnactResult("rejected", error="no-archived-final-step")
         result = self.ledger.close_channel(self.contract_id, final, self.address)

@@ -151,7 +151,7 @@ def test_criterion_7_replay_protection():
     for req in variant:
         assert setup.nodes[req.requester_role].enact(req).confirmed
     closer = setup.nodes[variant[-1].requester_role]
-    final = closer.archive.max_complete(0)
+    final = closer.archive.latest()
     assert closer.close().confirmed
     # Case 0 evidence against case 1: rejected both as submission and closure.
     sender = setup.addresses[closer.role]

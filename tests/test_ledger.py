@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import pytest
@@ -201,6 +202,10 @@ def _force_on_chain(machine, variant, count=5, window=5):
     return ledger, cid, keys, addrs
 
 
+def _last_accepted(ledger, case_id):
+    return [t for t in ledger.log if t.accepted and t.case_id == case_id][-1]
+
+
 def test_on_chain_step_accepts_correct_sender(machine, variant):
     ledger, cid, keys, addrs = _force_on_chain(machine, variant)
     req = variant[5]
@@ -230,8 +235,7 @@ def test_full_remainder_on_chain_reaches_end_and_resets(machine, variant):
     assert view.case_id == 1
     assert view.phase is Phase.CHANNEL_OPEN
     assert view.seq == 0
-    contract = ledger.contracts[cid]
-    assert contract.closed_cases[0]["mode"] == "completed-on-chain"
+    assert _last_accepted(ledger, case_id=0).kind is TxKind.ON_CHAIN_TASK
 
 
 def test_close_happy_path_resets_case(machine, variant):
@@ -243,7 +247,34 @@ def test_close_happy_path_resets_case(machine, variant):
     assert view.case_id == 1
     assert view.phase is Phase.CHANNEL_OPEN
     assert view.current_state == machine.initial_state
-    assert ledger.contracts[cid].closed_cases[0]["mode"] == "closed-unanimously"
+    assert _last_accepted(ledger, case_id=0).kind is TxKind.CLOSE
+
+
+def test_contract_state_does_not_grow_across_cases(machine, variant):
+    """Each way a case can end leaves the contract as the first close did,
+    apart from the case id: the contract keeps no history of past cases."""
+    ledger, cid, keys, addrs = make_channel(machine, window=5)
+    contract = ledger.contracts[cid]
+
+    def without_case_id():
+        return {k: copy.deepcopy(v) for k, v in vars(contract).items() if k != "case_id"}
+
+    n = len(variant)
+    final = signed_after(machine, cid, keys, variant, n, case_id=0)
+    assert isinstance(ledger.close_channel(cid, final, addrs["carrier"]), Accepted)
+    after_first = without_case_id()
+
+    final = signed_after(machine, cid, keys, variant, n, case_id=1)
+    assert isinstance(ledger.submit_state(cid, final, addrs["carrier"]), Accepted)
+    ledger.advance_blocks(5)  # the window expires on an end state
+    assert contract.case_id == 2 and without_case_id() == after_first
+
+    partial = signed_after(machine, cid, keys, variant, 5, case_id=2)
+    assert isinstance(ledger.submit_state(cid, partial, addrs["carrier"]), Accepted)
+    ledger.advance_blocks(5)
+    for req in variant[5:]:
+        assert isinstance(ledger.on_chain_step(cid, req, addrs[req.requester_role]), Accepted)
+    assert contract.case_id == 3 and without_case_id() == after_first
 
 
 def test_close_rejects_mid_process_state(machine, variant):

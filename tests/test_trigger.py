@@ -219,7 +219,7 @@ def test_on_confirm_installs_full_set(machine, variant):
     assert setup.nodes["bulk_buyer"].enact(variant[0]).confirmed
     supplier = setup.nodes["supplier"]
     assert supplier.seq == 1
-    assert supplier.archive.max_complete(0).payload.seq == 1
+    assert supplier.archive.latest().payload.seq == 1
 
 
 def test_on_confirm_rejects_missing_signature(machine, variant):
@@ -262,7 +262,7 @@ def test_watch_chain_counters_stale_state(machine, variant):
     for req in variant[:4]:
         assert setup.nodes[req.requester_role].enact(req).confirmed
     adversary = setup.nodes["middleman"]
-    result = setup.ledger.submit_state(setup.contract_id, adversary.archive.by_seq(0, 2),
+    result = setup.ledger.submit_state(setup.contract_id, adversary.archive.by_seq(2),
                                        adversary.address)
     assert isinstance(result, Accepted)
     assert setup.ledger.get_contract(setup.contract_id).seq == 2
@@ -313,7 +313,7 @@ def test_close_vs_stale_submission_race(machine, variant):
     for req in variant:
         assert setup.nodes[req.requester_role].enact(req).confirmed
     adversary = setup.nodes["supplier"]
-    stale = adversary.archive.by_seq(0, 3)
+    stale = adversary.archive.by_seq(3)
     assert isinstance(setup.ledger.submit_state(setup.contract_id, stale, adversary.address),
                       Accepted)
     closer = setup.nodes[variant[-1].requester_role]
@@ -438,7 +438,7 @@ def test_bad_sign_reply_leaves_the_initiator_unchanged(machine, variant):
     result = initiator.enact(variant[0])
     assert (result.status, result.error) == ("rejected", "missing-signatures")
     assert (initiator.seq, initiator.pending) == (0, None)
-    assert initiator.archive.max_complete(0) is None
+    assert initiator.archive.latest() is None
     assert any("invalid sign reply from carrier" in e for e in initiator.events)
     assert [t.kind for t in setup.ledger.log] == [TxKind.DEPLOY]
 
@@ -508,26 +508,45 @@ def test_every_archive_line_decodes_as_a_signed_step(machine, variant, tmp_path)
             else:
                 assert message.kind is MessageKind.CONFIRM
                 assert signed.verify_all(role_keys)
-                assert signed == node.archive.by_seq(0, signed.payload.seq)
+                assert signed == node.archive.by_seq(signed.payload.seq)
         assert kinds.count(MessageKind.CONFIRM) == len(variant)
         assert kinds.count(MessageKind.SIGN) == sum(1 for r in variant if r.requester_role != role)
+
+
+def _assert_steps_held_in_seq_order(setup, count):
+    """Every node holds the steps 1..count in order; `latest()` relies on it."""
+    for node in setup.nodes.values():
+        steps = node.archive._steps
+        assert [s.payload.seq for s in steps] == list(range(1, count + 1))
+        assert node.archive.latest() is steps[-1]
 
 
 def test_a_reset_drops_the_old_case_from_memory_but_not_from_the_file(machine, variant, tmp_path):
     setup = fresh(machine, archive_dir=str(tmp_path))
     for req in variant:
         assert setup.nodes[req.requester_role].enact(req).confirmed
+    _assert_steps_held_in_seq_order(setup, len(variant))
     closer = setup.nodes[variant[-1].requester_role]
-    assert closer.archive.max_complete(0).payload.seq == len(variant)
+    assert closer.archive.latest().payload.seq == len(variant)
     assert closer.close().confirmed
     setup.network.poll_all()
     for role, node in setup.nodes.items():
         assert node.case_id == 1
-        assert node.archive.max_complete(0) is None
-        assert node.archive.by_seq(0, 1) is None
+        assert node.archive.latest() is None
+        assert node.archive.by_seq(1) is None
         steps = [m.signed.payload for m in _archive(tmp_path, role)
                  if m.kind is MessageKind.CONFIRM]
         assert [(p.case_id, p.seq) for p in steps] == [(0, seq) for seq in range(1, len(variant) + 1)]
+    # Case 1: a dispute halfway, then the rest of the case off-chain while
+    # the window is open.
+    half = len(variant) // 2
+    for req in variant[:half]:
+        assert setup.nodes[req.requester_role].enact(req).confirmed
+    assert setup.nodes[variant[half].requester_role].raise_dispute()
+    for req in variant[half:]:
+        assert setup.nodes[req.requester_role].enact(req).confirmed
+    assert setup.ledger.get_contract(setup.contract_id).phase is Phase.DISPUTE
+    _assert_steps_held_in_seq_order(setup, len(variant))
 
 
 def test_archive_memory_is_bounded_across_closed_cases(incident_machine, incident_variants):
@@ -550,7 +569,7 @@ def test_raise_dispute_after_the_case_closed_sends_nothing(machine, variant):
         assert setup.nodes[req.requester_role].enact(req).confirmed
     assert setup.nodes[variant[-1].requester_role].close().confirmed
     carrier = setup.nodes["carrier"]  # still on case 0: it has not polled
-    assert carrier.case_id == 0 and carrier.archive.max_complete(0) is not None
+    assert carrier.case_id == 0 and carrier.archive.latest() is not None
     assert carrier.raise_dispute() is False
     assert [t.kind for t in setup.ledger.log] == [TxKind.DEPLOY, TxKind.CLOSE]
 
@@ -593,7 +612,7 @@ def _confirm_refused_by_carrier(setup, variant, role, forge):
     manufacturer.transport = TamperedConfirm(setup.network, "carrier", role, forge)
     assert manufacturer.enact(variant[1]).confirmed  # every other peer installed it
     assert (carrier.seq, carrier.state) == before
-    assert carrier.archive.max_complete(0).payload.seq == 1
+    assert carrier.archive.latest().payload.seq == 1
     assert any("incomplete signature set" in e for e in carrier.events)
     # carrier disputed with the last step it holds.
     disputes = [t for t in setup.ledger.log if t.kind is TxKind.SUBMIT_STATE]
@@ -611,6 +630,20 @@ def test_confirm_with_a_corrupted_third_party_signature_is_refused(machine, vari
         return bytes(sig)
 
     _confirm_refused_by_carrier(setup, variant, "supplier", corrupt)
+
+
+@pytest.mark.parametrize("extra", ["zz-extra", "x" * 300], ids=["extra-role", "long-role-id"])
+def test_confirm_with_a_signer_outside_the_roles_is_refused(machine, variant, tmp_path, extra):
+    """A signature set must be exactly the contract's roles: an extra signer
+    would make this node archive other bytes for the step than its peers,
+    and a role id too long to encode would make the archive write fail."""
+    setup = fresh(machine, archive_dir=str(tmp_path))
+    _confirm_refused_by_carrier(setup, variant, extra,
+                                lambda signed: sign_step(signed.payload, setup.keys["carrier"]))
+    confirms = {role: [m.to_wire() for m in _archive(tmp_path, role)
+                       if m.kind is MessageKind.CONFIRM] for role in setup.nodes}
+    assert len(confirms["carrier"]) == 1
+    assert all(lines[0] == confirms["carrier"][0] for lines in confirms.values())
 
 
 @pytest.mark.parametrize("role", ["manufacturer", "carrier"])
@@ -666,7 +699,7 @@ def test_confirm_for_another_payload_with_the_slot_signatures_is_refused(machine
     other = dataclasses.replace(payload, choice_data=b"\x01")
     assert supplier.on_confirm(ChannelMessage(MessageKind.CONFIRM, SignedStep(other, sigs))) is False
     assert (supplier.seq, supplier.state) == (0, machine.initial_state)
-    assert supplier.archive.max_complete(0) is None
+    assert supplier.archive.latest() is None
 
 
 def _second_task_by_bulk_buyer(setup, machine, variant, signer_key=None):
@@ -746,6 +779,6 @@ def test_initiator_stops_verifying_replies_once_one_is_missing(
     assert [args[2] for args in calls if id(args[2]) in mine] == [
         initiator.role_keys[p] for p in peers[:silenced]]
     # ... but every peer that can be reached still got the Propose and signed it.
-    assert initiator.archive.max_complete(0) is None
+    assert initiator.archive.latest() is None
     assert [setup.nodes[p].signed is not None for p in peers] == [
         p != peers[silenced] for p in peers]
