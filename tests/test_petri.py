@@ -315,19 +315,28 @@ PINNED_MODELS = [(seed, {}) for seed in range(300)] + [
 ]
 
 
+def net_shape(net: InteractionNet) -> str:
+    """A net's places, transition ids, sorted arcs, labels and final places."""
+    arcs = sorted([(p, t.id) for t in net.transitions for p in t.inputs]
+                  + [(t.id, p) for t in net.transitions for p in t.outputs])
+    return repr((net.places, [t.id for t in net.transitions], arcs,
+                 [t.label for t in net.transitions], sorted(net.final_places)))
+
+
 def explorer_digest() -> str:
-    """Digest of every safeness verdict, and of the reduction's equivalence
-    verdict for each safe net, over PINNED_MODELS."""
+    """Digest of every safeness verdict, and for each safe net of the reduced
+    net and the reduction's equivalence verdict, over PINNED_MODELS."""
     digest = hashlib.sha256()
     for seed, size in PINNED_MODELS:
         net = to_interaction_net(random_model(seed, **size))
         verdict = check_safeness(net)
         line = f"{seed} {size} {verdict!r}"
         if isinstance(verdict, SafeOk):
-            line += f" {traces_equivalent(net, reduce_net(net), 10)}"
+            reduced = reduce_net(net)
+            line += f" {traces_equivalent(net, reduced, 10)} {net_shape(reduced)}"
         digest.update(line.encode() + b"\n")
     return digest.hexdigest()
 
 
 def test_explorers_pinned_over_random_models():
-    assert explorer_digest() == "f11741153af8114ee906f8b9ca9a9f6da86523474ea56295fc07d264efba4e90"
+    assert explorer_digest() == "ac7180f62546b19d9adfd8882c1984bfdb34e4e242aab074d7fd5d39b116178a"
