@@ -4,10 +4,12 @@ The net is the middle layer between the parsed choreography and the compiled
 state machine. Labelled transitions carry initiator/respondent roles; silent
 transitions come from gateways and empty exclusive branches. Reduction removes
 silent transitions only where the observable trace language provably stays
-the same. Every explorer, and the compiler, works on one int-marking view of
-a net (`InteractionNet.ints`), and `traces_equivalent` is the one language
-oracle: it compares a net or a compiled machine with another, so it backs
-both the reduction rules and compilation.
+the same. Every explorer, the reducer and the compiler work on one
+int-marking view of a net (`InteractionNet.ints`): the reducer rewrites its
+consume/produce masks and names places again only for the reduced net.
+`traces_equivalent` is the one language oracle: it compares a net or a
+compiled machine with another, so it backs both the reduction rules and
+compilation.
 """
 
 from __future__ import annotations
@@ -77,9 +79,6 @@ class InteractionNet:
 
     def silent_count(self) -> int:
         return sum(1 for t in self.transitions if t.silent)
-
-    def labelled(self) -> tuple[NetTransition, ...]:
-        return tuple(t for t in self.transitions if not t.silent)
 
 
 class StateSpaceError(RuntimeError):
@@ -242,127 +241,119 @@ def reduce_net(net: InteractionNet) -> InteractionNet:
     Guards keep initial/final places intact and never touch a rule application
     that would need arc weights or would drop completion information, so some
     silent transitions can legitimately survive.
+
+    The rules rewrite rows [id, consume mask, produce mask, label] taken from
+    `net.ints`; the reduced net is built from the rows once, at the end.
     """
-    places = list(net.places)
-    trans: list[dict] = [
-        {"id": t.id, "inputs": set(t.inputs), "outputs": set(t.outputs), "label": t.label}
-        for t in net.transitions
-    ]
-    initial = net.initial_place
-    finals = set(net.final_places)
-    while _rewrite_once(trans, places, initial, finals):
-        pass
+    pairs = tuple(zip(net.transitions, net.ints.masks))
+    rows = [[t.id, consume, produce, t.label] for t, (consume, produce) in pairs]
+    gone = 0
+    while (deleted := _rewrite_once(rows, net)) is not None:
+        gone |= deleted
+
+    # Masks no rule rewrote map back to the input's own frozensets.
+    sets = {consume: t.inputs for t, (consume, _) in pairs}
+    sets.update({produce: t.outputs for t, (_, produce) in pairs})
+
+    def named(mask: int) -> frozenset[str]:
+        if mask not in sets:
+            names, rest = [], mask
+            while rest:
+                low = rest & -rest
+                names.append(_place(net, low))
+                rest ^= low
+            sets[mask] = frozenset(names)
+        return sets[mask]
 
     return InteractionNet(
-        places=tuple(places),
-        transitions=tuple(
-            NetTransition(t["id"], frozenset(t["inputs"]), frozenset(t["outputs"]), t["label"])
-            for t in trans
-        ),
-        initial_place=initial,
-        final_places=frozenset(finals),
+        places=tuple(p for i, p in enumerate(net.places) if not gone >> i & 1),
+        transitions=tuple(NetTransition(tid, named(consume), named(produce), label)
+                          for tid, consume, produce, label in rows),
+        initial_place=net.initial_place,
+        final_places=net.final_places,
     )
 
 
-def _producers(trans: list[dict], p: str) -> list[dict]:
-    return [t for t in trans if p in t["outputs"]]
+def _place(net: InteractionNet, bit: int) -> str:
+    """The name of the place at the one set bit of `bit`."""
+    return net.places[bit.bit_length() - 1]
 
 
-def _consumers(trans: list[dict], p: str) -> list[dict]:
-    return [t for t in trans if p in t["inputs"]]
+def _single(mask: int) -> bool:
+    """The mask holds exactly one place."""
+    return mask != 0 and mask & (mask - 1) == 0
 
 
-def _rule_noop(t, trans, places, initial, finals) -> bool:
-    if t["inputs"] != t["outputs"]:
-        return False
-    trans.remove(t)
-    return True
+# Each rule takes the silent row at index i and either rewrites `rows`,
+# returning the mask of the places it deleted, or returns None untouched.
+
+def _rule_noop(i, rows, net) -> int | None:
+    _, consume, produce, _ = rows[i]
+    if consume != produce:
+        return None
+    del rows[i]
+    return 0
 
 
-def _rule_fuse_pre(t, trans, places, initial, finals) -> bool:
-    if len(t["inputs"]) != 1:
-        return False
-    (p,) = t["inputs"]
-    if p == initial or p in finals or p in t["outputs"]:
-        return False
-    if _consumers(trans, p) != [t]:
-        return False
-    prods = _producers(trans, p)
-    if any((u["outputs"] - {p}) & t["outputs"] for u in prods):
-        return False
+def _rule_fuse_pre(i, rows, net) -> int | None:
+    _, p, produce, _ = t = rows[i]
+    if not _single(p) or p & (net.ints.initial | net.ints.final | produce):
+        return None
+    if any(r[1] & p and r is not t for r in rows):
+        return None
+    prods = [u for u in rows if u[2] & p]
+    if any(u[2] & ~p & produce for u in prods):
+        return None
     for u in prods:
-        u["outputs"].discard(p)
-        u["outputs"].update(t["outputs"])
-    places.remove(p)
-    trans.remove(t)
-    return True
+        u[2] = u[2] & ~p | produce
+    del rows[i]
+    return p
 
 
-def _rule_fuse_post(t, trans, places, initial, finals) -> bool:
-    if len(t["outputs"]) != 1:
-        return False
-    (q,) = t["outputs"]
-    if q == initial or q in finals or q in t["inputs"]:
-        return False
-    if _producers(trans, q) != [t]:
-        return False
-    cons = _consumers(trans, q)
-    if not cons:
-        return False
-    if any((v["inputs"] - {q}) & t["inputs"] for v in cons):
-        return False
+def _rule_fuse_post(i, rows, net) -> int | None:
+    _, consume, q, _ = t = rows[i]
+    if not _single(q) or q & (net.ints.initial | net.ints.final | consume):
+        return None
+    if any(r[2] & q and r is not t for r in rows):
+        return None
+    cons = [v for v in rows if v[1] & q]
+    if not cons or any(v[1] & ~q & consume for v in cons):
+        return None
     for v in cons:
-        v["inputs"].discard(q)
-        v["inputs"].update(t["inputs"])
-    places.remove(q)
-    trans.remove(t)
-    return True
+        v[1] = v[1] & ~q | consume
+    del rows[i]
+    return q
 
 
-def _rule_bypass(t, trans, places, initial, finals) -> bool:
-    if len(t["inputs"]) != 1 or len(t["outputs"]) != 1:
-        return False
-    (p,) = t["inputs"]
-    (q,) = t["outputs"]
-    if p == q or q in finals:
-        return False
-    cons = _consumers(trans, q)
-    if not cons or any(c["label"] is None for c in cons):
-        return False
-    if any(p in c["inputs"] for c in cons):
-        return False
-    for c in cons:
-        dup_inputs = (c["inputs"] - {q}) | {p}
-        exists = any(
-            x["inputs"] == dup_inputs and x["outputs"] == c["outputs"] and x["label"] == c["label"]
-            for x in trans
-        )
-        if not exists:
-            trans.append(
-                {
-                    "id": f"{c['id']}__via_{p}",
-                    "inputs": set(dup_inputs),
-                    "outputs": set(c["outputs"]),
-                    "label": c["label"],
-                }
-            )
-    trans.remove(t)
-    return True
+def _rule_bypass(i, rows, net) -> int | None:
+    _, p, q, _ = rows[i]
+    if not (_single(p) and _single(q)) or p == q or q & net.ints.final:
+        return None
+    cons = [c for c in rows if c[1] & q]
+    if not cons or any(c[3] is None or c[1] & p for c in cons):
+        return None
+    for cid, consume, produce, label in cons:
+        dup = consume & ~q | p
+        if not any(x[1] == dup and x[2] == produce and x[3] == label for x in rows):
+            rows.append([f"{cid}__via_{_place(net, p)}", dup, produce, label])
+    del rows[i]
+    return 0
 
 
 _RULES = (_rule_noop, _rule_fuse_pre, _rule_fuse_post, _rule_bypass)
 
 
-def _rewrite_once(trans, places, initial, finals) -> bool:
+def _rewrite_once(rows, net) -> int | None:
     """Apply the first rule, in _RULES order, that fires on the first silent
-    transition any rule fires on. Each rewrite restarts the scan from the
-    first transition; the compiled layout depends on this order."""
-    for t in list(trans):
-        if t["label"] is None:
+    row any rule fires on, and return the mask of the places it deleted;
+    None when no rule fires. Each rewrite restarts the scan from the first
+    row; the compiled layout depends on this order."""
+    for i, row in enumerate(rows):
+        if row[3] is None:
             for rule in _RULES:
-                if rule(t, trans, places, initial, finals):
-                    return True
-    return False
+                if (deleted := rule(i, rows, net)) is not None:
+                    return deleted
+    return None
 
 
 def check_safeness(net: InteractionNet, state_bound: int = 20000) -> SafenessResult:
@@ -389,7 +380,7 @@ def check_safeness(net: InteractionNet, state_bound: int = 20000) -> SafenessRes
                 if double := rest & produce:
                     return UnsafeWitness(
                         firing_sequence=_witness(net, parents, marking, (consume, produce)),
-                        place=net.places[(double & -double).bit_length() - 1],
+                        place=_place(net, double & -double),
                     )
                 nxt = rest | produce
                 if nxt in parents:

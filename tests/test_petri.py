@@ -43,7 +43,7 @@ def test_one_task_net_shape():
 def test_parallel_net_pre_reduction():
     net = to_interaction_net(parallel_model())
     silents = [t for t in net.transitions if t.silent]
-    labelled = net.labelled()
+    labelled = [t for t in net.transitions if not t.silent]
     assert len(silents) == 2  # one split, one join
     assert len(labelled) == 2
     split = next(t for t in silents if len(t.outputs) == 2)
@@ -127,8 +127,8 @@ def test_reduce_never_removes_labelled():
     for model in (minimal_model(), parallel_model(), exclusive_model(), loop_model()):
         net = to_interaction_net(model)
         reduced = reduce_net(net)
-        original_labels = sorted(t.label.task_id for t in net.labelled())
-        surviving = {t.label.task_id for t in reduced.labelled()}
+        original_labels = sorted(t.label.task_id for t in net.transitions if not t.silent)
+        surviving = {t.label.task_id for t in reduced.transitions if not t.silent}
         assert set(original_labels) <= surviving
 
 
