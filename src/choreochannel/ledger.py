@@ -28,7 +28,6 @@ class Phase(Enum):
     CHANNEL_OPEN = "CHANNEL_OPEN"
     DISPUTE = "DISPUTE"
     ON_CHAIN = "ON_CHAIN"
-    CLOSED = "CLOSED"
 
 
 class TxKind(Enum):

@@ -249,7 +249,8 @@ class TriggerNode:
 
     def on_propose(self, msg: ChannelMessage) -> ChannelMessage | None:
         """Check a proposal; reply Sign if it conforms, otherwise stay silent
-        and dispute when it breaks the process.
+        and dispute when it breaks the process. A node that observes the
+        contract on-chain signs nothing off-chain and stays silent.
 
         The cheap checks come first. The proposer's signature is verified
         last, and only where the node then acts: before it signs, and before
@@ -263,6 +264,9 @@ class TriggerNode:
             return None
         if payload.case_id != self.case_id:
             self._note(f"proposal for case {payload.case_id}, local case is {self.case_id}")
+            return None
+        if self.observed_phase is Phase.ON_CHAIN:
+            self._note(f"proposal seq {payload.seq} ignored: contract is on-chain")
             return None
         key = self.role_keys.get(proposer)
         if key is None:
@@ -321,8 +325,12 @@ class TriggerNode:
             self._submit_dispute(latest)
 
     def on_confirm(self, msg: ChannelMessage) -> bool:
-        """Install a fully signed step this node signed for its next seq."""
+        """Install a fully signed step this node signed for its next seq,
+        unless the node observes the contract on-chain."""
         payload = msg.signed.payload
+        if self.observed_phase is Phase.ON_CHAIN:
+            self._note(f"confirm for seq {payload.seq} ignored: contract is on-chain")
+            return False
         if (self.signed is None or payload != self.signed.payload
                 or payload.seq != self.seq + 1):
             self._note(f"confirm for unknown step seq {payload.seq} ignored")
@@ -365,7 +373,7 @@ class TriggerNode:
         """The step a dispute would submit, or None when nothing would be sent.
 
         Nothing is sent without an archived complete step, or whenever the
-        contract can only refuse it: the case is on-chain, closed or over, or
+        contract can only refuse it: the case is on-chain or over, or
         a dispute is already pending at the same or a higher sequence number
         (the watcher duty covers that). Reads the contract, and so refreshes
         `observed_phase`, once there is an archived step.
@@ -376,7 +384,7 @@ class TriggerNode:
             return None
         view = self.ledger.get_contract(self.contract_id)
         self.observed_phase = view.phase
-        if view.phase in (Phase.ON_CHAIN, Phase.CLOSED) or view.case_id != self.case_id:
+        if view.phase is Phase.ON_CHAIN or view.case_id != self.case_id:
             self._note(f"contract is {view.phase.value} at case {view.case_id}, "
                        f"would refuse evidence for case {self.case_id}; holding it")
             return None

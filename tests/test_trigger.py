@@ -492,6 +492,53 @@ def test_raise_dispute_that_sees_on_chain_switches_enact_on_chain(machine, varia
                 if t.kind is TxKind.SUBMIT_STATE and not t.accepted]
 
 
+def test_peers_on_chain_stay_silent_on_an_off_chain_proposal(machine, variant):
+    """An initiator that has not polled since the window expired gets no
+    off-chain step signed: its peers observe ON_CHAIN and send nothing back,
+    and none of them disputes."""
+    setup = fresh(machine)
+    for req in variant[:3]:
+        assert setup.nodes[req.requester_role].enact(req).confirmed
+    setup.nodes["bulk_buyer"].raise_dispute()
+    setup.ledger.advance_blocks(10)
+    setup.network.poll_all(exclude={"middleman"})
+    middleman = setup.nodes["middleman"]
+    result = middleman.enact(variant[3])
+    assert (result.status, result.error) == ("rejected", "missing-signatures")
+    assert all(node.seq == 3 and node.archive.latest().payload.seq == 3
+               for node in setup.nodes.values())
+    assert all(any("contract is on-chain" in e for e in node.events)
+               for role, node in setup.nodes.items() if role != "middleman")
+    disputes = [t for t in setup.ledger.log if t.kind is TxKind.SUBMIT_STATE]
+    assert [t.sender for t in disputes] == [setup.addresses["bulk_buyer"]]
+    assert setup.ledger.get_contract(setup.contract_id).seq == 3
+    assert middleman.enact(variant[3]).confirmed
+    assert setup.ledger.log[-1].kind is TxKind.ON_CHAIN_TASK
+    assert setup.ledger.get_contract(setup.contract_id).seq == 4
+
+
+def test_node_on_chain_refuses_a_confirm_for_its_signed_slot(machine, variant):
+    setup = fresh(machine)
+    for req in variant[:2]:
+        assert setup.nodes[req.requester_role].enact(req).confirmed
+    setup.nodes["bulk_buyer"].raise_dispute()
+    setup.network.silence("bulk_buyer")
+    assert setup.nodes["middleman"].enact(variant[2]).status == "rejected"
+    supplier = setup.nodes["supplier"]
+    slot = supplier.signed.payload  # signed for seq 3, never confirmed
+    assert slot.seq == 3
+    setup.ledger.advance_blocks(10)
+    setup.network.poll_all()
+    assert supplier.observed_phase is Phase.ON_CHAIN
+    before = (supplier.seq, supplier.state)
+    assert before[0] == 2
+    sigs = {r: sign_step(slot, k) for r, k in setup.keys.items()}
+    assert supplier.on_confirm(ChannelMessage(MessageKind.CONFIRM, SignedStep(slot, sigs))) is False
+    assert (supplier.seq, supplier.state) == before
+    assert supplier.archive.latest().payload.seq == 2
+    assert any("contract is on-chain" in e for e in supplier.events)
+
+
 def test_every_archive_line_decodes_as_a_signed_step(machine, variant, tmp_path):
     setup = build_network(machine, key_salt="archive", archive_dir=str(tmp_path))
     for req in variant:
