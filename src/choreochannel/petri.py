@@ -284,8 +284,9 @@ def _single(mask: int) -> bool:
     return mask != 0 and mask & (mask - 1) == 0
 
 
-# Each rule takes the silent row at index i and either rewrites `rows`,
-# returning the mask of the places it deleted, or returns None untouched.
+# Each rule takes the silent row at index i and either rewrites `rows` and
+# returns the mask of the places it deleted, or leaves `rows` as they are
+# and returns None.
 
 def _rule_noop(i, rows, net) -> int | None:
     _, consume, produce, _ = rows[i]
