@@ -178,9 +178,14 @@ class TraceResult:
     index: int
     network_verdicts: tuple[bool, ...]
     oracle_verdicts: tuple[bool, ...]
-    first_reject: int | None
     stable: bool
     end_reached: bool
+
+    @property
+    def first_reject(self) -> int | None:
+        """Index of the first event the network refused, or None."""
+        verdicts = self.network_verdicts
+        return verdicts.index(False) if False in verdicts else None
 
     @property
     def agrees_with_oracle(self) -> bool:
@@ -245,7 +250,6 @@ def replay_conformance(case: str, traces: list[Trace], *, seed: int = 0) -> Clas
                 continue
             verdicts.append(node.enact(req).confirmed)
         oracle, _, _ = replay_trace(machine, trace.events)
-        first_reject = verdicts.index(False) if False in verdicts else None
         end_reached = all(
             is_end_state(machine, n.state) for n in setup.nodes.values()
         ) if verdicts and all(verdicts) else False
@@ -254,7 +258,6 @@ def replay_conformance(case: str, traces: list[Trace], *, seed: int = 0) -> Clas
                 index=index,
                 network_verdicts=tuple(verdicts),
                 oracle_verdicts=tuple(oracle),
-                first_reject=first_reject,
                 stable=setup.network.stable(),
                 end_reached=end_reached,
             )

@@ -4,7 +4,9 @@ The ledger is the sole serialisation point: every submitted transaction is
 applied one at a time in arrival order, and identical transaction sequences
 produce bit-identical logs. Costs are abstract units driven only by payload
 shape, so relative comparisons behave like gas without reproducing any
-chain-specific constants.
+chain-specific constants. A contract parses its role keys once, at deploy,
+and accepts a fully signed step only if its signers are exactly the roles,
+each signature valid: the rule its nodes apply to a Confirm.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+
 from .machine import (
     ConformanceError,
     ProcessStateMachine,
@@ -21,7 +25,7 @@ from .machine import (
     is_end_state,
     step,
 )
-from .wire import SignedStep, address_of
+from .wire import SignedStep, address_of, verify_step
 
 
 class Phase(Enum):
@@ -140,6 +144,8 @@ class ChannelContract:
     contract_id: bytes
     machine: ProcessStateMachine
     role_binding: dict[str, bytes]
+    # Parsed once at deploy, in role order; the channel's nodes share them.
+    role_keys: dict[str, Ed25519PublicKey]
     dispute_window: int
     current_state: int
     seq: int = 0
@@ -252,20 +258,22 @@ class Ledger:
 
     def deploy_channel(self, machine: ProcessStateMachine, role_binding: dict[str, bytes],
                        dispute_window: int, sender: bytes = b"") -> bytes:
-        self._check_binding(machine, role_binding)
+        role_keys = self._role_keys(machine, role_binding)
         if dispute_window < 1:
             raise DeployError("dispute window must be at least one block")
-        return self._deploy(machine, role_binding, sender, dispute_window, baseline=False)
+        return self._deploy(machine, role_binding, role_keys, sender, dispute_window,
+                            baseline=False)
 
     def deploy_baseline(self, machine: ProcessStateMachine, role_binding: dict[str, bytes],
                         sender: bytes = b"") -> bytes:
         """The on-chain comparator: a contract pinned to ON_CHAIN that enacts
         every task itself, with cheaper code and no dispute check."""
-        self._check_binding(machine, role_binding)
-        return self._deploy(machine, role_binding, sender, 0, baseline=True)
+        role_keys = self._role_keys(machine, role_binding)
+        return self._deploy(machine, role_binding, role_keys, sender, 0, baseline=True)
 
     def _deploy(self, machine: ProcessStateMachine, role_binding: dict[str, bytes],
-                sender: bytes, dispute_window: int, baseline: bool) -> bytes:
+                role_keys: dict[str, Ed25519PublicKey], sender: bytes,
+                dispute_window: int, baseline: bool) -> bytes:
         fields = {"baseline": True} if baseline else {"window": dispute_window,
                                                       "chain": self.chain_id}
         payload = json.dumps(
@@ -282,6 +290,7 @@ class Ledger:
             contract_id=contract_id,
             machine=machine,
             role_binding=dict(role_binding),
+            role_keys=role_keys,
             dispute_window=dispute_window,
             current_state=machine.initial_state,
             phase=Phase.ON_CHAIN if baseline else Phase.CHANNEL_OPEN,
@@ -291,7 +300,9 @@ class Ledger:
         self._record(TxKind.DEPLOY, contract_id, sender, True, None, 0, 0, None, cost)
         return contract_id
 
-    def _check_binding(self, machine: ProcessStateMachine, role_binding: dict[str, bytes]) -> None:
+    def _role_keys(self, machine: ProcessStateMachine,
+                   role_binding: dict[str, bytes]) -> dict[str, Ed25519PublicKey]:
+        """Check the binding; return each role's parsed key, in role order."""
         for role in machine.role_ids:
             if role not in role_binding:
                 raise DeployError(f"role {role!r} has no bound address")
@@ -301,6 +312,14 @@ class Ledger:
         for role, address in role_binding.items():
             if address not in self.accounts:
                 raise DeployError(f"address for role {role!r} is not registered")
+        role_keys = {}
+        for role in machine.role_ids:
+            try:
+                role_keys[role] = Ed25519PublicKey.from_public_bytes(
+                    self.accounts[role_binding[role]])
+            except ValueError:
+                raise DeployError(f"key for role {role!r} is not an Ed25519 public key") from None
+        return role_keys
 
     def get_contract(self, contract_id: bytes) -> ContractView:
         c = self.contracts[contract_id]
@@ -311,11 +330,6 @@ class Ledger:
             current_state=c.current_state,
             dispute_deadline=c.dispute_deadline,
         )
-
-    def role_keys(self, contract_id: bytes) -> dict[str, bytes]:
-        """Role -> public key of the participant bound to it, in role order."""
-        c = self.contracts[contract_id]
-        return {role: self.accounts[c.role_binding[role]] for role in c.machine.role_ids}
 
     def _reject(self, kind: TxKind, contract: ChannelContract, sender: bytes,
                 payload_seq: int | None, cost: CostRecord, reason: str) -> Rejected:
@@ -336,10 +350,12 @@ class Ledger:
             return "wrong-contract"
         if payload.case_id != contract.case_id:
             return "wrong-case"
-        if not signed.is_complete(contract.machine.role_ids):
+        # The nodes' rule (`TriggerNode._all_signatures_valid`).
+        if signed.signatures.keys() != contract.role_keys.keys():
             return "incomplete-signatures"
-        if not signed.verify_all(self.role_keys(contract.contract_id)):
-            return "invalid-signature"
+        for role, key in contract.role_keys.items():
+            if not verify_step(payload, signed.signatures[role], key):
+                return "invalid-signature"
         try:
             contract.machine.state_from_bytes(payload.new_state)
         except ValueError:

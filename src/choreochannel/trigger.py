@@ -107,13 +107,12 @@ class TriggerNode:
     def __init__(self, role: str, signing_key: Ed25519PrivateKey, ledger: Ledger,
                  contract_id: bytes, *, prefilter: bool = True,
                  archive_path: str | None = None):
-        role_keys = ledger.role_keys(contract_id)
-        if role_keys.get(role) != public_key_of(signing_key):
-            raise ValueError(f"signing key is not the key bound to role {role!r}")
-        # Parsed once: every verify on this node reuses the key objects.
-        self.role_keys = {r: Ed25519PublicKey.from_public_bytes(pub)
-                          for r, pub in role_keys.items()}
         contract = ledger.contracts[contract_id]
+        key = contract.role_keys.get(role)
+        if key is None or key.public_bytes_raw() != public_key_of(signing_key):
+            raise ValueError(f"signing key is not the key bound to role {role!r}")
+        # The contract's own key objects: no copy, no second parse.
+        self.role_keys = contract.role_keys
         self.machine = contract.machine
         self.address = contract.role_binding[role]
         self.role = role
@@ -125,7 +124,6 @@ class TriggerNode:
         self.state = self.machine.initial_state
         self.seq = 0
         self.case_id = 0
-        self.pending: StepPayload | None = None
         # The remote proposal this node signed last (first proposal wins),
         # with the two signatures it has already checked: the proposer's,
         # verified in on_propose, and its own.
@@ -155,7 +153,7 @@ class TriggerNode:
 
     # -- enactment (PAIS-facing) ---------------------------------------------
 
-    def enact(self, req: TaskRequest, retries: int = 2) -> EnactResult:
+    def enact(self, req: TaskRequest) -> EnactResult:
         """Propose a task to the channel, or to the contract when on-chain."""
         if self.observed_phase is Phase.ON_CHAIN:
             return self._enact_on_chain(req)
@@ -164,8 +162,6 @@ class TriggerNode:
             return EnactResult("rejected", error="unknown-task")
         if candidates[0].initiator != self.role:
             return EnactResult("rejected", error="wrong-role")
-        if self.pending is not None:
-            return EnactResult("rejected", error="proposal-pending")
 
         try:
             new_state = step(self.machine, self.state, req)
@@ -189,7 +185,6 @@ class TriggerNode:
             new_state=new_state_bytes,
         )
         my_sig = sign_step(payload, self.signing_key)
-        self.pending = payload
         propose = ChannelMessage(MessageKind.PROPOSE, SignedStep(payload, {self.role: my_sig}))
         signatures = {self.role: my_sig}
         all_signed = True
@@ -213,16 +208,10 @@ class TriggerNode:
             self.archive.append_step(confirm)
             self.state = self.machine.state_from_bytes(payload.new_state)
             self.seq = payload.seq
-            self.pending = None
             for peer in self._peers():
                 self.transport.request(peer, confirm)
             return EnactResult("confirmed", new_state=self.state)
 
-        self.pending = None
-        if self.seq >= payload.seq and retries > 0:
-            # A concurrent proposal won this sequence number; retry on top of
-            # the newly installed state.
-            return self.enact(req, retries=retries - 1)
         self._note(f"proposal for seq {payload.seq} failed to collect signatures")
         if self.raise_dispute():
             return EnactResult("dispute_raised", error="missing-signatures")
@@ -350,7 +339,8 @@ class TriggerNode:
         or made here, and is not verified again; any other goes through
         verify_step. Checking over the slot's payload reuses its encoding.
         A Confirm signed by any set of roles but exactly the contract's is
-        refused, so every node archives the same bytes for a step."""
+        refused, as the contract refuses it (`Ledger._check_signed`), so
+        every node archives the same bytes for a step."""
         if confirm.signatures.keys() != self.role_keys.keys():
             return False
         slot = self.signed
@@ -418,7 +408,6 @@ class TriggerNode:
         self.archive.start_case()
         self.seq = 0
         self.state = self.machine.initial_state
-        self.pending = None
         self.signed = None
         self.observed_phase = Phase.CHANNEL_OPEN
         self._note(f"reset for case {case_id}")

@@ -130,36 +130,25 @@ def sign_step(p: StepPayload, signing_key: Ed25519PrivateKey) -> bytes:
     return signing_key.sign(p.encoded)
 
 
-def verify_step(p: StepPayload, signature: bytes,
-                public_key: Ed25519PublicKey | bytes) -> bool:
-    """True iff signature covers encode_step(p) under the key, given parsed
-    or as raw bytes; never raises."""
+def verify_step(p: StepPayload, signature: bytes, public_key: Ed25519PublicKey) -> bool:
+    """True iff signature covers encode_step(p) under the parsed key. Never
+    raises on any payload or signature bytes: an unencodable payload or a
+    signature of the wrong length is simply not valid."""
     try:
-        if not isinstance(public_key, Ed25519PublicKey):
-            public_key = Ed25519PublicKey.from_public_bytes(public_key)
         public_key.verify(signature, p.encoded)
         return True
-    except (InvalidSignature, ValueError, TypeError):
+    except (InvalidSignature, ValueError):
         return False
 
 
 @dataclass(frozen=True)
 class SignedStep:
-    """A step payload plus collected signatures, keyed by role id."""
+    """A step payload plus collected signatures, keyed by role id. Whether
+    they are exactly the roles' and valid is decided by the holder of the
+    role keys: the contract (`ChannelContract.role_keys`) and its nodes."""
 
     payload: StepPayload
     signatures: dict[str, bytes]
-
-    def is_complete(self, roles) -> bool:
-        return set(roles) <= set(self.signatures)
-
-    def verify_all(self, role_keys: dict[str, bytes]) -> bool:
-        """All required roles present and every signature valid."""
-        for role, pub in role_keys.items():
-            sig = self.signatures.get(role)
-            if sig is None or not verify_step(self.payload, sig, pub):
-                return False
-        return True
 
 
 class MessageKind(Enum):

@@ -93,6 +93,22 @@ def test_deploy_rejects_bad_window(machine):
         ledger.deploy_channel(machine, addresses, 0)
 
 
+@pytest.mark.parametrize("kind", ["channel", "baseline"])
+def test_deploy_refuses_a_key_that_does_not_parse(machine, kind):
+    """Keys are parsed once, at deploy: a registered key that is not an
+    Ed25519 public key is outside input and stops the deployment."""
+    ledger = Ledger()
+    keys = {r: generate_signing_key(r.encode()) for r in machine.role_ids}
+    addresses = {r: ledger.register_account(public_key_of(k)) for r, k in keys.items()}
+    addresses["carrier"] = ledger.register_account(b"not-a-key")
+    with pytest.raises(DeployError, match="key for role 'carrier'"):
+        if kind == "channel":
+            ledger.deploy_channel(machine, addresses, 10)
+        else:
+            ledger.deploy_baseline(machine, addresses)
+    assert ledger.log == [] and ledger.contracts == {}
+
+
 def test_contract_ids_distinct_across_heights(machine):
     ledger = Ledger()
     keys = {r: generate_signing_key(r.encode()) for r in machine.role_ids}
@@ -403,7 +419,7 @@ def _forged(signed, keys, role="carrier", signer="supplier"):
 def test_submit_and_close_reject_a_signature_from_another_key(machine, variant):
     ledger, cid, keys, addrs = make_channel(machine)
     mid = _forged(signed_after(machine, cid, keys, variant, 2), keys)
-    assert mid.is_complete(machine.role_ids)
+    assert mid.signatures.keys() == set(machine.role_ids)
     assert ledger.submit_state(cid, mid, addrs["carrier"]) == Rejected("invalid-signature")
     final = _forged(signed_after(machine, cid, keys, variant, len(variant)), keys)
     assert ledger.close_channel(cid, final, addrs["carrier"]) == Rejected("invalid-signature")
@@ -411,6 +427,35 @@ def test_submit_and_close_reject_a_signature_from_another_key(machine, variant):
     assert (view.phase, view.seq, view.case_id) == (Phase.CHANNEL_OPEN, 0, 0)
     assert [(t.kind, t.reason) for t in ledger.log[1:]] == [
         (TxKind.SUBMIT_STATE, "invalid-signature"), (TxKind.CLOSE, "invalid-signature")]
+
+
+def test_submit_and_close_reject_a_signer_beyond_the_roles(machine, variant):
+    """The contract applies the nodes' signer rule: the signers are exactly
+    the roles. The roles' valid signatures plus one more are refused like a
+    missing one, charged and logged, and the contract is left as it was."""
+    ledger, cid, keys, addrs = make_channel(machine)
+    contract = ledger.contracts[cid]
+    before = copy.deepcopy(vars(contract))
+
+    def with_extra_signer(signed):
+        return SignedStep(signed.payload, {**signed.signatures, "zz-extra": bytes(64)})
+
+    mid = signed_after(machine, cid, keys, variant, 2)
+    final = signed_after(machine, cid, keys, variant, len(variant))
+    assert ledger.submit_state(cid, with_extra_signer(mid), addrs["carrier"]) == \
+        Rejected("incomplete-signatures")
+    assert ledger.close_channel(cid, with_extra_signer(final), addrs["carrier"]) == \
+        Rejected("incomplete-signatures")
+    assert vars(contract) == before
+    # The same step with exactly the roles' signatures is accepted, at the
+    # same charge.
+    assert isinstance(ledger.submit_state(cid, mid, addrs["carrier"]), Accepted)
+    assert [(t.kind, t.accepted, t.reason, t.contract_seq, t.payload_seq)
+            for t in ledger.log[1:]] == [
+        (TxKind.SUBMIT_STATE, False, "incomplete-signatures", 0, 2),
+        (TxKind.CLOSE, False, "incomplete-signatures", 0, len(variant)),
+        (TxKind.SUBMIT_STATE, True, None, 2, 2)]
+    assert len({t.cost for t in ledger.log[1:]}) == 1
 
 
 def test_submit_rejects_bad_state_width(machine, variant):

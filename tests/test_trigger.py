@@ -110,7 +110,7 @@ def test_on_propose_returns_verifiable_signature(machine, variant):
     reply = setup.nodes["supplier"].on_propose(msg)
     assert reply is not None and reply.kind is MessageKind.SIGN
     assert verify_step(payload, reply.signed.signatures["supplier"],
-                       setup.ledger.role_keys(setup.contract_id)["supplier"])
+                       setup.keys["supplier"].public_key())
 
 
 def test_node_refuses_key_not_bound_to_its_role(machine):
@@ -127,8 +127,11 @@ def test_node_enforces_the_deployed_contract(machine):
     for role, node in setup.nodes.items():
         assert node.machine is contract.machine
         assert node.address == contract.role_binding[role] == setup.addresses[role]
-        raw = {r: k.public_bytes_raw() for r, k in node.role_keys.items()}
-        assert raw == setup.ledger.role_keys(setup.contract_id)
+        # One parse per contract: every node verifies with the contract's keys.
+        assert node.role_keys is contract.role_keys
+    assert list(contract.role_keys) == list(machine.role_ids)
+    for role, key in contract.role_keys.items():
+        assert key.public_bytes_raw() == setup.ledger.accounts[setup.addresses[role]]
 
 
 def _propose(setup, machine, proposer, seq, task_id, new_state_bytes, signer="supplier"):
@@ -437,7 +440,7 @@ def test_bad_sign_reply_leaves_the_initiator_unchanged(machine, variant):
     initiator.transport = ForgedSign(setup.network, "carrier", setup.keys["supplier"])
     result = initiator.enact(variant[0])
     assert (result.status, result.error) == ("rejected", "missing-signatures")
-    assert (initiator.seq, initiator.pending) == (0, None)
+    assert initiator.seq == 0
     assert initiator.archive.latest() is None
     assert any("invalid sign reply from carrier" in e for e in initiator.events)
     assert [t.kind for t in setup.ledger.log] == [TxKind.DEPLOY]
@@ -543,7 +546,7 @@ def test_every_archive_line_decodes_as_a_signed_step(machine, variant, tmp_path)
     setup = build_network(machine, key_salt="archive", archive_dir=str(tmp_path))
     for req in variant:
         assert setup.nodes[req.requester_role].enact(req).confirmed
-    role_keys = setup.ledger.role_keys(setup.contract_id)
+    role_keys = setup.ledger.contracts[setup.contract_id].role_keys
     for role, node in setup.nodes.items():
         kinds = []
         for message in _archive(tmp_path, role):
@@ -554,7 +557,9 @@ def test_every_archive_line_decodes_as_a_signed_step(machine, variant, tmp_path)
                 assert verify_step(signed.payload, signed.signatures[role], role_keys[role])
             else:
                 assert message.kind is MessageKind.CONFIRM
-                assert signed.verify_all(role_keys)
+                assert signed.signatures.keys() == role_keys.keys()
+                assert all(verify_step(signed.payload, signed.signatures[r], k)
+                           for r, k in role_keys.items())
                 assert signed == node.archive.by_seq(signed.payload.seq)
         assert kinds.count(MessageKind.CONFIRM) == len(variant)
         assert kinds.count(MessageKind.SIGN) == sum(1 for r in variant if r.requester_role != role)
@@ -774,7 +779,7 @@ def test_forged_nonconforming_proposal_fails_one_verify_and_sends_nothing(
     # the dispute a validly signed proposal would raise.
     assert [verify_step(*args) for args in calls] == [False]
     assert [t.kind for t in setup.ledger.log] == [TxKind.DEPLOY]
-    assert supplier.signed is slot and (supplier.seq, supplier.pending) == (1, None)
+    assert supplier.signed is slot and supplier.seq == 1
     assert supplier.events[-1] == "bad initiator signature on proposal seq 2"
 
 
@@ -818,12 +823,14 @@ def test_initiator_stops_verifying_replies_once_one_is_missing(
     initiator = setup.nodes["bulk_buyer"]
     peers = initiator._peers()
     setup.network.silence(peers[silenced])
-    mine = {id(k) for k in initiator.role_keys.values()}
+    proposer_key = initiator.role_keys["bulk_buyer"]
     calls = counting_verifies(monkeypatch)
     result = initiator.enact(variant[0])
     assert (result.status, result.error) == ("rejected", "missing-signatures")
-    # Only the replies before the missing one are verified ...
-    assert [args[2] for args in calls if id(args[2]) in mine] == [
+    # Peers verify only the proposer's key and the initiator only peer keys,
+    # so the initiator's verifies are those by any other key. Only the
+    # replies before the missing one are verified ...
+    assert [args[2] for args in calls if args[2] is not proposer_key] == [
         initiator.role_keys[p] for p in peers[:silenced]]
     # ... but every peer that can be reached still got the Propose and signed it.
     assert initiator.archive.latest() is None

@@ -1,5 +1,7 @@
+import sys
+import threading
+
 import pytest
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +26,8 @@ from choreochannel.wire import (
 from util import CONFIRM, PROPOSE, SIGN, envelope, flipped, step_bytes
 
 KEY = generate_signing_key(b"wire-tests")
-PUB = public_key_of(KEY)
+PUB = public_key_of(KEY)  # raw bytes, for addresses
+VERIFY_KEY = KEY.public_key()
 
 # Captured once from the supply-chain fixture payload below; pinned since the
 # encoding must never drift.
@@ -80,11 +83,11 @@ def test_encode_rejects_out_of_range(bad):
 def test_sign_verify_roundtrip():
     p = payload()
     sig = sign_step(p, KEY)
-    assert verify_step(p, sig, PUB)
+    assert verify_step(p, sig, VERIFY_KEY)
 
 
 def test_verify_wrong_key():
-    other = public_key_of(generate_signing_key(b"someone-else"))
+    other = generate_signing_key(b"someone-else").public_key()
     assert not verify_step(payload(), sign_step(payload(), KEY), other)
 
 
@@ -96,18 +99,20 @@ def test_verify_fails_for_every_task_id_mutation():
         mutated = bytearray(raw)
         mutated[i] ^= 0x01
         q = payload(task_id=mutated.decode("latin-1"))
-        assert not verify_step(q, sig, PUB), f"byte {i} mutation verified"
+        assert not verify_step(q, sig, VERIFY_KEY), f"byte {i} mutation verified"
 
 
 def test_verify_never_raises_on_garbage():
     p = payload()
-    assert not verify_step(p, b"short", PUB)
-    assert not verify_step(p, b"\x00" * 64, PUB)
-    assert not verify_step(p, sign_step(p, KEY), b"not-a-key")
-    assert not verify_step(payload(seq=2**64), sign_step(p, KEY), PUB)  # unencodable
+    assert not verify_step(p, b"short", VERIFY_KEY)
+    assert not verify_step(p, b"\x00" * 64, VERIFY_KEY)
+    assert not verify_step(payload(seq=2**64), sign_step(p, KEY), VERIFY_KEY)  # unencodable
 
 
-def test_verify_same_verdict_with_parsed_or_raw_key():
+def _verify_cases() -> list[tuple[StepPayload, bytes]]:
+    """The signed payload and its signature first, then every one-bit change
+    of its task id or signature, garbage signatures and an unencodable
+    payload."""
     p = payload()
     sig = sign_step(p, KEY)
     cases = [(p, sig), (p, b"short"), (p, b"\x00" * 64), (payload(seq=2**64), sig)]
@@ -120,10 +125,38 @@ def test_verify_same_verdict_with_parsed_or_raw_key():
         mutated = bytearray(sig)
         mutated[i] ^= 0x01
         cases.append((p, bytes(mutated)))
-    parsed = Ed25519PublicKey.from_public_bytes(PUB)
-    verdicts = [verify_step(q, s, PUB) for q, s in cases]
-    assert [verify_step(q, s, parsed) for q, s in cases] == verdicts
+    return cases
+
+
+def test_verify_accepts_only_the_signed_payload_and_signature():
+    cases = _verify_cases()
+    verdicts = [verify_step(q, s, VERIFY_KEY) for q, s in cases]
     assert verdicts == [True] + [False] * (len(cases) - 1)
+
+
+def test_one_key_object_gives_every_thread_the_same_verdicts():
+    """All nodes of a channel verify with the contract's key objects, and
+    over HTTP each node does so on its own handler thread."""
+    cases = _verify_cases()
+    expected = [True] + [False] * (len(cases) - 1)
+    results: list[list[bool]] = [[] for _ in range(4)]  # more threads than cores
+
+    def verify_all_cases(out):
+        for _ in range(3):
+            out.append([verify_step(q, s, VERIFY_KEY) for q, s in cases])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=verify_all_cases, args=(out,)) for out in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[expected] * 3] * len(threads)
 
 
 payload_strategy = st.builds(
@@ -157,13 +190,14 @@ def test_cached_encoding_is_encode_step(p):
 def test_signed_step_completeness_order_insensitive():
     p = payload()
     keys = {role: generate_signing_key(role.encode()) for role in ("a", "b", "c")}
-    pubs = {role: public_key_of(k) for role, k in keys.items()}
     forward = SignedStep(p, {role: sign_step(p, keys[role]) for role in ("a", "b", "c")})
     backward = SignedStep(p, {role: sign_step(p, keys[role]) for role in ("c", "b", "a")})
-    assert forward.signatures == backward.signatures
-    assert forward.is_complete(pubs) and backward.is_complete(pubs)
-    assert forward.verify_all(pubs) and backward.verify_all(pubs)
-    assert not SignedStep(p, dict(list(forward.signatures.items())[:2])).is_complete(pubs)
+    assert forward == backward
+    assert forward.signatures.keys() == backward.signatures.keys() == keys.keys()
+    assert all(verify_step(p, sig, keys[role].public_key())
+               for role, sig in backward.signatures.items())
+    wire_form = ChannelMessage(MessageKind.CONFIRM, forward).to_wire()
+    assert ChannelMessage(MessageKind.CONFIRM, backward).to_wire() == wire_form
 
 
 def test_address_is_hash_of_public_key():
@@ -220,7 +254,7 @@ def test_a_received_payload_is_verified_over_its_bytes_never_re_encoded(monkeypa
 
     monkeypatch.setattr(wire, "encode_step", no_encoding)
     msg = ChannelMessage.from_wire(raw)
-    assert verify_step(msg.signed.payload, sig, PUB)
+    assert verify_step(msg.signed.payload, sig, VERIFY_KEY)
     assert msg.to_wire() == raw
 
 
