@@ -131,8 +131,7 @@ def cmd_break_even(args) -> int:
     payload: dict = {"type": "break_even", "cases": {}}
     for case in args.case or list(CASES):
         case = normalize_case(case)
-        report = break_even(case, mixes=tuple(args.mix or DEFAULT_MIXES), horizon=args.horizon,
-                            seed=args.seed, dispute_window=args.window)
+        report = break_even(case, mixes=tuple(args.mix or DEFAULT_MIXES), horizon=args.horizon)
         payload["cases"][case] = asdict(report)
         print(_break_even_table(case, payload["cases"][case]))
     if args.out:
@@ -145,22 +144,26 @@ def cmd_report(args) -> int:
     if args.format == "structured":
         print(json.dumps(data, sort_keys=True, indent=2))
         return 0
-    kind = data.get("type")
-    if kind == "scenario":
-        print(_scenario_table(data))
-    elif kind == "break_even":
-        for case, report in data["cases"].items():
-            print(_break_even_table(case, report))
-    elif kind == "conformance":
-        print(f"case: {data['case']}")
-        for name in ("conforming", "mutated"):
-            rep = data[name]
-            print(
-                f"  {name}: traces={rep['traces']} oracle_agreement={rep['all_agree_with_oracle']} "
-                f"stable={rep['all_stable']} fully_accepted={rep['fully_accepted']}"
-            )
-    else:
-        return _fail(f"unknown report type {kind!r}")
+    try:
+        kind = data.get("type")
+        if kind == "scenario":
+            print(_scenario_table(data))
+        elif kind == "break_even":
+            for case, report in data["cases"].items():
+                print(_break_even_table(case, report))
+        elif kind == "conformance":
+            print(f"case: {data['case']}")
+            for name in ("conforming", "mutated"):
+                rep = data[name]
+                print(
+                    f"  {name}: traces={rep['traces']} "
+                    f"oracle_agreement={rep['all_agree_with_oracle']} "
+                    f"stable={rep['all_stable']} fully_accepted={rep['fully_accepted']}"
+                )
+        else:
+            return _fail(f"unknown report type {kind!r}")
+    except (KeyError, TypeError, AttributeError) as exc:
+        return _fail(f"malformed report in {args.input}: {type(exc).__name__}: {exc}")
     return 0
 
 
@@ -236,8 +239,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--mix", type=float, action="append",
                    help="dispute rate, e.g. 0.05 (repeatable)")
     p.add_argument("--horizon", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window", type=int, default=10)
     p.add_argument("--out")
     p.set_defaults(func=cmd_break_even)
 

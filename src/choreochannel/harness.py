@@ -498,21 +498,20 @@ class BreakEvenReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def measure_case_costs(case: str, *, seed: int = 0,
-                       dispute_window: int = 10) -> dict[str, list[CostReport]]:
-    """Scenario costs for every (variant, kind) pair of a case."""
+def measure_case_costs(case: str) -> dict[str, list[CostReport]]:
+    """Scenario costs for every (variant, kind) pair of a case, at the default
+    seed and dispute window: costs depend on neither."""
     case = normalize_case(case)
     variants = load_variants(case)
     out: dict[str, list[CostReport]] = {k.value: [] for k in ScenarioKind}
     for kind in ScenarioKind:
         for v in range(len(variants)):
-            spec = ScenarioSpec(case, v, kind, seed=seed, dispute_window=dispute_window)
+            spec = ScenarioSpec(case, v, kind)
             out[kind.value].append(run_scenario(spec).report)
     return out
 
 
 def break_even(case: str, mixes=DEFAULT_MIXES, horizon: int = 20, *,
-               seed: int = 0, dispute_window: int = 10,
                costs: dict[str, list[CostReport]] | None = None) -> BreakEvenReport:
     """Cumulative channel-vs-baseline comparison for dispute-rate mixes.
 
@@ -521,7 +520,7 @@ def break_even(case: str, mixes=DEFAULT_MIXES, horizon: int = 20, *,
     """
     case = normalize_case(case)
     if costs is None:
-        costs = measure_case_costs(case, seed=seed, dispute_window=dispute_window)
+        costs = measure_case_costs(case)
     exec_by_kind = {
         kind: sum(r.channel_exec for r in reports) / len(reports)
         for kind, reports in costs.items()

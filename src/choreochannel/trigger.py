@@ -12,6 +12,10 @@ A node verifies a signature before it signs or disputes on the strength of
 it, and only then: a refused proposal after which the node sends nothing is
 not verified, and the initiator stops verifying Sign replies once one is
 missing or invalid, since the step can no longer collect its full set.
+
+Every dispute, the watcher's counter to stale state included, goes through
+`TriggerNode.raise_dispute`, the node's one sender of evidence. A refused
+`close` reports "dispute_raised" only when the node's counter was accepted.
 """
 
 from __future__ import annotations
@@ -264,11 +268,11 @@ class TriggerNode:
         candidates = self.machine.manual_transitions(payload.task_id)
         if not candidates or candidates[0].initiator != proposer:
             self._note(f"proposal from {proposer} for task it does not initiate")
-            self._dispute_proposal(payload, sig, key)
+            self.raise_dispute((payload, sig, key))
             return None
         if payload.seq != self.seq + 1:
             self._note(f"proposal seq {payload.seq} does not follow local seq {self.seq}")
-            self._dispute_proposal(payload, sig, key)
+            self.raise_dispute((payload, sig, key))
             return None
         if (self.signed is not None and self.signed.payload != payload
                 and self.signed.payload.seq == payload.seq):
@@ -281,11 +285,11 @@ class TriggerNode:
             )
         except ConformanceError as exc:
             self._note(f"non-conforming proposal {payload.task_id}: {exc.reason}")
-            self._dispute_proposal(payload, sig, key)
+            self.raise_dispute((payload, sig, key))
             return None
         if self.machine.state_to_bytes(expected) != payload.new_state:
             self._note(f"proposal {payload.task_id} leads to a different state")
-            self._dispute_proposal(payload, sig, key)
+            self.raise_dispute((payload, sig, key))
             return None
         if not self._proposer_signed(payload, sig, key):
             return None
@@ -303,15 +307,6 @@ class TriggerNode:
             return True
         self._note(f"bad initiator signature on proposal seq {payload.seq}")
         return False
-
-    def _dispute_proposal(self, payload: StepPayload, sig: bytes,
-                          key: Ed25519PublicKey) -> None:
-        """Dispute a refused proposal, once it is known that evidence would be
-        sent and that the proposer really signed it: a forged proposal must
-        not put the channel on-chain."""
-        latest = self._dispute_evidence()
-        if latest is not None and self._proposer_signed(payload, sig, key):
-            self._submit_dispute(latest)
 
     def on_confirm(self, msg: ChannelMessage) -> bool:
         """Install a fully signed step this node signed for its next seq,
@@ -352,56 +347,54 @@ class TriggerNode:
 
     # -- chain duties ---------------------------------------------------------
 
-    def raise_dispute(self) -> bool:
+    def raise_dispute(
+            self, proposal: tuple[StepPayload, bytes, Ed25519PublicKey] | None = None) -> bool:
         """Submit the highest archived complete step as dispute evidence;
-        True iff the ledger accepted it. `_dispute_evidence` decides whether
-        there is anything to send."""
-        latest = self._dispute_evidence()
-        return latest is not None and self._submit_dispute(latest)
-
-    def _dispute_evidence(self) -> SignedStep | None:
-        """The step a dispute would submit, or None when nothing would be sent.
+        True iff the ledger accepted it.
 
         Nothing is sent without an archived complete step, or whenever the
-        contract can only refuse it: the case is on-chain or over, or
-        a dispute is already pending at the same or a higher sequence number
+        contract can only refuse it: the case is on-chain or over, or a
+        dispute is already pending at the same or a higher sequence number
         (the watcher duty covers that). Reads the contract, and so refreshes
         `observed_phase`, once there is an archived step.
+
+        `proposal` is a refused Propose's (payload, signature, proposer key);
+        its signature is verified last, once evidence would be sent, so a
+        forged proposal cannot put the channel on-chain.
         """
         latest = self.archive.latest()
         if latest is None:
             self._note("dispute intended but no complete step archived yet")
-            return None
+            return False
         view = self.ledger.get_contract(self.contract_id)
         self.observed_phase = view.phase
         if view.phase is Phase.ON_CHAIN or view.case_id != self.case_id:
             self._note(f"contract is {view.phase.value} at case {view.case_id}, "
                        f"would refuse evidence for case {self.case_id}; holding it")
-            return None
+            return False
         if view.phase is Phase.DISPUTE and view.seq >= latest.payload.seq:
             self._note(f"dispute already pending at seq {view.seq}; holding evidence")
-            return None
-        return latest
-
-    def _submit_dispute(self, latest: SignedStep) -> bool:
+            return False
+        if proposal is not None and not self._proposer_signed(*proposal):
+            return False
         result = self.ledger.submit_state(self.contract_id, latest, self.address)
         self._note(f"dispute submission seq {latest.payload.seq}: {result}")
         return isinstance(result, Accepted)
 
-    def poll_chain(self) -> None:
-        """One polling pass: counter stale state, follow phase, follow resets."""
+    def poll_chain(self) -> bool:
+        """One polling pass: counter stale state, follow phase, follow resets.
+        True iff a counter-submission was sent and accepted."""
         view = self.ledger.get_contract(self.contract_id)
         self.observed_phase = view.phase
         if view.case_id > self.case_id:
             self._reset_for_case(view.case_id)
-            return
-        if view.phase is Phase.DISPUTE:
+        elif view.phase is Phase.DISPUTE:
             latest = self.archive.latest()
-            if latest is not None and view.seq < latest.payload.seq:
-                self._submit_dispute(latest)
+            return latest is not None and view.seq < latest.payload.seq and self.raise_dispute()
         elif view.phase is Phase.ON_CHAIN:
             self.state = view.current_state
             self.seq = view.seq
+        return False
 
     def _reset_for_case(self, case_id: int) -> None:
         self.case_id = case_id
@@ -424,8 +417,9 @@ class TriggerNode:
             self.poll_chain()
             return EnactResult("confirmed", new_state=self.state)
         self._note(f"close rejected: {result.reason}; falling back to dispute handling")
-        self.poll_chain()
-        return EnactResult("dispute_raised", error=result.reason)
+        if self.poll_chain():
+            return EnactResult("dispute_raised", error=result.reason)
+        return EnactResult("rejected", error=result.reason)
 
 
 class InProcessNetwork:

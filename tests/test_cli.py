@@ -104,3 +104,13 @@ def test_unknown_case_fails(capsys):
     rc = main(["run-scenario", "--case", "supply-chain", "--kind", "best", "--variant", "7"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_report_refuses_malformed_input_with_an_error_line(tmp_path, capsys):
+    for body in ("[1, 2]", '{"type": "scenario"}', '{"type": "break_even", "cases": []}',
+                 '{"type": "conformance", "case": "x", "conforming": 3}'):
+        path = tmp_path / "bad.json"
+        path.write_text(body)
+        assert main(["report", "--input", str(path)]) == 1, body
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, body

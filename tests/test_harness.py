@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import pytest
 
@@ -17,7 +18,9 @@ from choreochannel.harness import (
     run_scenario,
     run_unavailability,
 )
+from choreochannel.ledger import Ledger
 from choreochannel.machine import TaskRequest
+from choreochannel.trigger import TriggerNode
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +229,50 @@ def test_measure_case_costs_structure():
 def test_scenario_rejects_bad_variant_index():
     with pytest.raises(ScenarioError):
         run_scenario(ScenarioSpec("supply_chain", 9, ScenarioKind.BEST))
+
+
+def test_every_node_submission_goes_through_raise_dispute(monkeypatch):
+    """`TriggerNode.raise_dispute` is a node's only path to
+    `Ledger.submit_state`, so its span sees every dispute decision. The one
+    submission made outside it is the WORST scenario's adversary, which
+    `run_scenario` sends straight to the ledger."""
+    depth = 0
+    inside: list[str] = []
+    outside: list[str] = []
+    raise_dispute, submit_state = TriggerNode.raise_dispute, Ledger.submit_state
+
+    def tracked_raise(self, *args):
+        nonlocal depth
+        depth += 1
+        try:
+            return raise_dispute(self, *args)
+        finally:
+            depth -= 1
+
+    def tracked_submit(self, *args):
+        (inside if depth else outside).append(sys._getframe(1).f_code.co_name)
+        return submit_state(self, *args)
+
+    monkeypatch.setattr(TriggerNode, "raise_dispute", tracked_raise)
+    monkeypatch.setattr(Ledger, "submit_state", tracked_submit)
+
+    def submissions(run) -> tuple[int, list[str]]:
+        inside.clear()
+        outside.clear()
+        run()
+        assert set(inside) <= {"raise_dispute"}
+        return len(inside), list(outside)
+
+    for case in CASES:
+        machine = build_machine(case)
+        variants = [Trace(tuple(v)) for v in load_variants(case)]
+        mutants = mutate_traces(machine, variants, 20, seed=42).traces
+        sent, direct = submissions(lambda: replay_conformance(case, mutants, seed=0))
+        assert sent > 0 and direct == [], case
+    for kind in (ScenarioKind.BAD, ScenarioKind.WORST):
+        sent, direct = submissions(
+            lambda: run_scenario(ScenarioSpec("supply_chain", 0, kind, seed=1)))
+        assert sent > 0, kind
+        assert direct == (["run_scenario"] if kind is ScenarioKind.WORST else []), kind
+    sent, direct = submissions(lambda: run_unavailability("incident_management", 0))
+    assert sent > 0 and direct == []

@@ -332,6 +332,27 @@ def test_close_vs_stale_submission_race(machine, variant):
     assert setup.network.stable()
 
 
+def test_close_after_a_stale_dispute_expired_is_rejected(machine, variant):
+    """A refused close reports `dispute_raised` only when the closer's
+    counter was accepted. Once a stale dispute's window has expired, the
+    contract is on-chain and nothing can be countered."""
+    setup = fresh(machine)
+    for req in variant:
+        assert setup.nodes[req.requester_role].enact(req).confirmed
+    adversary = setup.nodes["supplier"]
+    assert isinstance(setup.ledger.submit_state(setup.contract_id, adversary.archive.by_seq(3),
+                                                adversary.address), Accepted)
+    setup.ledger.advance_blocks(10)
+    closer = setup.nodes[variant[-1].requester_role]
+    txs_before = len(setup.ledger.log)
+    result = closer.close()
+    assert (result.status, result.error) == ("rejected", "phase-ON_CHAIN")
+    # The only transaction after the expiry is the refused close.
+    assert [(t.kind, t.accepted) for t in setup.ledger.log[txs_before:]] == [
+        (TxKind.CLOSE, False)]
+    assert closer.observed_phase is Phase.ON_CHAIN and closer.seq == 3
+
+
 def test_archive_flushed_before_confirm(machine, variant, tmp_path):
     setup = build_network(machine, key_salt="durability", archive_dir=str(tmp_path))
     initiator = variant[0].requester_role
