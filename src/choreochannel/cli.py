@@ -141,30 +141,38 @@ def cmd_break_even(args) -> int:
 
 def cmd_report(args) -> int:
     data = json.loads(Path(args.input).read_text())
-    if args.format == "structured":
-        print(json.dumps(data, sort_keys=True, indent=2))
-        return 0
     try:
-        kind = data.get("type")
-        if kind == "scenario":
-            print(_scenario_table(data))
-        elif kind == "break_even":
-            for case, report in data["cases"].items():
-                print(_break_even_table(case, report))
-        elif kind == "conformance":
-            print(f"case: {data['case']}")
-            for name in ("conforming", "mutated"):
-                rep = data[name]
-                print(
-                    f"  {name}: traces={rep['traces']} "
-                    f"oracle_agreement={rep['all_agree_with_oracle']} "
-                    f"stable={rep['all_stable']} fully_accepted={rep['fully_accepted']}"
-                )
-        else:
-            return _fail(f"unknown report type {kind!r}")
+        lines = _report_lines(data)
     except (KeyError, TypeError, AttributeError) as exc:
         return _fail(f"malformed report in {args.input}: {type(exc).__name__}: {exc}")
+    if lines is None:
+        return _fail(f"unknown report type {data.get('type')!r}")
+    if args.format == "structured":
+        lines = [json.dumps(data, sort_keys=True, indent=2)]
+    for line in lines:
+        print(line)
     return 0
+
+
+def _report_lines(data: dict) -> list[str] | None:
+    """The table form of a structured result file; None for an unknown type.
+    Both report formats refuse what this cannot render."""
+    kind = data.get("type")
+    if kind == "scenario":
+        return [_scenario_table(data)]
+    if kind == "break_even":
+        return [_break_even_table(case, report) for case, report in data["cases"].items()]
+    if kind == "conformance":
+        lines = [f"case: {data['case']}"]
+        for name in ("conforming", "mutated"):
+            rep = data[name]
+            lines.append(
+                f"  {name}: traces={rep['traces']} "
+                f"oracle_agreement={rep['all_agree_with_oracle']} "
+                f"stable={rep['all_stable']} fully_accepted={rep['fully_accepted']}"
+            )
+        return lines
+    return None
 
 
 def _scenario_table(payload: dict) -> str:
@@ -250,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ValueError, FileNotFoundError) as exc:
+    except (ScenarioError, ValueError, OSError) as exc:
         return _fail(str(exc))
 
 

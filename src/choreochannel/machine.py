@@ -7,8 +7,8 @@ function of (state, request).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _quote
 
 
 class CompileError(ValueError):
@@ -107,7 +107,28 @@ class ProcessStateMachine:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """`json.dumps(self.to_dict(), indent=2, sort_keys=True)`, byte for
+        byte, written directly: with an indent set, `json.dumps` runs its
+        pure-Python encoder. Ids are escaped by the function `json.dumps`
+        itself uses for ASCII output."""
+        return _MACHINE_JSON % (
+            hex(self.final_mask),
+            hex(self.initial_state),
+            self.place_count,
+            _json_list([_quote(p) for p in self.places]),
+            _json_list([_quote(r) for r in self.role_ids]),
+            _json_list([
+                _TRANSITION_JSON % (
+                    hex(t.consume_mask),
+                    t.id,
+                    "null" if t.initiator is None else _quote(t.initiator),
+                    "autonomous" if t.task_id is None else "manual",
+                    hex(t.produce_mask),
+                    "null" if t.task_id is None else _quote(t.task_id),
+                )
+                for t in self.transitions
+            ]),
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProcessStateMachine":
@@ -127,6 +148,30 @@ class ProcessStateMachine:
             final_mask=int(data["final_mask"], 16),
             role_ids=tuple(data["roles"]),
         )
+
+
+_MACHINE_JSON = """{
+  "final_mask": "%s",
+  "initial_state": "%s",
+  "place_count": %d,
+  "places": %s,
+  "roles": %s,
+  "transitions": %s
+}"""
+
+_TRANSITION_JSON = """{
+      "consume": "%s",
+      "id": %d,
+      "initiator": %s,
+      "kind": "%s",
+      "produce": "%s",
+      "task_id": %s
+    }"""
+
+
+def _json_list(items: list[str]) -> str:
+    """Encoded items as the value of a top-level key, at the dump's indent."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 MAX_PLACES = 256

@@ -465,15 +465,19 @@ def _language_view(x: InteractionNet | ProcessStateMachine):
 def traces_equivalent(
     a: InteractionNet | ProcessStateMachine,
     b: InteractionNet | ProcessStateMachine,
-    max_len: int,
+    max_len: int | None,
     node_budget: int = 200_000,
 ) -> bool:
     """The language oracle for reduction and compilation: equal observable
-    trace sets and equal completed-trace sets up to max_len.
+    trace sets and equal completed-trace sets up to max_len, or of any
+    length when max_len is None.
 
     Either side is a net or a compiled machine. Both are walked in lockstep
     as deterministic automata, so the comparison is exact for the bounded
-    language without materializing it.
+    language without materializing it. Both automata are finite (safe nets,
+    bitmask machines), so the walk with no depth bound ends once every
+    reachable pair is seen, and then it has decided equality of the full
+    languages.
     """
     start_a, done_a, moves_a = _language_view(a)
     start_b, done_b, moves_b = _language_view(b)
@@ -483,7 +487,7 @@ def traces_equivalent(
         da, db, depth = queue.popleft()
         if done_a(da) != done_b(db):
             return False
-        if depth >= max_len:
+        if max_len is not None and depth >= max_len:
             continue
         next_a, next_b = moves_a(da), moves_b(db)
         if next_a.keys() != next_b.keys():

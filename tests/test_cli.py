@@ -114,3 +114,31 @@ def test_report_refuses_malformed_input_with_an_error_line(tmp_path, capsys):
         assert main(["report", "--input", str(path)]) == 1, body
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1, body
+
+
+def test_structured_report_refuses_what_the_table_refuses(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for body in ("[1, 2]", "{}", '{"type": "receipt"}', '{"type": "scenario"}',
+                 '{"type": "break_even", "cases": []}'):
+        path.write_text(body)
+        errors = []
+        for fmt in ("table", "structured"):
+            assert main(["report", "--input", str(path), "--format", fmt]) == 1, (body, fmt)
+            captured = capsys.readouterr()
+            assert captured.out == "", (body, fmt)
+            errors.append(captured.err)
+        assert errors[0] == errors[1] and errors[0].startswith("error: "), body
+
+
+def test_report_on_a_directory_is_an_error_line(tmp_path, capsys):
+    assert main(["report", "--input", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_compile_into_a_directory_is_an_error_line(tmp_path, capsys):
+    model = tmp_path / "model.bpmn"
+    model.write_bytes(fixture_bytes("supply_chain"))
+    assert main(["compile", str(model), "-o", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -19,16 +19,9 @@ from choreochannel.machine import (
     is_end_state,
     step,
 )
-from choreochannel.petri import (
-    InteractionNet,
-    NetTransition,
-    TaskLabel,
-    reduce_net,
-    to_interaction_net,
-    traces_equivalent,
-)
+from choreochannel.petri import reduce_net, to_interaction_net, traces_equivalent
 from choreochannel.randmodel import random_model
-from util import autonomous_leftover_model, minimal_model
+from util import autonomous_leftover_model, chain_net, minimal_model
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,22 +44,41 @@ def test_one_task_machine():
 def test_fixture_machines_match_golden(case):
     machine = build_machine(case)
     assert machine.place_count <= 16
-    golden = json.loads((GOLDEN / f"{case}.machine.json").read_text())
+    text = (GOLDEN / f"{case}.machine.json").read_text()
+    golden = json.loads(text)
     assert machine.to_dict() == golden
+    assert machine.to_json() == text
     assert ProcessStateMachine.from_dict(golden) == machine
 
 
-def chain_net(place_count):
-    places = tuple(f"p{i}" for i in range(place_count))
-    return InteractionNet(
-        places=places,
-        transitions=tuple(
-            NetTransition(f"t{i}", frozenset({a}), frozenset({b}), TaskLabel(f"t{i}", "a", "b"))
-            for i, (a, b) in enumerate(zip(places, places[1:]))
+ODD_IDS = ("caf\u00e9", "\u65e5\u672c", "\U0001f600", 'say "hi"', "back\\slash", "tab\there",
+           "nl\nnul\x00bell\x07", "del\x7f", "")
+
+
+@pytest.mark.parametrize("machine", [
+    ProcessStateMachine(places=(), transitions=(), initial_state=0, final_mask=0, role_ids=()),
+    ProcessStateMachine(
+        places=ODD_IDS,
+        transitions=(
+            CompiledTransition(0, 0x1, 0x6, ODD_IDS[0], ODD_IDS[3]),
+            CompiledTransition(1, 0x6, 0x1 << 255),
+            CompiledTransition(2, 0x8, 0x10, ODD_IDS[6], ODD_IDS[4]),
+            CompiledTransition(3, 0x10, 0x20, initiator=ODD_IDS[2]),
         ),
-        initial_place=places[0],
-        final_places=frozenset({places[-1]}),
-    )
+        initial_state=0x1,
+        final_mask=(1 << 256) - 1,
+        role_ids=ODD_IDS[:3] + ODD_IDS[5:],
+    ),
+    ProcessStateMachine(
+        places=("start", "end"),
+        transitions=(CompiledTransition(0, 0x1, 0x2),),
+        initial_state=0x1,
+        final_mask=0x2,
+        role_ids=(),
+    ),
+], ids=["empty", "odd-ids", "autonomous-only"])
+def test_to_json_is_json_dumps_of_to_dict(machine):
+    assert machine.to_json() == json.dumps(machine.to_dict(), indent=2, sort_keys=True)
 
 
 def test_compile_width_limit():

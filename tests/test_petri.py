@@ -22,6 +22,7 @@ from choreochannel.petri import (
 from choreochannel.randmodel import random_model
 from util import (
     autonomous_leftover_model,
+    chain_net,
     exclusive_model,
     loop_model,
     minimal_model,
@@ -275,6 +276,33 @@ def test_safeness_witness_names_first_of_equal_transitions():
         final_places=frozenset({"p2"}),
     )
     assert check_safeness(net) == UnsafeWitness(firing_sequence=("split", "back", "split"), place="p2")
+
+
+def test_exact_oracle_sees_past_any_depth_bound():
+    # The two chains first differ at depth 13: one completes there, the
+    # other still offers a task.
+    short, longer = chain_net(14), chain_net(15)
+    assert traces_equivalent(short, longer, 12)
+    assert not traces_equivalent(short, longer, None)
+    assert not traces_equivalent(compile_state_machine(short), longer, None)
+    assert traces_equivalent(short, compile_state_machine(short), None)
+
+
+def test_exact_oracle_ends_on_cyclic_nets():
+    net = to_interaction_net(loop_model())
+    assert traces_equivalent(net, reduce_net(net), None)
+    assert traces_equivalent(net, compile_state_machine(reduce_net(net)), None)
+
+
+def test_reduction_exactly_preserves_language_over_random_models():
+    # No depth bound: reduction keeps the full trace and completed-trace
+    # languages of every safe model, default size seeds 0-999 and the
+    # larger size seeds 0-299.
+    for size, seeds in (({}, range(1000)), ({"max_tasks": 12, "max_depth": 4}, range(300))):
+        for seed in seeds:
+            net = to_interaction_net(random_model(seed, **size))
+            assert isinstance(check_safeness(net), SafeOk), (seed, size)
+            assert traces_equivalent(net, reduce_net(net), None), (seed, size)
 
 
 def test_equivalence_node_budget():

@@ -14,8 +14,23 @@ from choreochannel.bpmn import (
     GatewayKind,
     Role,
 )
+from choreochannel.petri import InteractionNet, NetTransition, TaskLabel
 
 ROLES_AB = (Role("a", "A"), Role("b", "B"))
+
+
+def chain_net(place_count: int) -> InteractionNet:
+    """A net of `place_count - 1` tasks in sequence, one per pair of places."""
+    places = tuple(f"p{i}" for i in range(place_count))
+    return InteractionNet(
+        places=places,
+        transitions=tuple(
+            NetTransition(f"t{i}", frozenset({a}), frozenset({b}), TaskLabel(f"t{i}", "a", "b"))
+            for i, (a, b) in enumerate(zip(places, places[1:]))
+        ),
+        initial_place=places[0],
+        final_places=frozenset({places[-1]}),
+    )
 
 
 def counting_calls(monkeypatch, name: str) -> list[tuple]:
