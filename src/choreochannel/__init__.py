@@ -12,7 +12,7 @@ from .bpmn import (
     validate_model,
 )
 from .cases import CASES, build_machine, compile_model, load_model, load_variants
-from .ledger import CostParams, Ledger, Phase, TxKind
+from .ledger import Ledger, Phase, TxKind
 from .machine import (
     CompiledTransition,
     ConformanceError,

@@ -16,23 +16,10 @@ from functools import cached_property, lru_cache
 
 BPMN_NS = "http://www.omg.org/spec/BPMN/20100524/MODEL"
 
-_SUPPORTED_TAGS = {
-    "definitions",
-    "choreography",
-    "participant",
-    "choreographyTask",
-    "exclusiveGateway",
-    "parallelGateway",
-    "startEvent",
-    "endEvent",
-    "sequenceFlow",
-    "participantRef",
-    "messageFlowRef",
-    "messageFlow",
-    "incoming",
-    "outgoing",
-    "documentation",
-}
+# The child elements that the root and each supported node may hold; any
+# other is refused. A task may also hold participantRef and messageFlowRef.
+_ROOT_CHILDREN = frozenset({"choreography", "documentation"})
+_NODE_CHILDREN = frozenset({"incoming", "outgoing", "documentation"})
 
 
 class ParseError(ValueError):
@@ -139,13 +126,10 @@ def parse_choreography(xml_bytes: bytes) -> ChoreographyModel:
     if _local(root.tag) != "definitions":
         raise ParseError(f"unexpected root element <{_local(root.tag)}>")
 
+    for bad in root:
+        if _local(bad.tag) not in _ROOT_CHILDREN:
+            raise ParseError(f"unsupported element <{_local(bad.tag)}>", element_id=bad.get("id"))
     choreographies = [c for c in root if _local(c.tag) == "choreography"]
-    unsupported_top = [c for c in root if _local(c.tag) not in _SUPPORTED_TAGS]
-    if unsupported_top:
-        bad = unsupported_top[0]
-        raise ParseError(
-            f"unsupported element <{_local(bad.tag)}>", element_id=bad.get("id")
-        )
     if len(choreographies) != 1:
         raise ParseError(f"expected exactly one <choreography>, found {len(choreographies)}")
     choreo = choreographies[0]
@@ -181,6 +165,11 @@ def parse_choreography(xml_bytes: bytes) -> ChoreographyModel:
             continue
         else:
             raise ParseError(f"unsupported element <{tag}>", element_id=elem.get("id"))
+        if len(elem) and tag != "choreographyTask":  # a task checks its own children
+            for child in elem:
+                if _local(child.tag) not in _NODE_CHILDREN:
+                    raise ParseError(f"unsupported element <{_local(child.tag)}> in <{tag}>",
+                                     element_id=elem.get("id"))
 
     if not starts:
         raise ParseError("choreography has no start event")
@@ -201,9 +190,18 @@ def _parse_task(elem: ET.Element) -> ChoreographyTask:
     initiator = elem.get("initiatingParticipantRef")
     if not initiator:
         raise ParseError("choreography task has no initiating participant", task_id)
-    participants = [p.text.strip() for p in elem if _local(p.tag) == "participantRef" and p.text]
-    message_refs = [m for m in elem if _local(m.tag) == "messageFlowRef"]
-    if len(message_refs) > 1:
+    participants = []
+    message_refs = 0
+    for child in elem:
+        tag = _local(child.tag)
+        if tag == "participantRef":
+            if child.text:
+                participants.append(child.text.strip())
+        elif tag == "messageFlowRef":
+            message_refs += 1
+        elif tag not in _NODE_CHILDREN:
+            raise ParseError(f"unsupported element <{tag}> in <choreographyTask>", task_id)
+    if message_refs > 1:
         raise ParseError("two-way choreography tasks are unsupported", task_id)
     others = [p for p in participants if p != initiator]
     if initiator not in participants or len(participants) != 2 or not others:

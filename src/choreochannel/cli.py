@@ -21,6 +21,7 @@ from .harness import (
     replay_conformance,
     run_scenario,
 )
+from .ledger import LedgerError
 from .machine import compile_state_machine
 from .petri import to_pnml
 
@@ -258,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ValueError, OSError) as exc:
+    except (ScenarioError, LedgerError, ValueError, OSError) as exc:
         return _fail(str(exc))
 
 

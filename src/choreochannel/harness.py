@@ -13,8 +13,6 @@ import random
 from dataclasses import asdict, dataclass
 from enum import Enum
 
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-
 from .cases import build_machine, load_variants, normalize_case
 from .ledger import Accepted, Ledger, Phase, TxKind
 from .machine import (
@@ -140,12 +138,16 @@ def mutate_traces(machine: ProcessStateMachine, conforming: list[Trace], n: int,
 
 @dataclass
 class ChannelSetup:
+    """A deployed channel. Each node holds its role's signing key and
+    address; the network holds the nodes."""
+
     ledger: Ledger
     network: InProcessNetwork
-    nodes: dict[str, TriggerNode]
     contract_id: bytes
-    addresses: dict[str, bytes]
-    keys: dict[str, Ed25519PrivateKey]
+
+    @property
+    def nodes(self) -> dict[str, TriggerNode]:
+        return self.network.nodes
 
 
 def build_network(machine: ProcessStateMachine, *, seed: int = 0, dispute_window: int = 10,
@@ -161,13 +163,11 @@ def build_network(machine: ProcessStateMachine, *, seed: int = 0, dispute_window
     contract_id = ledger.deploy_channel(machine, addresses, dispute_window,
                                         sender=addresses[machine.role_ids[0]])
     network = InProcessNetwork()
-    nodes: dict[str, TriggerNode] = {}
     for role, key in keys.items():
-        node = TriggerNode(role, key, ledger, contract_id, prefilter=prefilter,
-                           archive_path=f"{archive_dir}/{role}.hex" if archive_dir else None)
-        network.register(node)
-        nodes[role] = node
-    return ChannelSetup(ledger, network, nodes, contract_id, addresses, keys)
+        network.register(TriggerNode(
+            role, key, ledger, contract_id, prefilter=prefilter,
+            archive_path=f"{archive_dir}/{role}.hex" if archive_dir else None))
+    return ChannelSetup(ledger, network, contract_id)
 
 
 # -- conformance replay --------------------------------------------------------
@@ -320,12 +320,13 @@ def _cost_report(spec: ScenarioSpec, channel: Ledger, baseline: Ledger) -> CostR
 
 
 def _run_baseline(machine: ProcessStateMachine, trace: Trace,
-                  keys: dict[str, Ed25519PrivateKey]) -> Ledger:
+                  nodes: dict[str, TriggerNode]) -> Ledger:
     """The comparator: the same machine enacted fully on-chain, one ledger
-    transaction per task."""
+    transaction per task, by the channel nodes' keys."""
     ledger = Ledger()
     addresses = {
-        role: ledger.register_account(public_key_of(key)) for role, key in keys.items()
+        role: ledger.register_account(public_key_of(node.signing_key))
+        for role, node in nodes.items()
     }
     baseline_id = ledger.deploy_baseline(machine, addresses,
                                          sender=addresses[machine.role_ids[0]])
@@ -349,7 +350,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
 
     setup = build_network(machine, seed=spec.seed, dispute_window=spec.dispute_window,
                           key_salt=case)
-    baseline = _run_baseline(machine, trace, setup.keys)
+    baseline = _run_baseline(machine, trace, setup.nodes)
     installed_seq: int | None = None
 
     if spec.kind is ScenarioKind.BEST:
@@ -518,6 +519,10 @@ def break_even(case: str, mixes=DEFAULT_MIXES, horizon: int = 20, *,
     A mix r spends (1 - r) of runs on best case and r split equally between
     bad and worst case, and the channel deployment is reused across runs.
     """
+    if not all(0 <= mix <= 1 for mix in mixes):
+        raise ValueError(f"a dispute mix must lie in [0, 1], got {list(mixes)}")
+    if horizon < 1:
+        raise ValueError(f"the horizon must be at least one run, got {horizon}")
     case = normalize_case(case)
     if costs is None:
         costs = measure_case_costs(case)

@@ -5,8 +5,8 @@ applied one at a time in arrival order, and identical transaction sequences
 produce bit-identical logs. Costs are abstract units driven only by payload
 shape, so relative comparisons behave like gas without reproducing any
 chain-specific constants. A contract parses its role keys once, at deploy,
-and accepts a fully signed step only if its signers are exactly the roles,
-each signature valid: the rule its nodes apply to a Confirm.
+and accepts a fully signed step only under `wire.signature_fault`, the
+signer-set rule its nodes apply to a Confirm.
 """
 
 from __future__ import annotations
@@ -25,7 +25,10 @@ from .machine import (
     is_end_state,
     step,
 )
-from .wire import SignedStep, address_of, verify_step
+from .wire import SIGNATURE_BYTES, SignedStep, address_of, signature_fault
+
+# The one chain this ledger simulates; every step payload names it.
+CHAIN_ID = 1
 
 
 class Phase(Enum):
@@ -49,33 +52,30 @@ class DeployError(LedgerError):
     pass
 
 
-@dataclass(frozen=True)
-class CostParams:
-    """Cost-unit constants. The first four echo EVM orders of magnitude so
-    relative comparisons are meaningful; absolute values are not targets."""
+# Cost-unit constants. The first four echo EVM orders of magnitude so
+# relative comparisons are meaningful; absolute values are not targets. A
+# posted signature is `wire.SIGNATURE_BYTES` long.
+FIXED_BASE = 21000
+PER_BYTE = 16
+PER_SIG_VERIFY = 3000
+PER_STORAGE_WRITE = 5000
 
-    fixed_base: int = 21000
-    per_byte: int = 16
-    per_sig_verify: int = 3000
-    per_storage_write: int = 5000
-
-    word_bytes: int = 32
-    signature_bytes: int = 64
-    # Contract "code" posted at deployment.
-    channel_code_bytes: int = 40000
-    baseline_code_bytes: int = 20000
-    code_bytes_per_transition: int = 96
-    code_bytes_per_role: int = 32
-    channel_deploy_writes: int = 8
-    baseline_deploy_writes: int = 4
-    # Storage writes per accepted state submission / task.
-    submit_writes: int = 4
-    task_writes: int = 2
-    task_calldata_words: int = 4
-    step_calldata_head_words: int = 6
-    # Extra cost of a task executed by the channel contract: it must check
-    # whether a dispute is active before enacting (~10% of a typical task).
-    dispute_check_surcharge: int = 3000
+WORD_BYTES = 32
+# Contract "code" posted at deployment.
+CHANNEL_CODE_BYTES = 40000
+BASELINE_CODE_BYTES = 20000
+CODE_BYTES_PER_TRANSITION = 96
+CODE_BYTES_PER_ROLE = 32
+CHANNEL_DEPLOY_WRITES = 8
+BASELINE_DEPLOY_WRITES = 4
+# Storage writes per accepted state submission / task.
+SUBMIT_WRITES = 4
+TASK_WRITES = 2
+TASK_CALLDATA_WORDS = 4
+STEP_CALLDATA_HEAD_WORDS = 6
+# Extra cost of a task executed by the channel contract: it must check
+# whether a dispute is active before enacting (~10% of a typical task).
+DISPUTE_CHECK_SURCHARGE = 3000
 
 
 @dataclass(frozen=True)
@@ -165,12 +165,53 @@ class ContractView:
     dispute_deadline: int | None
 
 
+# -- cost model -----------------------------------------------------------
+
+
+def _units(payload_bytes: int, sig_count: int, words: int, surcharge: int = 0) -> CostRecord:
+    units = (
+        FIXED_BASE
+        + PER_BYTE * payload_bytes
+        + PER_SIG_VERIFY * sig_count
+        + PER_STORAGE_WRITE * words
+        + surcharge
+    )
+    return CostRecord(units, payload_bytes, sig_count, words)
+
+
+def _deploy_cost(machine: ProcessStateMachine, channel: bool) -> CostRecord:
+    code = CHANNEL_CODE_BYTES if channel else BASELINE_CODE_BYTES
+    payload = (
+        code
+        + CODE_BYTES_PER_TRANSITION * len(machine.transitions)
+        + CODE_BYTES_PER_ROLE * len(machine.role_ids)
+    )
+    writes = (CHANNEL_DEPLOY_WRITES if channel else BASELINE_DEPLOY_WRITES) + len(
+        machine.role_ids
+    )
+    return _units(payload, 0, writes)
+
+
+def _step_tx_cost(machine: ProcessStateMachine) -> CostRecord:
+    """A fully signed step: every role's signature is posted and checked."""
+    sig_count = len(machine.role_ids)
+    state_words = max(1, -(-machine.place_count // (8 * WORD_BYTES)))
+    payload = (
+        (STEP_CALLDATA_HEAD_WORDS + state_words) * WORD_BYTES
+        + sig_count * SIGNATURE_BYTES
+    )
+    return _units(payload, sig_count, SUBMIT_WRITES)
+
+
+def _task_cost(with_dispute_check: bool) -> CostRecord:
+    surcharge = DISPUTE_CHECK_SURCHARGE if with_dispute_check else 0
+    return _units(TASK_CALLDATA_WORDS * WORD_BYTES, 0, TASK_WRITES, surcharge)
+
+
 class Ledger:
     """Simulated chain: height counter, append-only log, contract registry."""
 
-    def __init__(self, chain_id: int = 1):
-        self.chain_id = chain_id
-        self.params = CostParams()
+    def __init__(self):
         self.height = 0
         self.log: list[TxRecord] = []
         self.accounts: dict[bytes, bytes] = {}
@@ -182,52 +223,6 @@ class Ledger:
         address = address_of(public_key)
         self.accounts[address] = public_key
         return address
-
-    # -- cost model -------------------------------------------------------
-
-    def _units(self, payload_bytes: int, sig_count: int, words: int,
-               surcharge: int = 0) -> CostRecord:
-        p = self.params
-        units = (
-            p.fixed_base
-            + p.per_byte * payload_bytes
-            + p.per_sig_verify * sig_count
-            + p.per_storage_write * words
-            + surcharge
-        )
-        return CostRecord(units, payload_bytes, sig_count, words)
-
-    def _deploy_cost(self, machine: ProcessStateMachine, channel: bool) -> CostRecord:
-        p = self.params
-        code = p.channel_code_bytes if channel else p.baseline_code_bytes
-        payload = (
-            code
-            + p.code_bytes_per_transition * len(machine.transitions)
-            + p.code_bytes_per_role * len(machine.role_ids)
-        )
-        writes = (p.channel_deploy_writes if channel else p.baseline_deploy_writes) + len(
-            machine.role_ids
-        )
-        return self._units(payload, 0, writes)
-
-    def _state_words(self, machine: ProcessStateMachine) -> int:
-        bits_per_word = 8 * self.params.word_bytes
-        return max(1, -(-machine.place_count // bits_per_word))
-
-    def _step_tx_cost(self, machine: ProcessStateMachine) -> CostRecord:
-        """A fully signed step: every role's signature is posted and checked."""
-        p = self.params
-        sig_count = len(machine.role_ids)
-        payload = (
-            (p.step_calldata_head_words + self._state_words(machine)) * p.word_bytes
-            + sig_count * p.signature_bytes
-        )
-        return self._units(payload, sig_count, p.submit_writes)
-
-    def _task_cost(self, with_dispute_check: bool) -> CostRecord:
-        p = self.params
-        surcharge = p.dispute_check_surcharge if with_dispute_check else 0
-        return self._units(p.task_calldata_words * p.word_bytes, 0, p.task_writes, surcharge)
 
     # -- transaction log --------------------------------------------------
 
@@ -275,7 +270,7 @@ class Ledger:
                 role_keys: dict[str, Ed25519PublicKey], sender: bytes,
                 dispute_window: int, baseline: bool) -> bytes:
         fields = {"baseline": True} if baseline else {"window": dispute_window,
-                                                      "chain": self.chain_id}
+                                                      "chain": CHAIN_ID}
         payload = json.dumps(
             {
                 "machine": machine.to_dict(),
@@ -296,7 +291,7 @@ class Ledger:
             phase=Phase.ON_CHAIN if baseline else Phase.CHANNEL_OPEN,
             baseline=baseline,
         )
-        cost = self._deploy_cost(machine, channel=not baseline)
+        cost = _deploy_cost(machine, channel=not baseline)
         self._record(TxKind.DEPLOY, contract_id, sender, True, None, 0, 0, None, cost)
         return contract_id
 
@@ -344,18 +339,15 @@ class Ledger:
         if contract.phase not in phases:
             return f"phase-{contract.phase.value}"
         payload = signed.payload
-        if payload.chain_id != self.chain_id:
+        if payload.chain_id != CHAIN_ID:
             return "wrong-chain"
         if payload.contract_id != contract.contract_id:
             return "wrong-contract"
         if payload.case_id != contract.case_id:
             return "wrong-case"
-        # The nodes' rule (`TriggerNode._all_signatures_valid`).
-        if signed.signatures.keys() != contract.role_keys.keys():
-            return "incomplete-signatures"
-        for role, key in contract.role_keys.items():
-            if not verify_step(payload, signed.signatures[role], key):
-                return "invalid-signature"
+        fault = signature_fault(payload, signed.signatures, contract.role_keys)
+        if fault is not None:
+            return fault
         try:
             contract.machine.state_from_bytes(payload.new_state)
         except ValueError:
@@ -368,7 +360,7 @@ class Ledger:
         contract = self.contracts.get(contract_id)
         if contract is None:
             return Rejected("unknown-contract")
-        cost = self._step_tx_cost(contract.machine)
+        cost = _step_tx_cost(contract.machine)
         reason = self._check_signed(contract, signed, (Phase.CHANNEL_OPEN, Phase.DISPUTE))
         if reason is not None:
             return self._reject(TxKind.SUBMIT_STATE, contract, sender, signed.payload.seq,
@@ -402,7 +394,7 @@ class Ledger:
         contract = self.contracts.get(contract_id)
         if contract is None:
             return Rejected("unknown-contract")
-        cost = self._task_cost(with_dispute_check=not contract.baseline)
+        cost = _task_cost(with_dispute_check=not contract.baseline)
         if contract.phase is not Phase.ON_CHAIN:
             return self._reject(TxKind.ON_CHAIN_TASK, contract, sender, None, cost,
                                 f"phase-{contract.phase.value}")
@@ -428,7 +420,7 @@ class Ledger:
         contract = self.contracts.get(contract_id)
         if contract is None:
             return Rejected("unknown-contract")
-        cost = self._step_tx_cost(contract.machine)
+        cost = _step_tx_cost(contract.machine)
         reason = self._check_signed(contract, final, (Phase.CHANNEL_OPEN,))
         if reason is None:
             final_state = contract.machine.state_from_bytes(final.payload.new_state)

@@ -130,25 +130,6 @@ class ProcessStateMachine:
             ]),
         )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProcessStateMachine":
-        return cls(
-            places=tuple(data["places"]),
-            transitions=tuple(
-                CompiledTransition(
-                    id=t["id"],
-                    consume_mask=int(t["consume"], 16),
-                    produce_mask=int(t["produce"], 16),
-                    initiator=t["initiator"],
-                    task_id=t["task_id"],
-                )
-                for t in data["transitions"]
-            ),
-            initial_state=int(data["initial_state"], 16),
-            final_mask=int(data["final_mask"], 16),
-            role_ids=tuple(data["roles"]),
-        )
-
 
 _MACHINE_JSON = """{
   "final_mask": "%s",

@@ -28,7 +28,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .ledger import Accepted, Ledger, Phase
+from .ledger import CHAIN_ID, Accepted, Ledger, Phase
 from .machine import (
     ConformanceError,
     TaskRequest,
@@ -42,6 +42,7 @@ from .wire import (
     StepPayload,
     public_key_of,
     sign_step,
+    signature_fault,
     verify_step,
 )
 
@@ -180,7 +181,7 @@ class TriggerNode:
             new_state_bytes = self.machine.state_to_bytes(self.state)
 
         payload = StepPayload(
-            chain_id=self.ledger.chain_id,
+            chain_id=CHAIN_ID,
             contract_id=self.contract_id,
             case_id=self.case_id,
             seq=self.seq + 1,
@@ -252,7 +253,7 @@ class TriggerNode:
         contract that would refuse the evidence) costs no verify."""
         payload = msg.signed.payload
         ((proposer, sig),) = msg.signed.signatures.items()
-        if payload.chain_id != self.ledger.chain_id or payload.contract_id != self.contract_id:
+        if payload.chain_id != CHAIN_ID or payload.contract_id != self.contract_id:
             self._note("proposal for foreign chain/contract ignored")
             return None
         if payload.case_id != self.case_id:
@@ -310,7 +311,13 @@ class TriggerNode:
 
     def on_confirm(self, msg: ChannelMessage) -> bool:
         """Install a fully signed step this node signed for its next seq,
-        unless the node observes the contract on-chain."""
+        unless the node observes the contract on-chain.
+
+        The signatures must pass the contract's own rule, `signature_fault`,
+        so every node archives the same bytes for a step. They are checked
+        over the slot's payload, equal to the Confirm's, which reuses its
+        encoding; the two the slot holds were checked in on_propose, or made
+        here, and are not verified again."""
         payload = msg.signed.payload
         if self.observed_phase is Phase.ON_CHAIN:
             self._note(f"confirm for seq {payload.seq} ignored: contract is on-chain")
@@ -319,30 +326,16 @@ class TriggerNode:
                 or payload.seq != self.seq + 1):
             self._note(f"confirm for unknown step seq {payload.seq} ignored")
             return False
-        if not self._all_signatures_valid(msg.signed):
-            self._note(f"confirm for seq {payload.seq} carries an incomplete signature set")
+        slot = self.signed
+        fault = signature_fault(slot.payload, msg.signed.signatures, self.role_keys,
+                                checked=slot.signatures)
+        if fault is not None:
+            self._note(f"confirm for seq {payload.seq} refused: {fault}")
             self.raise_dispute()
             return False
         self.archive.append_step(msg)
         self.state = self.machine.state_from_bytes(payload.new_state)
         self.seq = payload.seq
-        return True
-
-    def _all_signatures_valid(self, confirm: SignedStep) -> bool:
-        """Every role signed the slot's payload (equal to the Confirm's). A
-        signature byte-equal to one the slot holds was checked in on_propose,
-        or made here, and is not verified again; any other goes through
-        verify_step. Checking over the slot's payload reuses its encoding.
-        A Confirm signed by any set of roles but exactly the contract's is
-        refused, as the contract refuses it (`Ledger._check_signed`), so
-        every node archives the same bytes for a step."""
-        if confirm.signatures.keys() != self.role_keys.keys():
-            return False
-        slot = self.signed
-        for role, key in self.role_keys.items():
-            sig = confirm.signatures[role]
-            if sig != slot.signatures.get(role) and not verify_step(slot.payload, sig, key):
-                return False
         return True
 
     # -- chain duties ---------------------------------------------------------

@@ -144,11 +144,31 @@ def verify_step(p: StepPayload, signature: bytes, public_key: Ed25519PublicKey) 
 @dataclass(frozen=True)
 class SignedStep:
     """A step payload plus collected signatures, keyed by role id. Whether
-    they are exactly the roles' and valid is decided by the holder of the
-    role keys: the contract (`ChannelContract.role_keys`) and its nodes."""
+    they are exactly the roles' and valid is decided by `signature_fault`
+    under the contract's role keys (`ChannelContract.role_keys`)."""
 
     payload: StepPayload
     signatures: dict[str, bytes]
+
+
+def signature_fault(payload: StepPayload, signatures: dict[str, bytes],
+                    role_keys: dict[str, Ed25519PublicKey],
+                    checked: dict[str, bytes] | None = None) -> str | None:
+    """The one signer-set rule, which the contract applies to every fully
+    signed step and a node to every Confirm: the signers are exactly the
+    roles, and each signature is valid. Returns "incomplete-signatures",
+    "invalid-signature" or None.
+
+    A signature byte-equal to the one `checked` holds for its role was
+    verified, or made, by the caller already and is not verified again."""
+    if signatures.keys() != role_keys.keys():
+        return "incomplete-signatures"
+    held = checked or {}
+    for role, key in role_keys.items():
+        sig = signatures[role]
+        if sig != held.get(role) and not verify_step(payload, sig, key):
+            return "invalid-signature"
+    return None
 
 
 class MessageKind(Enum):

@@ -6,6 +6,8 @@ lines; every tolerance is pinned here, nothing is deferred.
 
 import time
 
+import pytest
+
 from choreochannel.bpmn import validate_model
 from choreochannel.cases import CASES, build_machine, build_nets, load_variants
 from choreochannel.harness import (
@@ -30,6 +32,7 @@ def _report(criterion: int, text: str) -> None:
     print(f"PASS criterion {criterion}: {text}")
 
 
+@pytest.mark.slow
 def test_criterion_1_conformance_reproduction():
     """All conforming variants accepted; 2000 mutated traces per case each
     rejected at the first non-conforming event; zero misclassifications."""
@@ -154,11 +157,12 @@ def test_criterion_7_replay_protection():
     final = closer.archive.latest()
     assert closer.close().confirmed
     # Case 0 evidence against case 1: rejected both as submission and closure.
-    sender = setup.addresses[closer.role]
+    sender = closer.address
     assert setup.ledger.submit_state(setup.contract_id, final, sender) == Rejected("wrong-case")
     assert setup.ledger.close_channel(setup.contract_id, final, sender) == Rejected("wrong-case")
     # Same machine, second contract: evidence does not transfer.
-    other_contract = setup.ledger.deploy_channel(machine, setup.addresses, 10)
+    binding = setup.ledger.contracts[setup.contract_id].role_binding
+    other_contract = setup.ledger.deploy_channel(machine, binding, 10)
     assert setup.ledger.submit_state(other_contract, final, sender) == Rejected("wrong-contract")
     _report(7, "cross-case and cross-contract replays rejected")
 

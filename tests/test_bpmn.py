@@ -81,6 +81,54 @@ def test_unsupported_element_named():
     assert err.value.element_id == "timer1"
 
 
+@pytest.mark.parametrize("element_id,empty,child", [
+    ("carrier", b'<bpmn2:participant id="carrier" name="Special Carrier"',
+     b"participantMultiplicity"),
+    ("start", b'<bpmn2:startEvent id="start"', b"timerEventDefinition"),
+    ("end", b'<bpmn2:endEvent id="end"', b"terminateEventDefinition"),
+    ("loop_entry", b'<bpmn2:exclusiveGateway id="loop_entry"', b"extensionElements"),
+    ("split_procurement", b'<bpmn2:parallelGateway id="split_procurement"', b"extensionElements"),
+    ("f21", b'<bpmn2:sequenceFlow id="f21" sourceRef="close_order" targetRef="end"',
+     b"conditionExpression"),
+], ids=["participant", "startEvent", "endEvent", "exclusiveGateway", "parallelGateway",
+        "sequenceFlow"])
+def test_unsupported_child_element_named(element_id, empty, child):
+    """A supported node holding an element outside the subset is refused,
+    not parsed as if the element were absent."""
+    tag = empty.split()[0][1:]
+    xml = fixture_bytes("supply_chain").replace(
+        empty + b"/>", empty + b"><bpmn2:" + child + b"/></" + tag + b">")
+    with pytest.raises(ParseError, match=f"<{child.decode()}>") as err:
+        parse_choreography(xml)
+    assert err.value.element_id == element_id
+
+
+def test_unsupported_child_of_a_task_named():
+    xml = fixture_bytes("supply_chain").replace(
+        b"<bpmn2:participantRef>bulk_buyer</bpmn2:participantRef>",
+        b"<bpmn2:standardLoopCharacteristics/>"
+        b"<bpmn2:participantRef>bulk_buyer</bpmn2:participantRef>", 1)
+    with pytest.raises(ParseError, match="<standardLoopCharacteristics>") as err:
+        parse_choreography(xml)
+    assert err.value.element_id == "place_order"
+
+
+def test_unsupported_child_of_definitions_named():
+    xml = MINIMAL_XML.replace(b'<bpmn2:choreography id="c">',
+                              b'<bpmn2:participant id="stray"/><bpmn2:choreography id="c">')
+    with pytest.raises(ParseError, match="<participant>") as err:
+        parse_choreography(xml)
+    assert err.value.element_id == "stray"
+
+
+def test_supported_child_elements_are_accepted():
+    xml = fixture_bytes("supply_chain").replace(
+        b'<bpmn2:endEvent id="end"/>',
+        b'<bpmn2:endEvent id="end"><bpmn2:documentation>done</bpmn2:documentation>'
+        b"<bpmn2:incoming>f21</bpmn2:incoming></bpmn2:endEvent>")
+    assert parse_choreography(xml) == load_model("supply_chain")
+
+
 def test_missing_initiator():
     xml = MINIMAL_XML.replace(b' initiatingParticipantRef="a"', b"")
     with pytest.raises(ParseError) as err:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from choreochannel.cases import fixture_bytes
 from choreochannel.cli import main
 
@@ -142,3 +144,20 @@ def test_compile_into_a_directory_is_an_error_line(tmp_path, capsys):
     assert main(["compile", str(model), "-o", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_run_scenario_with_a_zero_window_is_an_error_line(capsys):
+    rc = main(["run-scenario", "--case", "supply-chain", "--kind", "best", "--window", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: dispute window must be at least one block\n"
+
+
+@pytest.mark.parametrize("args", [["--mix", "1.5"], ["--mix", "-0.5"], ["--horizon", "0"],
+                                  ["--mix", "0.2", "--mix", "1.01"]],
+                         ids=["mix-above-one", "mix-below-zero", "zero-horizon", "second-mix"])
+def test_break_even_refuses_out_of_range_arguments(capsys, args):
+    assert main(["break-even", "--case", "supply-chain", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1

@@ -32,12 +32,12 @@ def render_run(case: str, variant: int, kind: ScenarioKind) -> dict[str, str]:
     """The three artifacts of one seed-0 run, as the goldens store them."""
     outcome = run_scenario(ScenarioSpec(case, variant, kind, seed=0))
     machine = build_machine(case)
-    keys = build_network(machine, seed=0, key_salt=case).keys
+    nodes = build_network(machine, seed=0, key_salt=case).nodes
     trace = Trace(tuple(load_variants(case)[variant]))
     return {
         "channel_log": outcome.ledger_log,
         "cost_report": outcome.report.to_json(),
-        "baseline_log": _run_baseline(machine, trace, keys).export_log(),
+        "baseline_log": _run_baseline(machine, trace, nodes).export_log(),
     }
 
 

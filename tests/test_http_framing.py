@@ -20,6 +20,7 @@ import choreochannel
 from choreochannel.cases import build_machine, load_variants
 from choreochannel.harness import build_network
 from choreochannel.httpd import MAX_HEADERS, MAX_LINE, HttpTransport, serve_network
+from choreochannel.ledger import CHAIN_ID
 from choreochannel.machine import step
 from choreochannel.wire import (
     ChannelMessage,
@@ -29,7 +30,7 @@ from choreochannel.wire import (
     sign_step,
     verify_step,
 )
-from util import CONFIRM, envelope, flipped, step_bytes
+from util import CONFIRM, envelope, flipped, signing_keys, step_bytes
 from util import PROPOSE as PROPOSE_KIND
 
 # A Propose for another contract, signed (not validly) by role r: it decodes,
@@ -250,9 +251,9 @@ def signer():
     req = load_variants("incident_management")[0][0]
     role = next(r for r in servers if r != req.requester_role)
     machine = setup.nodes[role].machine
-    payload = StepPayload(setup.ledger.chain_id, setup.contract_id, 0, 1, req.task_id, b"",
+    payload = StepPayload(CHAIN_ID, setup.contract_id, 0, 1, req.task_id, b"",
                           machine.state_to_bytes(step(machine, machine.initial_state, req)))
-    sigs = {r: sign_step(payload, key) for r, key in setup.keys.items()}
+    sigs = {r: sign_step(payload, key) for r, key in signing_keys(setup).items()}
     propose = ChannelMessage(MessageKind.PROPOSE,
                              SignedStep(payload, {req.requester_role: sigs[req.requester_role]}))
     confirm = ChannelMessage(MessageKind.CONFIRM, SignedStep(payload, sigs))
@@ -287,7 +288,7 @@ def test_content_type_names_each_body(signer, server):
     sign = ChannelMessage.from_wire(replies[0])
     ((role, sig),) = sign.signed.signatures.items()
     assert (sign.kind, role) == (MessageKind.SIGN, node_server.node.role)
-    assert verify_step(sign.signed.payload, sig, setup.keys[role].public_key())
+    assert verify_step(sign.signed.payload, sig, setup.nodes[role].signing_key.public_key())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -5,6 +5,8 @@ import pytest
 
 from choreochannel.cases import build_machine, load_variants
 from choreochannel.ledger import (
+    CHAIN_ID,
+    DISPUTE_CHECK_SURCHARGE,
     Accepted,
     DeployError,
     Ledger,
@@ -27,15 +29,15 @@ def variant():
     return load_variants("supply_chain")[0]
 
 
-def make_channel(machine, window=10, chain_id=1):
-    ledger = Ledger(chain_id=chain_id)
+def make_channel(machine, window=10):
+    ledger = Ledger()
     keys = {r: generate_signing_key(f"ledger-test|{r}".encode()) for r in machine.role_ids}
     addresses = {r: ledger.register_account(public_key_of(k)) for r, k in keys.items()}
     contract_id = ledger.deploy_channel(machine, addresses, window)
     return ledger, contract_id, keys, addresses
 
 
-def signed_after(machine, contract_id, keys, events, count, case_id=0, chain_id=1,
+def signed_after(machine, contract_id, keys, events, count, case_id=0, chain_id=CHAIN_ID,
                  seq=None, skip_roles=()):
     """Complete SignedStep for the state after `count` events of a trace."""
     state = machine.initial_state
@@ -171,8 +173,8 @@ def test_submit_rejects_wrong_case(machine, variant):
 
 
 def test_submit_rejects_wrong_chain(machine, variant):
-    ledger, cid, keys, addrs = make_channel(machine, chain_id=7)
-    foreign = signed_after(machine, cid, keys, variant, 3, chain_id=8)
+    ledger, cid, keys, addrs = make_channel(machine)
+    foreign = signed_after(machine, cid, keys, variant, 3, chain_id=CHAIN_ID + 1)
     assert ledger.submit_state(cid, foreign, addrs["carrier"]) == Rejected("wrong-chain")
 
 
@@ -392,7 +394,7 @@ def test_baseline_serves_back_to_back_cases_on_chain(machine, variant):
     assert all(t.accepted for t in tasks)
     assert [t.case_id for t in tasks] == [0] * n + [1] * n
     assert [t.contract_seq for t in tasks] == list(range(1, n + 1)) * 2
-    surcharge = ledger.params.dispute_check_surcharge
+    surcharge = DISPUTE_CHECK_SURCHARGE
     assert {t.cost.cost_units for t in tasks} == {channel_task_cost.cost_units - surcharge}
 
 

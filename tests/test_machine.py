@@ -48,7 +48,6 @@ def test_fixture_machines_match_golden(case):
     golden = json.loads(text)
     assert machine.to_dict() == golden
     assert machine.to_json() == text
-    assert ProcessStateMachine.from_dict(golden) == machine
 
 
 ODD_IDS = ("caf\u00e9", "\u65e5\u672c", "\U0001f600", 'say "hi"', "back\\slash", "tab\there",

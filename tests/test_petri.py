@@ -294,6 +294,7 @@ def test_exact_oracle_ends_on_cyclic_nets():
     assert traces_equivalent(net, compile_state_machine(reduce_net(net)), None)
 
 
+@pytest.mark.slow
 def test_reduction_exactly_preserves_language_over_random_models():
     # No depth bound: reduction keeps the full trace and completed-trace
     # languages of every safe model, default size seeds 0-999 and the
@@ -366,5 +367,6 @@ def explorer_digest() -> str:
     return digest.hexdigest()
 
 
+@pytest.mark.slow
 def test_explorers_pinned_over_random_models():
     assert explorer_digest() == "ac7180f62546b19d9adfd8882c1984bfdb34e4e242aab074d7fd5d39b116178a"

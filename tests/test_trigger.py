@@ -7,7 +7,7 @@ import pytest
 from choreochannel.harness import build_network
 from choreochannel.trigger import TriggerNode
 from choreochannel.cases import build_machine, compile_model, load_variants
-from choreochannel.ledger import Accepted, Phase, TxKind
+from choreochannel.ledger import Accepted, Phase, Rejected, TxKind
 from choreochannel.machine import TaskRequest, step as machine_step
 from choreochannel.wire import (
     ChannelMessage,
@@ -17,7 +17,7 @@ from choreochannel.wire import (
     sign_step,
     verify_step,
 )
-from util import counting_calls, counting_verifies, minimal_model
+from util import counting_calls, counting_verifies, minimal_model, signing_keys
 
 
 @pytest.fixture(scope="module")
@@ -105,20 +105,20 @@ def test_on_propose_returns_verifiable_signature(machine, variant):
         new_state=machine.state_to_bytes(
             machine_step(machine, machine.initial_state, variant[0])),
     )
-    sig = sign_step(payload, setup.keys["bulk_buyer"])
+    sig = sign_step(payload, setup.nodes["bulk_buyer"].signing_key)
     msg = ChannelMessage(MessageKind.PROPOSE, SignedStep(payload, {"bulk_buyer": sig}))
     reply = setup.nodes["supplier"].on_propose(msg)
     assert reply is not None and reply.kind is MessageKind.SIGN
     assert verify_step(payload, reply.signed.signatures["supplier"],
-                       setup.keys["supplier"].public_key())
+                       setup.nodes["supplier"].signing_key.public_key())
 
 
 def test_node_refuses_key_not_bound_to_its_role(machine):
     setup = fresh(machine)
     with pytest.raises(ValueError, match="not the key bound to role 'supplier'"):
-        TriggerNode("supplier", setup.keys["carrier"], setup.ledger, setup.contract_id)
+        TriggerNode("supplier", setup.nodes["carrier"].signing_key, setup.ledger, setup.contract_id)
     with pytest.raises(ValueError, match="role 'auditor'"):
-        TriggerNode("auditor", setup.keys["carrier"], setup.ledger, setup.contract_id)
+        TriggerNode("auditor", setup.nodes["carrier"].signing_key, setup.ledger, setup.contract_id)
 
 
 def test_node_enforces_the_deployed_contract(machine):
@@ -126,12 +126,12 @@ def test_node_enforces_the_deployed_contract(machine):
     contract = setup.ledger.contracts[setup.contract_id]
     for role, node in setup.nodes.items():
         assert node.machine is contract.machine
-        assert node.address == contract.role_binding[role] == setup.addresses[role]
+        assert node.address == contract.role_binding[role]
         # One parse per contract: every node verifies with the contract's keys.
         assert node.role_keys is contract.role_keys
     assert list(contract.role_keys) == list(machine.role_ids)
     for role, key in contract.role_keys.items():
-        assert key.public_bytes_raw() == setup.ledger.accounts[setup.addresses[role]]
+        assert key.public_bytes_raw() == setup.ledger.accounts[contract.role_binding[role]]
 
 
 def _propose(setup, machine, proposer, seq, task_id, new_state_bytes, signer="supplier"):
@@ -139,7 +139,7 @@ def _propose(setup, machine, proposer, seq, task_id, new_state_bytes, signer="su
         chain_id=1, contract_id=setup.contract_id, case_id=0, seq=seq,
         task_id=task_id, choice_data=b"", new_state=new_state_bytes,
     )
-    sig = sign_step(payload, setup.keys[proposer])
+    sig = sign_step(payload, setup.nodes[proposer].signing_key)
     msg = ChannelMessage(MessageKind.PROPOSE, SignedStep(payload, {proposer: sig}))
     return setup.nodes[signer].on_propose(msg)
 
@@ -177,7 +177,7 @@ def test_on_propose_rejects_bad_signature(monkeypatch, machine, variant, tmp_pat
         new_state=machine.state_to_bytes(
             machine_step(machine, machine.initial_state, variant[0])),
     )
-    sig = sign_step(payload, setup.keys["supplier"])  # wrong key for bulk_buyer
+    sig = sign_step(payload, setup.nodes["supplier"].signing_key)  # wrong key for bulk_buyer
     msg = ChannelMessage(MessageKind.PROPOSE, SignedStep(payload, {"bulk_buyer": sig}))
     carrier = setup.nodes["carrier"]
     verifies = counting_verifies(monkeypatch)
@@ -196,7 +196,7 @@ def test_on_propose_rejects_wrong_initiator_role(machine, variant):
         new_state=machine.state_to_bytes(
             machine_step(machine, machine.initial_state, variant[0])),
     )
-    sig = sign_step(payload, setup.keys["supplier"])
+    sig = sign_step(payload, setup.nodes["supplier"].signing_key)
     msg = ChannelMessage(MessageKind.PROPOSE, SignedStep(payload, {"supplier": sig}))
     assert setup.nodes["carrier"].on_propose(msg) is None
 
@@ -212,7 +212,7 @@ def test_first_proposal_wins_sequence_number(machine, variant):
         chain_id=1, contract_id=setup.contract_id, case_id=0, seq=1,
         task_id="place_order", choice_data=b"\x01", new_state=good,
     )
-    sig = sign_step(other, setup.keys["bulk_buyer"])
+    sig = sign_step(other, setup.nodes["bulk_buyer"].signing_key)
     msg = ChannelMessage(MessageKind.PROPOSE, SignedStep(other, {"bulk_buyer": sig}))
     assert setup.nodes["supplier"].on_propose(msg) is None
 
@@ -233,12 +233,13 @@ def test_on_confirm_rejects_missing_signature(machine, variant):
         task_id="place_order", choice_data=b"",
         new_state=machine.state_to_bytes(state),
     )
-    sig = sign_step(payload, setup.keys["bulk_buyer"])
+    sig = sign_step(payload, setup.nodes["bulk_buyer"].signing_key)
     propose = ChannelMessage(MessageKind.PROPOSE, SignedStep(payload, {"bulk_buyer": sig}))
     signer = setup.nodes["supplier"]
     assert signer.on_propose(propose) is not None
     incomplete = ChannelMessage(MessageKind.CONFIRM, SignedStep(
-        payload, {"bulk_buyer": sig, "supplier": sign_step(payload, setup.keys["supplier"])},
+        payload,
+        {"bulk_buyer": sig, "supplier": sign_step(payload, setup.nodes["supplier"].signing_key)},
     ))
     assert signer.on_confirm(incomplete) is False
     assert signer.seq == 0  # nothing installed
@@ -252,7 +253,7 @@ def test_confirm_for_unknown_step_ignored(machine, variant):
         task_id="place_order", choice_data=b"",
         new_state=machine.state_to_bytes(state),
     )
-    sigs = {r: sign_step(payload, k) for r, k in setup.keys.items()}
+    sigs = {r: sign_step(payload, k) for r, k in signing_keys(setup).items()}
     msg = ChannelMessage(MessageKind.CONFIRM, SignedStep(payload, sigs))
     node = setup.nodes["carrier"]
     assert node.on_confirm(msg) is False  # never saw the proposal
@@ -411,7 +412,7 @@ def _place_order(setup, machine, variant, **fields):
         new_state=machine.state_to_bytes(
             machine_step(machine, machine.initial_state, variant[0])),
     ), **fields)
-    sig = sign_step(payload, setup.keys["bulk_buyer"])
+    sig = sign_step(payload, setup.nodes["bulk_buyer"].signing_key)
     return ChannelMessage(MessageKind.PROPOSE, SignedStep(payload, {"bulk_buyer": sig}))
 
 
@@ -458,7 +459,7 @@ class ForgedSign:
 def test_bad_sign_reply_leaves_the_initiator_unchanged(machine, variant):
     setup = fresh(machine)
     initiator = setup.nodes["bulk_buyer"]
-    initiator.transport = ForgedSign(setup.network, "carrier", setup.keys["supplier"])
+    initiator.transport = ForgedSign(setup.network, "carrier", setup.nodes["supplier"].signing_key)
     result = initiator.enact(variant[0])
     assert (result.status, result.error) == ("rejected", "missing-signatures")
     assert initiator.seq == 0
@@ -495,7 +496,7 @@ def test_late_confirm_cannot_install_a_superseded_step(machine, variant):
     setup.network.poll_all()
     before = (supplier.seq, supplier.state)
     assert before[0] == 3
-    sigs = {r: sign_step(late, k) for r, k in setup.keys.items()}
+    sigs = {r: sign_step(late, k) for r, k in signing_keys(setup).items()}
     assert supplier.on_confirm(ChannelMessage(MessageKind.CONFIRM, SignedStep(late, sigs))) is False
     assert (supplier.seq, supplier.state) == before
 
@@ -534,7 +535,7 @@ def test_peers_on_chain_stay_silent_on_an_off_chain_proposal(machine, variant):
     assert all(any("contract is on-chain" in e for e in node.events)
                for role, node in setup.nodes.items() if role != "middleman")
     disputes = [t for t in setup.ledger.log if t.kind is TxKind.SUBMIT_STATE]
-    assert [t.sender for t in disputes] == [setup.addresses["bulk_buyer"]]
+    assert [t.sender for t in disputes] == [setup.nodes["bulk_buyer"].address]
     assert setup.ledger.get_contract(setup.contract_id).seq == 3
     assert middleman.enact(variant[3]).confirmed
     assert setup.ledger.log[-1].kind is TxKind.ON_CHAIN_TASK
@@ -556,7 +557,7 @@ def test_node_on_chain_refuses_a_confirm_for_its_signed_slot(machine, variant):
     assert supplier.observed_phase is Phase.ON_CHAIN
     before = (supplier.seq, supplier.state)
     assert before[0] == 2
-    sigs = {r: sign_step(slot, k) for r, k in setup.keys.items()}
+    sigs = {r: sign_step(slot, k) for r, k in signing_keys(setup).items()}
     assert supplier.on_confirm(ChannelMessage(MessageKind.CONFIRM, SignedStep(slot, sigs))) is False
     assert (supplier.seq, supplier.state) == before
     assert supplier.archive.latest().payload.seq == 2
@@ -686,11 +687,11 @@ def _confirm_refused_by_carrier(setup, variant, role, forge):
     assert manufacturer.enact(variant[1]).confirmed  # every other peer installed it
     assert (carrier.seq, carrier.state) == before
     assert carrier.archive.latest().payload.seq == 1
-    assert any("incomplete signature set" in e for e in carrier.events)
+    assert any("confirm for seq 2 refused" in e for e in carrier.events)
     # carrier disputed with the last step it holds.
     disputes = [t for t in setup.ledger.log if t.kind is TxKind.SUBMIT_STATE]
     assert [(t.sender, t.accepted, t.payload_seq) for t in disputes] == \
-        [(setup.addresses["carrier"], True, 1)]
+        [(setup.nodes["carrier"].address, True, 1)]
     return before
 
 
@@ -712,7 +713,8 @@ def test_confirm_with_a_signer_outside_the_roles_is_refused(machine, variant, tm
     and a role id too long to encode would make the archive write fail."""
     setup = fresh(machine, archive_dir=str(tmp_path))
     _confirm_refused_by_carrier(setup, variant, extra,
-                                lambda signed: sign_step(signed.payload, setup.keys["carrier"]))
+                                lambda signed: sign_step(signed.payload,
+                                                         setup.nodes["carrier"].signing_key))
     confirms = {role: [m.to_wire() for m in _archive(tmp_path, role)
                        if m.kind is MessageKind.CONFIRM] for role in setup.nodes}
     assert len(confirms["carrier"]) == 1
@@ -728,7 +730,7 @@ def test_confirm_with_another_checked_signature_is_refused(machine, variant, rol
 
     def over_other_payload(signed):
         other = dataclasses.replace(signed.payload, choice_data=b"\x01")
-        return sign_step(other, setup.keys[role])
+        return sign_step(other, setup.nodes[role].signing_key)
 
     _confirm_refused_by_carrier(setup, variant, role, over_other_payload)
 
@@ -739,7 +741,7 @@ def test_reset_for_case_drops_the_checked_signatures(monkeypatch, machine, varia
     propose = _place_order(setup, machine, variant)
     assert supplier.on_propose(propose) is not None
     payload = propose.signed.payload
-    sigs = {r: sign_step(payload, k) for r, k in setup.keys.items()}
+    sigs = {r: sign_step(payload, k) for r, k in signing_keys(setup).items()}
     old = ChannelMessage(MessageKind.CONFIRM, SignedStep(payload, sigs))
     supplier._reset_for_case(1)
     assert supplier.signed is None
@@ -751,10 +753,10 @@ def test_reset_for_case_drops_the_checked_signatures(monkeypatch, machine, varia
     payload = propose.signed.payload
     assert supplier.signed == SignedStep(payload, {
         "bulk_buyer": propose.signed.signatures["bulk_buyer"],
-        "supplier": sign_step(payload, setup.keys["supplier"]),
+        "supplier": sign_step(payload, setup.nodes["supplier"].signing_key),
     })
     calls = counting_verifies(monkeypatch)
-    sigs = {r: sign_step(payload, k) for r, k in setup.keys.items()}
+    sigs = {r: sign_step(payload, k) for r, k in signing_keys(setup).items()}
     assert supplier.on_confirm(ChannelMessage(MessageKind.CONFIRM, SignedStep(payload, sigs)))
     assert [args[2] for args in calls] == [
         supplier.role_keys[r] for r in machine.role_ids if r not in ("bulk_buyer", "supplier")]
@@ -768,11 +770,55 @@ def test_confirm_for_another_payload_with_the_slot_signatures_is_refused(machine
     propose = _place_order(setup, machine, variant)
     assert supplier.on_propose(propose) is not None
     payload = propose.signed.payload
-    sigs = {r: sign_step(payload, k) for r, k in setup.keys.items()}
+    sigs = {r: sign_step(payload, k) for r, k in signing_keys(setup).items()}
     other = dataclasses.replace(payload, choice_data=b"\x01")
     assert supplier.on_confirm(ChannelMessage(MessageKind.CONFIRM, SignedStep(other, sigs))) is False
     assert (supplier.seq, supplier.state) == (0, machine.initial_state)
     assert supplier.archive.latest() is None
+
+
+def _drop_carrier(sigs, setup):
+    del sigs["carrier"]
+
+
+def _add_extra_signer(sigs, setup):
+    sigs["zz-extra"] = sigs["carrier"]
+
+
+def _corrupt_carrier(sigs, setup):
+    sigs["carrier"] = bytes([sigs["carrier"][0] ^ 1]) + sigs["carrier"][1:]
+
+
+@pytest.mark.parametrize("edit,fault", [
+    (_drop_carrier, "incomplete-signatures"),
+    (_add_extra_signer, "incomplete-signatures"),
+    (_corrupt_carrier, "invalid-signature"),
+    (lambda sigs, setup: None, None),
+], ids=["missing-signer", "extra-signer", "invalid-signature", "valid-set"])
+def test_node_and_contract_apply_the_same_signer_rule(monkeypatch, machine, variant, edit, fault):
+    """A Confirm's signatures are installed by a node exactly when the
+    contract accepts them as a submission, for the same reason."""
+    setup = fresh(machine)
+    supplier = setup.nodes["supplier"]
+    propose = _place_order(setup, machine, variant)
+    assert supplier.on_propose(propose) is not None
+    payload = propose.signed.payload
+    sigs = {r: sign_step(payload, k) for r, k in signing_keys(setup).items()}
+    edit(sigs, setup)
+    confirm = ChannelMessage(MessageKind.CONFIRM, SignedStep(payload, sigs))
+    calls = counting_verifies(monkeypatch)
+    installed = supplier.on_confirm(confirm)
+    node_keys = [args[2] for args in calls]
+    result = setup.ledger.submit_state(setup.contract_id, confirm.signed, supplier.address)
+    if fault is None:
+        assert installed and isinstance(result, Accepted)
+        # The proposer's and the node's own signatures are not verified again.
+        assert node_keys == [supplier.role_keys[r] for r in machine.role_ids
+                             if r not in ("bulk_buyer", "supplier")]
+    else:
+        assert not installed and result == Rejected(fault)
+        assert f"confirm for seq 1 refused: {fault}" in supplier.events
+        assert supplier.seq == 0 and supplier.archive.latest() is None
 
 
 def _second_task_by_bulk_buyer(setup, machine, variant, signer_key=None):
@@ -792,7 +838,7 @@ def test_forged_nonconforming_proposal_fails_one_verify_and_sends_nothing(
         monkeypatch, machine, variant):
     setup = fresh(machine)
     supplier = setup.nodes["supplier"]
-    msg = _second_task_by_bulk_buyer(setup, machine, variant, setup.keys["carrier"])
+    msg = _second_task_by_bulk_buyer(setup, machine, variant, setup.nodes["carrier"].signing_key)
     slot = supplier.signed
     calls = counting_verifies(monkeypatch)
     assert supplier.on_propose(msg) is None
@@ -832,7 +878,8 @@ def test_nonconforming_proposal_is_verified_once_before_the_dispute(
 
     monkeypatch.setattr(setup.ledger, "submit_state", recording_submit)
     assert setup.nodes["supplier"].on_propose(msg) is None
-    assert verifies_at_submit == [1] and len(calls) == 1
+    # One verify by the node, then the contract's check of the evidence.
+    assert verifies_at_submit == [1] and len(calls) == 1 + len(machine.role_ids)
     view = setup.ledger.get_contract(setup.contract_id)
     assert (view.phase, view.seq) == (Phase.DISPUTE, 1)
 

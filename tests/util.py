@@ -6,7 +6,7 @@ import struct
 
 from hypothesis import strategies as st
 
-from choreochannel import trigger
+from choreochannel import trigger, wire
 from choreochannel.bpmn import (
     ChoreographyModel,
     ChoreographyTask,
@@ -34,22 +34,30 @@ def chain_net(place_count: int) -> InteractionNet:
 
 
 def counting_calls(monkeypatch, name: str) -> list[tuple]:
-    """Record the arguments of every call trigger nodes make to the `trigger`
-    module's `name` (`verify_step`, `sign_step`), then make the call."""
+    """Record the arguments of every call to the `wire` function `name`
+    (`verify_step`, `sign_step`) made by trigger nodes or by the shared
+    signer check `wire.signature_fault`, then make the call. That check is
+    the contract's too, so a ledger transaction in between adds its calls."""
     calls = []
-    original = getattr(trigger, name)
+    original = getattr(wire, name)
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
     monkeypatch.setattr(trigger, name, counting)
+    monkeypatch.setattr(wire, name, counting)
     return calls
 
 
 def counting_verifies(monkeypatch) -> list[tuple]:
-    """Record every verify_step call made by a trigger node."""
+    """Record every verify_step call made by a trigger node (see counting_calls)."""
     return counting_calls(monkeypatch, "verify_step")
+
+
+def signing_keys(setup) -> dict:
+    """Each role's signing key, as its node in `setup` holds it."""
+    return {role: node.signing_key for role, node in setup.nodes.items()}
 
 
 def minimal_model() -> ChoreographyModel:
