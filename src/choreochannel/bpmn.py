@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 BPMN_NS = "http://www.omg.org/spec/BPMN/20100524/MODEL"
 
@@ -35,22 +36,19 @@ class GatewayKind(Enum):
     PARALLEL = "parallel"
 
 
-@dataclass(frozen=True)
-class Role:
+class Role(NamedTuple):
     id: str
     name: str
 
 
-@dataclass(frozen=True)
-class ChoreographyTask:
+class ChoreographyTask(NamedTuple):
     id: str
     name: str
     initiator: str
     respondent: str
 
 
-@dataclass(frozen=True)
-class Gateway:
+class Gateway(NamedTuple):
     """A split or a join; which one is decided by its flow degrees."""
 
     id: str
@@ -277,10 +275,12 @@ def validate_model(model: ChoreographyModel) -> list[Diagnostic]:
 
 def _closure(seeds: set[str], rel: dict[str, list[str]]) -> set[str]:
     out = set(seeds)
-    frontier = set(seeds)
-    while frontier:
-        frontier = {n for f in frontier for n in rel.get(f, []) if n not in out}
-        out |= frontier
+    stack = list(seeds)
+    while stack:
+        for n in rel.get(stack.pop(), ()):
+            if n not in out:
+                out.add(n)
+                stack.append(n)
     return out
 
 

@@ -7,8 +7,10 @@ function of (state, request).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
+from typing import NamedTuple
 
 
 class CompileError(ValueError):
@@ -37,8 +39,7 @@ class NotEnabledError(ConformanceError):
     reason = "not-enabled"
 
 
-@dataclass(frozen=True)
-class CompiledTransition:
+class CompiledTransition(NamedTuple):
     """Masks plus, for a manual transition, its task; without a task the
     transition is autonomous."""
 
@@ -181,34 +182,34 @@ def compile_state_machine(net) -> ProcessStateMachine:
                 if role not in roles:
                     roles.append(role)
 
-    machine = ProcessStateMachine(
+    return ProcessStateMachine(
         places=tuple(net.places),
         transitions=tuple(transitions),
-        initial_state=net.ints.initial,
+        initial_state=_autonomous_fixpoint(transitions, len(net.places), net.ints.initial),
         final_mask=net.ints.final,
         role_ids=tuple(roles),
     )
-    return replace(machine, initial_state=_autonomous_fixpoint(machine, machine.initial_state))
 
 
-def _autonomous_fixpoint(machine: ProcessStateMachine, state: int) -> int:
+def _autonomous_fixpoint(
+    transitions: Sequence[CompiledTransition], place_count: int, state: int
+) -> int:
     """Fire enabled autonomous transitions, lowest id first, until none apply.
 
     A firing that does not change the state (a silent self-loop) is skipped.
     The firing budget guards against a reduction bug ever producing an
     autonomous cycle; hitting it is a loud failure, not a recoverable one.
     """
-    budget = machine.place_count * max(1, len(machine.transitions))
+    budget = place_count * max(1, len(transitions))
+    auto = [(t.consume_mask, t.produce_mask) for t in transitions if t.task_id is None]
     fired = 0
     progress = True
     while progress:
         progress = False
-        for t in machine.transitions:
-            if t.task_id is not None:
+        for consume, produce in auto:
+            if state & consume != consume:
                 continue
-            if state & t.consume_mask != t.consume_mask:
-                continue
-            new_state = (state & ~t.consume_mask) | t.produce_mask
+            new_state = (state & ~consume) | produce
             if new_state == state:
                 continue
             fired += 1
@@ -236,7 +237,7 @@ def step(machine: ProcessStateMachine, state: int, req: TaskRequest) -> int:
         raise NotEnabledError(req.task_id)
     t = enabled[0]
     new_state = (state & ~t.consume_mask) | t.produce_mask
-    return _autonomous_fixpoint(machine, new_state)
+    return _autonomous_fixpoint(machine.transitions, machine.place_count, new_state)
 
 
 def enabled_tasks(machine: ProcessStateMachine, state: int) -> set[tuple[str, str]]:

@@ -18,20 +18,19 @@ import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .bpmn import ChoreographyModel, GatewayKind, validate_model
 from .machine import ProcessStateMachine, TaskRequest, enabled_tasks, is_end_state, step
 
 
-@dataclass(frozen=True)
-class TaskLabel:
+class TaskLabel(NamedTuple):
     task_id: str
     initiator: str
     respondent: str
 
 
-@dataclass(frozen=True)
-class NetTransition:
+class NetTransition(NamedTuple):
     id: str
     inputs: frozenset[str]
     outputs: frozenset[str]
@@ -106,7 +105,9 @@ SafenessResult = SafeOk | UnsafeWitness | BoundExceeded
 
 def to_interaction_net(model: ChoreographyModel) -> InteractionNet:
     """Map a choreography onto an interaction Petri net, refusing an invalid
-    one with a ValueError that lists every diagnostic.
+    one with a ValueError that lists every diagnostic, and one whose net
+    would hold two places or two transitions with one name with a
+    ValueError that names it.
 
     Tasks become labelled transitions, parallel gateways silent transitions,
     exclusive gateways and events places. A flow between two place-like nodes
@@ -212,6 +213,12 @@ def to_interaction_net(model: ChoreographyModel) -> InteractionNet:
 
     merged_places = [pid for pid in order if find(pid) == pid]
     places = tuple(merged_places + extra_places)
+    # A generated name can repeat a node id or another generated name; two
+    # places or transitions with one name would silently become one.
+    for kind, names in (("place", places), ("transition", trans_order)):
+        if len(set(names)) < len(names):
+            name = next(n for i, n in enumerate(names) if n in names[:i])
+            raise ValueError(f"model is not compilable: two net {kind}s are named {name!r}")
     transitions = tuple(
         NetTransition(
             id=tid,

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from choreochannel.bpmn import serialize_choreography
 from choreochannel.cases import fixture_bytes
 from choreochannel.cli import main
+from util import place_named_like_flow_model
 
 
 def test_compile_command(tmp_path, capsys):
@@ -25,6 +27,16 @@ def test_compile_rejects_invalid_model(tmp_path, capsys):
     out = tmp_path / "machine.json"
     assert main(["compile", str(model), "-o", str(out)]) == 1
     assert "invalid" in capsys.readouterr().err
+
+
+def test_compile_refuses_place_names_that_repeat(tmp_path, capsys):
+    model = tmp_path / "clash.bpmn"
+    model.write_bytes(serialize_choreography(place_named_like_flow_model()))
+    out = tmp_path / "machine.json"
+    assert main(["compile", str(model), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: model is not compilable: two net places are named 'p_ask__tell'" in err
+    assert not out.exists()
 
 
 def test_run_scenario_table_and_file(tmp_path, capsys):

@@ -21,7 +21,14 @@ from choreochannel.machine import (
 )
 from choreochannel.petri import reduce_net, to_interaction_net, traces_equivalent
 from choreochannel.randmodel import random_model
-from util import autonomous_leftover_model, chain_net, minimal_model
+from util import (
+    autonomous_leftover_model,
+    chain_net,
+    flows_named_alike_model,
+    minimal_model,
+    place_named_like_flow_model,
+    task_named_like_silent_model,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -117,6 +124,19 @@ def test_step_unknown_task():
         step(machine, machine.initial_state, TaskRequest("nope", "a"))
     # A missing task id never matches an autonomous transition.
     assert machine_for(autonomous_leftover_model()).manual_transitions(None) == []
+
+
+@pytest.mark.parametrize("model, message", [
+    (place_named_like_flow_model, "two net places are named 'p_ask__tell'"),
+    (flows_named_alike_model, "two net places are named 'p_ask__tell__go'"),
+    (task_named_like_silent_model, "two net transitions are named 'tau_choice__merge'"),
+])
+def test_compile_refuses_net_names_that_repeat(model, message):
+    # Two places or transitions with one name would become one in the net:
+    # the first model would accept ask, yes (skipping tell), the second would
+    # be refused as unsafe, and the third would lose its task.
+    with pytest.raises(ValueError, match=message):
+        compile_model(model())
 
 
 def test_build_machine_compiles_each_case_once():

@@ -175,6 +175,80 @@ def loop_model() -> ChoreographyModel:
     )
 
 
+
+def _tasks(*ids: str) -> tuple[ChoreographyTask, ...]:
+    return tuple(ChoreographyTask(tid, tid, "a", "b") for tid in ids)
+
+
+def place_named_like_flow_model() -> ChoreographyModel:
+    """ask -> tell -> xor "p_ask__tell" -> (yes -> end_yes | no -> end_no):
+    the gateway's place has the name of the place between ask and tell."""
+    return ChoreographyModel(
+        roles=ROLES_AB,
+        tasks=_tasks("ask", "tell", "yes", "no"),
+        gateways=(Gateway("p_ask__tell", GatewayKind.EXCLUSIVE),),
+        start_event="start",
+        end_events=("end_yes", "end_no"),
+        flows=(
+            ("start", "ask"),
+            ("ask", "tell"),
+            ("tell", "p_ask__tell"),
+            ("p_ask__tell", "yes"),
+            ("p_ask__tell", "no"),
+            ("yes", "end_yes"),
+            ("no", "end_no"),
+        ),
+    )
+
+
+def flows_named_alike_model() -> ChoreographyModel:
+    """Parallel branches ask__tell -> go and ask -> tell__go, whose flows
+    both name their place p_ask__tell__go; the model is safe."""
+    return ChoreographyModel(
+        roles=ROLES_AB,
+        tasks=_tasks("ask__tell", "go", "ask", "tell__go"),
+        gateways=(
+            Gateway("split", GatewayKind.PARALLEL),
+            Gateway("join", GatewayKind.PARALLEL),
+        ),
+        start_event="start",
+        end_events=("end",),
+        flows=(
+            ("start", "split"),
+            ("split", "ask__tell"),
+            ("split", "ask"),
+            ("ask__tell", "go"),
+            ("ask", "tell__go"),
+            ("go", "join"),
+            ("tell__go", "join"),
+            ("join", "end"),
+        ),
+    )
+
+
+def task_named_like_silent_model() -> ChoreographyModel:
+    """xor choice -> (merge | yes -> merge) -> task "tau_choice__merge" -> end:
+    the task has the name of the silent transition for choice -> merge."""
+    return ChoreographyModel(
+        roles=ROLES_AB,
+        tasks=_tasks("yes", "tau_choice__merge"),
+        gateways=(
+            Gateway("choice", GatewayKind.EXCLUSIVE),
+            Gateway("merge", GatewayKind.EXCLUSIVE),
+        ),
+        start_event="start",
+        end_events=("end",),
+        flows=(
+            ("start", "choice"),
+            ("choice", "merge"),
+            ("choice", "yes"),
+            ("yes", "merge"),
+            ("merge", "tau_choice__merge"),
+            ("tau_choice__merge", "end"),
+        ),
+    )
+
+
 # Envelope kind bytes, as the wire format documents them.
 PROPOSE, SIGN, CONFIRM = 1, 2, 3
 
