@@ -21,7 +21,7 @@ from .harness import (
     replay_conformance,
     run_scenario,
 )
-from .ledger import LedgerError
+from .ledger import DISPUTE_WINDOW, LedgerError
 from .machine import compile_state_machine
 from .petri import to_pnml
 
@@ -60,7 +60,6 @@ def cmd_run_scenario(args) -> int:
         variant=args.variant,
         kind=ScenarioKind(args.kind),
         seed=args.seed,
-        dispute_window=args.window,
     )
     outcome = run_scenario(spec)
     payload = {
@@ -70,7 +69,7 @@ def cmd_run_scenario(args) -> int:
             "variant": spec.variant,
             "kind": spec.kind.value,
             "seed": spec.seed,
-            "window": spec.dispute_window,
+            "window": DISPUTE_WINDOW,
         },
         "end_reached": outcome.end_reached,
         "stable": outcome.stable,
@@ -231,7 +230,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--variant", type=int, default=0)
     p.add_argument("--kind", required=True, choices=[k.value for k in ScenarioKind])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window", type=int, default=10)
     p.add_argument("--format", choices=("table", "structured"), default="table")
     p.add_argument("--out")
     p.set_defaults(func=cmd_run_scenario)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .cases import build_machine, load_variants, normalize_case
-from .ledger import Accepted, Ledger, Phase, TxKind
+from .ledger import DISPUTE_WINDOW, Accepted, Ledger, Phase, TxKind
 from .machine import (
     ConformanceError,
     ProcessStateMachine,
@@ -50,7 +50,6 @@ class ScenarioSpec:
     variant: int
     kind: ScenarioKind
     seed: int = 0
-    dispute_window: int = 10
 
 
 # -- pure oracle -------------------------------------------------------------
@@ -150,9 +149,8 @@ class ChannelSetup:
         return self.network.nodes
 
 
-def build_network(machine: ProcessStateMachine, *, seed: int = 0, dispute_window: int = 10,
-                  prefilter: bool = True, key_salt: str = "",
-                  archive_dir: str | None = None) -> ChannelSetup:
+def build_network(machine: ProcessStateMachine, *, seed: int = 0, prefilter: bool = True,
+                  key_salt: str = "", archive_dir: str | None = None) -> ChannelSetup:
     """Deploy a channel and one trigger node per role on a fresh ledger."""
     ledger = Ledger()
     keys = {
@@ -160,7 +158,7 @@ def build_network(machine: ProcessStateMachine, *, seed: int = 0, dispute_window
         for role in machine.role_ids
     }
     addresses = {role: ledger.register_account(public_key_of(k)) for role, k in keys.items()}
-    contract_id = ledger.deploy_channel(machine, addresses, dispute_window,
+    contract_id = ledger.deploy_channel(machine, addresses, DISPUTE_WINDOW,
                                         sender=addresses[machine.role_ids[0]])
     network = InProcessNetwork()
     for role, key in keys.items():
@@ -348,8 +346,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
     trace = Trace(tuple(variants[spec.variant]))
     rng = random.Random(spec.seed)
 
-    setup = build_network(machine, seed=spec.seed, dispute_window=spec.dispute_window,
-                          key_salt=case)
+    setup = build_network(machine, seed=spec.seed, key_salt=case)
     baseline = _run_baseline(machine, trace, setup.nodes)
     installed_seq: int | None = None
 
@@ -418,7 +415,7 @@ def _enact_events(setup: ChannelSetup, events) -> None:
 
 
 def _expire_window(setup: ChannelSetup) -> None:
-    setup.ledger.advance_blocks(setup.ledger.contracts[setup.contract_id].dispute_window)
+    setup.ledger.advance_blocks(DISPUTE_WINDOW)
     setup.network.poll_all()
 
 
@@ -501,7 +498,8 @@ class BreakEvenReport:
 
 def measure_case_costs(case: str) -> dict[str, list[CostReport]]:
     """Scenario costs for every (variant, kind) pair of a case, at the default
-    seed and dispute window: costs depend on neither."""
+    seed: costs do not depend on it, and every run uses the one dispute
+    window, `DISPUTE_WINDOW`."""
     case = normalize_case(case)
     variants = load_variants(case)
     out: dict[str, list[CostReport]] = {k.value: [] for k in ScenarioKind}

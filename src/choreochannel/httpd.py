@@ -273,11 +273,8 @@ class NodeServer:
             return (204, None, b"") if reply is None else (200, EVIDENCE_TYPE, reply.to_wire())
         try:
             data = json.loads(body.decode("utf-8"))
-            req = TaskRequest(
-                task_id=data["task_id"],
-                requester_role=data.get("requester_role", self.node.role),
-                choice_data=bytes.fromhex(data.get("choice_data", "")),
-            )
+            req = TaskRequest(data["task_id"], self.node.role,
+                              bytes.fromhex(data.get("choice_data", "")))
         except (ValueError, KeyError, TypeError, RecursionError):
             return 400, None, b""
         with self.lock:

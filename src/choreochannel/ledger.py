@@ -29,6 +29,8 @@ from .wire import SIGNATURE_BYTES, SignedStep, address_of, signature_fault
 
 # The one chain this ledger simulates; every step payload names it.
 CHAIN_ID = 1
+# The dispute window, in blocks, of every channel the harness deploys.
+DISPUTE_WINDOW = 10
 
 
 class Phase(Enum):
@@ -375,7 +377,7 @@ class Ledger:
                      contract.case_id, contract.seq, signed.payload.seq, cost)
         return Accepted(contract.seq, contract.phase, contract.current_state)
 
-    def advance_blocks(self, n: int) -> int:
+    def advance_blocks(self, n: int) -> None:
         """Advance simulated time; expire dispute windows in contract order."""
         if n < 1:
             raise LedgerError("must advance by at least one block")
@@ -388,7 +390,6 @@ class Ledger:
                 else:
                     contract.phase = Phase.ON_CHAIN
                     contract.dispute_deadline = None
-        return self.height
 
     def on_chain_step(self, contract_id: bytes, req: TaskRequest, sender: bytes) -> SubmitResult:
         contract = self.contracts.get(contract_id)

@@ -169,15 +169,13 @@ class TriggerNode:
             return EnactResult("rejected", error="wrong-role")
 
         try:
-            new_state = step(self.machine, self.state, req)
-            new_state_bytes = self.machine.state_to_bytes(new_state)
+            new_state_bytes = self.machine.state_to_bytes(step(self.machine, self.state, req))
         except ConformanceError as exc:
             if self.prefilter:
                 # Request never leaves the node.
                 return EnactResult("rejected", error=exc.reason)
             # Faulty-component mode: forward the request with an unchanged
             # state so the network, not this node, performs the rejection.
-            new_state = None
             new_state_bytes = self.machine.state_to_bytes(self.state)
 
         payload = StepPayload(
@@ -224,12 +222,9 @@ class TriggerNode:
 
     def _enact_on_chain(self, req: TaskRequest) -> EnactResult:
         result = self.ledger.on_chain_step(self.contract_id, req, self.address)
-        if isinstance(result, Accepted):
-            self.state = result.new_state
-            self.seq = result.seq
-            self.poll_chain()
-            return EnactResult("confirmed", new_state=result.new_state)
         self.poll_chain()
+        if isinstance(result, Accepted):
+            return EnactResult("confirmed", new_state=result.new_state)
         return EnactResult("rejected", error=result.reason)
 
     # -- message handling (network-facing) ------------------------------------
@@ -395,7 +390,6 @@ class TriggerNode:
         self.seq = 0
         self.state = self.machine.initial_state
         self.signed = None
-        self.observed_phase = Phase.CHANNEL_OPEN
         self._note(f"reset for case {case_id}")
 
     def close(self) -> EnactResult:

@@ -58,6 +58,16 @@ def test_enact_and_status_over_http(http_network):
     assert len(states) == 1
 
 
+def test_enact_acts_as_the_serving_node_and_ignores_other_keys(http_network):
+    _, servers = http_network
+    req = load_variants("incident_management")[0][0]
+    other = next(role for role in servers if role != req.requester_role)
+    body = {"task_id": req.task_id, "requester_role": other, "note": 1}
+    status, reply = request(servers[req.requester_role], "POST", "/enact",
+                            json.dumps(body).encode())
+    assert (status, reply["status"]) == (200, "confirmed"), reply
+
+
 def _propose_with(**step_fields):
     """A Propose envelope for contract 0…0, signed (not validly) by role r."""
     return envelope(PROPOSE, step_bytes(**step_fields), [(b"r", bytes(64))])

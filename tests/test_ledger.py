@@ -93,6 +93,8 @@ def test_deploy_rejects_bad_window(machine):
     addresses = {r: ledger.register_account(public_key_of(k)) for r, k in keys.items()}
     with pytest.raises(DeployError):
         ledger.deploy_channel(machine, addresses, 0)
+    cid = ledger.deploy_channel(machine, addresses, dispute_window=1)  # the shortest window
+    assert ledger.contracts[cid].dispute_window == 1
 
 
 @pytest.mark.parametrize("kind", ["channel", "baseline"])
@@ -145,6 +147,9 @@ def test_submit_rejects_stale_seq(machine, variant):
     ledger.submit_state(cid, signed_after(machine, cid, keys, variant, 3), addrs["carrier"])
     result = ledger.submit_state(cid, signed_after(machine, cid, keys, variant, 2), addrs["carrier"])
     assert result == Rejected("stale-seq")
+    # A resubmission at the contract's own seq is stale too.
+    result = ledger.submit_state(cid, signed_after(machine, cid, keys, variant, 3), addrs["carrier"])
+    assert result == Rejected("stale-seq")
     assert ledger.get_contract(cid).seq == 3
 
 
@@ -191,7 +196,9 @@ def test_advance_blocks_expires_window_exactly(machine, variant):
     ledger.advance_blocks(4)
     assert ledger.get_contract(cid).phase is Phase.DISPUTE
     ledger.advance_blocks(1)
-    assert ledger.get_contract(cid).phase is Phase.ON_CHAIN
+    view = ledger.get_contract(cid)
+    assert view.phase is Phase.ON_CHAIN
+    assert view.dispute_deadline is None
 
 
 def test_advance_blocks_sweeps_only_expired(machine, variant):

@@ -17,7 +17,13 @@ from choreochannel.wire import (
     sign_step,
     verify_step,
 )
-from util import counting_calls, counting_verifies, minimal_model, signing_keys
+from util import (
+    counting_calls,
+    counting_verifies,
+    minimal_model,
+    optional_task_model,
+    signing_keys,
+)
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +62,9 @@ def test_full_case_off_chain_and_close(machine, variant):
         assert setup.nodes[req.requester_role].enact(req).confirmed
     closer = setup.nodes[variant[-1].requester_role]
     assert closer.close().confirmed
+    # The closer is on the next case at once; its peers follow at their next poll.
+    assert {role: s["case_id"] for role, s in setup.network.statuses().items()} == {
+        role: int(role == closer.role) for role in setup.nodes}
     setup.network.poll_all()
     # Exactly two on-chain transactions: deploy and close.
     assert [t.kind.value for t in setup.ledger.log] == ["deploy", "close"]
@@ -302,6 +311,26 @@ def test_on_chain_routing_after_window(machine, variant):
     assert setup.network.stable()
 
 
+def test_poll_chain_follows_the_contract_on_chain(machine, variant):
+    """After the window expires, the node that enacts on-chain and, at its
+    next poll, every other node hold the contract's (seq, state)."""
+    setup = fresh(machine)
+    for req in variant[:5]:
+        assert setup.nodes[req.requester_role].enact(req).confirmed
+    enactor = setup.nodes[variant[5].requester_role]
+    enactor.raise_dispute()
+    setup.ledger.advance_blocks(10)
+    setup.network.poll_all()
+    assert enactor.enact(variant[5]).confirmed
+    view = setup.ledger.get_contract(setup.contract_id)
+    assert (view.phase, view.case_id, view.seq) == (Phase.ON_CHAIN, 0, 6)
+    assert (enactor.seq, enactor.state) == (view.seq, view.current_state)
+    other = next(n for role, n in setup.nodes.items() if role != enactor.role)
+    assert other.seq == 5
+    other.poll_chain()
+    assert (other.seq, other.state) == (view.seq, view.current_state)
+
+
 def test_close_rejected_mid_process(machine, variant):
     setup = fresh(machine)
     assert setup.nodes["bulk_buyer"].enact(variant[0]).confirmed
@@ -352,6 +381,15 @@ def test_close_after_a_stale_dispute_expired_is_rejected(machine, variant):
     assert [(t.kind, t.accepted) for t in setup.ledger.log[txs_before:]] == [
         (TxKind.CLOSE, False)]
     assert closer.observed_phase is Phase.ON_CHAIN and closer.seq == 3
+
+
+def test_close_at_an_initial_end_state_sends_nothing():
+    """The initial state of a model whose one task may be skipped is an end
+    state, but with no step archived there is nothing to close with."""
+    setup = fresh(compile_model(optional_task_model()))
+    result = setup.nodes["a"].close()
+    assert (result.status, result.error) == ("rejected", "no-archived-final-step")
+    assert [t.kind for t in setup.ledger.log] == [TxKind.DEPLOY]
 
 
 def test_archive_flushed_before_confirm(machine, variant, tmp_path):
@@ -438,6 +476,45 @@ def test_on_propose_ignores_a_signature_keyed_by_a_role_outside_the_process(mach
     assert supplier.signed is None
     assert any("bad initiator signature" in e for e in supplier.events)
     assert supplier.handle_message(msg) is not None  # the same step, keyed correctly
+
+
+def test_on_propose_under_an_unknown_role_sends_nothing_once_a_step_is_archived(machine, variant):
+    setup = fresh(machine)
+    assert setup.nodes["bulk_buyer"].enact(variant[0]).confirmed  # evidence for a dispute
+    msg = _place_order(setup, machine, variant, seq=2)
+    outsider = ChannelMessage(MessageKind.PROPOSE, SignedStep(
+        msg.signed.payload, {"auditor": msg.signed.signatures["bulk_buyer"]}))
+    assert setup.nodes["supplier"].handle_message(outsider) is None
+    assert [t.kind for t in setup.ledger.log] == [TxKind.DEPLOY]
+
+
+def test_on_propose_refuses_a_seq_that_does_not_follow(machine, variant):
+    """A Propose that would conform at seq 1 is refused for seq 2; with no
+    archived step there is nothing to dispute with."""
+    setup = fresh(machine)
+    supplier = setup.nodes["supplier"]
+    assert supplier.on_propose(_place_order(setup, machine, variant, seq=2)) is None
+    assert supplier.signed is None
+    assert [t.kind for t in setup.ledger.log] == [TxKind.DEPLOY]
+
+
+@pytest.mark.parametrize("fault", ["not-the-initiator", "different-state"])
+def test_refused_proposal_is_disputed_once_a_step_is_archived(machine, variant, fault):
+    """With step 1 archived, carrier answers a Propose for step 2 from a role
+    that does not initiate the task, or with another new state, by putting
+    step 1 on the ledger."""
+    setup = fresh(machine)
+    assert setup.nodes["bulk_buyer"].enact(variant[0]).confirmed
+    after_first = machine_step(machine, machine.initial_state, variant[0])
+    req = variant[1]
+    proposer, new_state = req.requester_role, machine.state_to_bytes(after_first)
+    if fault == "not-the-initiator":
+        proposer = next(r for r in machine.role_ids if r not in (req.requester_role, "carrier"))
+        new_state = machine.state_to_bytes(machine_step(machine, after_first, req))
+    assert _propose(setup, machine, proposer, 2, req.task_id, new_state, signer="carrier") is None
+    disputes = [(t.sender, t.accepted, t.payload_seq)
+                for t in setup.ledger.log if t.kind is TxKind.SUBMIT_STATE]
+    assert disputes == [(setup.nodes["carrier"].address, True, 1)]
 
 
 class ForgedSign:

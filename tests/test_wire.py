@@ -242,6 +242,11 @@ def test_message_to_wire_refuses_what_it_cannot_write():
     many = {f"r{i:03}": sig for i in range(256)}
     with pytest.raises(EncodingError):
         ChannelMessage(MessageKind.CONFIRM, SignedStep(p, many)).to_wire()
+    # The u8 limits themselves still encode: a 255-byte role id, 255 signers.
+    del many["r255"]
+    for msg in (ChannelMessage(MessageKind.PROPOSE, SignedStep(p, {"r" * 255: sig})),
+                ChannelMessage(MessageKind.CONFIRM, SignedStep(p, many))):
+        assert ChannelMessage.from_wire(msg.to_wire()) == msg
 
 
 def test_a_received_payload_is_verified_over_its_bytes_never_re_encoded(monkeypatch):

@@ -226,6 +226,19 @@ def flows_named_alike_model() -> ChoreographyModel:
     )
 
 
+def optional_task_model() -> ChoreographyModel:
+    """start -> xor x -> (t -> j | j) -> xor j -> end: the one task may be
+    skipped, so the initial state is already an end state."""
+    return ChoreographyModel(
+        roles=ROLES_AB,
+        tasks=_tasks("t"),
+        gateways=(Gateway("x", GatewayKind.EXCLUSIVE), Gateway("j", GatewayKind.EXCLUSIVE)),
+        start_event="start",
+        end_events=("end",),
+        flows=(("start", "x"), ("x", "t"), ("x", "j"), ("t", "j"), ("j", "end")),
+    )
+
+
 def task_named_like_silent_model() -> ChoreographyModel:
     """xor choice -> (merge | yes -> merge) -> task "tau_choice__merge" -> end:
     the task has the name of the silent transition for choice -> merge."""
