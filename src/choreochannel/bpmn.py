@@ -254,6 +254,12 @@ def validate_model(model: ChoreographyModel) -> list[Diagnostic]:
             diags.append(Diagnostic("MixedGateway", gw.id, "gateway both joins and splits"))
         elif ins < 2 and outs < 2:
             diags.append(Diagnostic("GatewayDegree", gw.id, f"gateway has {ins} in / {outs} out flows"))
+    # In BPMN every token that reaches a task with several incoming flows
+    # starts it; the net would instead wait for one token on each flow.
+    for task in model.tasks:
+        if (ins := len(pred.get(task.id, ()))) > 1:
+            diags.append(Diagnostic("ImplicitJoin", task.id,
+                                    f"task has {ins} incoming flows; join them with a gateway"))
 
     for eid in model.end_events:
         if eid in succ:

@@ -8,7 +8,7 @@ from importlib import resources
 
 from .bpmn import ChoreographyModel, parse_choreography
 from .machine import ProcessStateMachine, TaskRequest, compile_state_machine
-from .petri import InteractionNet, SafeOk, check_safeness, reduce_net, to_interaction_net
+from .petri import InteractionNet, reduce_net, to_interaction_net
 
 CASES = ("supply_chain", "incident_management")
 
@@ -46,13 +46,11 @@ def _parsed_variants(case: str) -> tuple[tuple[TaskRequest, ...], ...]:
 
 
 def reduce_model(model: ChoreographyModel) -> InteractionNet:
-    """validate -> net -> safeness -> reduce, refusing invalid or unsafe models
-    with a ValueError that names every diagnostic or the safeness verdict."""
-    net = to_interaction_net(model)
-    verdict = check_safeness(net)
-    if not isinstance(verdict, SafeOk):
-        raise ValueError(f"model is not compilable: {verdict}")
-    return reduce_net(net)
+    """validate -> net -> fuse -> safeness -> reduce, refusing invalid or
+    unsafe models with a ValueError that names every diagnostic or the
+    original net's safeness verdict. `reduce_net` decides safeness on the
+    net after its fusion rules, which is 1-safe iff the net is."""
+    return reduce_net(to_interaction_net(model))
 
 
 def compile_model(model: ChoreographyModel) -> ProcessStateMachine:

@@ -102,6 +102,9 @@ class BoundExceeded:
 
 SafenessResult = SafeOk | UnsafeWitness | BoundExceeded
 
+# The most markings a safeness walk visits before it gives up.
+STATE_BOUND = 20000
+
 
 def to_interaction_net(model: ChoreographyModel) -> InteractionNet:
     """Map a choreography onto an interaction Petri net, refusing an invalid
@@ -237,26 +240,78 @@ def to_interaction_net(model: ChoreographyModel) -> InteractionNet:
 
 
 def reduce_net(net: InteractionNet) -> InteractionNet:
-    """Remove silent transitions while preserving the observable trace language.
+    """Remove silent transitions from a 1-safe net while preserving its
+    observable trace language; refuse any other net with a ValueError that
+    names `check_safeness(net)`'s verdict.
 
     Applied rules (each skipped whenever a guard cannot be discharged):
-      * drop no-op silents whose pre- and post-set coincide;
-      * fuse a silent into the producers of its sole, conflict-free pre-place;
-      * fuse a silent into the consumers of its sole, privately-fed post-place;
-      * bypass a remaining place-to-place silent by duplicating the labelled
-        consumers of its post-place onto its pre-place.
+      * noop: drop a silent whose pre- and post-set coincide;
+      * fuse-pre: fuse a silent into the producers of its sole, conflict-free
+        pre-place;
+      * fuse-post: fuse a silent into the consumers of its sole, privately-fed
+        post-place;
+      * bypass: replace a remaining place-to-place silent p -> q by a copy of
+        each labelled consumer of q that takes p in place of q.
     Guards keep initial/final places intact and never touch a rule application
     that would need arc weights or would drop completion information, so some
-    silent transitions can legitimately survive.
+    silent transitions can legitimately survive. The first three rules run to
+    a fixpoint first, giving the fused net, whose safeness is decided there;
+    then all four run to a fixpoint.
+
+    1-safeness. A net is unsafe when some marking reached by safe firings
+    enables a transition whose firing puts a second token on a place; that is
+    what `check_safeness` finds. In a net built from a validated model every
+    mask is non-empty, and a rule only replaces a place by a non-empty mask.
+    Write N for the net before one rewrite and N' for the net after it.
+      * noop preserves and reflects it: the silent never changes a marking
+        and never double-marks, since what it produces it has just consumed.
+      * fuse-pre (silent t, pre-place p) preserves and reflects it. p is not
+        initial and t is its only consumer, so a firing of a producer u of p
+        in N' is u then t in N, and it is safe iff both are: the guard makes
+        u's other outputs disjoint from t's. Conversely, take a run of N that
+        ends in an unsafe firing and fire each t right after the producer
+        that marked p. Only t consumes p, so every later firing stays
+        enabled; the run either reaches the same end or double-marks one of
+        t's outputs sooner, and a second producer of p that fires while p is
+        still marked double-marks t's outputs in N'.
+      * fuse-post (silent t, post-place q) preserves and reflects it, by the
+        mirror argument: t is the only producer of q, and a consumer v of q
+        in N' is t then v in N. Delaying each t of an unsafe run of N until
+        the firing that consumes its token on q keeps t's inputs marked
+        longer, so the run either reaches the same end or double-marks one
+        of t's inputs sooner. This is Murata's fusion of series places and
+        transitions (Proc. IEEE, 1989), with a silent transition in the
+        series.
+      * bypass (silent t: p -> q, copies c_p of the consumers c of q)
+        preserves it: a firing of c_p in N' is t then c in N, so N' reaches
+        no marking N does not. It does not reflect it. In N, p and q may be
+        marked together, and then t double-marks q; N' has no t, and when a
+        consumer c of q takes a second place r as well, c and c_p compete
+        for the token on r, so N' need never double-mark anything.
+        Validated models give every labelled transition one input
+        (`validate_model` refuses implicit joins), but fuse-post hands a
+        labelled transition the inputs of the parallel join fused into it:
+        a parallel split P to A, B and E, with A -> xor X1 -> (xor X2 | C),
+        B -> X2, and X2 and E -> parallel join J -> D, is unsafe (P, A, B,
+        tau_X1__X2), while its reduced net, where D takes X2 and D__via_X1
+        takes X1, each with the token from E, is safe.
+    So the fused net is 1-safe iff `net` is, and a 1-safe net reduces to a
+    1-safe net. When `net` is safe, every marking
+    the fused net reaches is one `net` reaches, so the fused net passes
+    STATE_BOUND only where `net` does too: the verdict a refusal names is
+    never SafeOk.
 
     The rules rewrite rows [id, consume mask, produce mask, label] taken from
     `net.ints`; the reduced net is built from the rows once, at the end.
     """
-    pairs = tuple(zip(net.transitions, net.ints.masks))
+    ints = net.ints
+    pairs = tuple(zip(net.transitions, ints.masks))
     rows = [[t.id, consume, produce, t.label] for t, (consume, produce) in pairs]
-    gone = 0
-    while (deleted := _rewrite_once(rows, net)) is not None:
-        gone |= deleted
+    gone = _rewrite(rows, net, _FUSIONS)
+    verdict = _explore({ints.initial: ints.initial}, [(r[1], r[2]) for r in rows], STATE_BOUND)
+    if not isinstance(verdict, SafeOk):
+        raise ValueError(f"model is not compilable: {check_safeness(net)}")
+    gone |= _rewrite(rows, net, _RULES)
 
     # Masks no rule rewrote map back to the input's own frozensets.
     sets = {consume: t.inputs for t, (consume, _) in pairs}
@@ -348,23 +403,32 @@ def _rule_bypass(i, rows, net) -> int | None:
     return 0
 
 
-_RULES = (_rule_noop, _rule_fuse_pre, _rule_fuse_post, _rule_bypass)
+_FUSIONS = (_rule_noop, _rule_fuse_pre, _rule_fuse_post)
+_RULES = (*_FUSIONS, _rule_bypass)
 
 
-def _rewrite_once(rows, net) -> int | None:
-    """Apply the first rule, in _RULES order, that fires on the first silent
-    row any rule fires on, and return the mask of the places it deleted;
-    None when no rule fires. Each rewrite restarts the scan from the first
+def _rewrite(rows, net, rules) -> int:
+    """Apply `rules` to a fixpoint; the mask of every place they deleted."""
+    gone = 0
+    while (deleted := _rewrite_once(rows, net, rules)) is not None:
+        gone |= deleted
+    return gone
+
+
+def _rewrite_once(rows, net, rules) -> int | None:
+    """Apply the first of `rules`, in order, that fires on the first silent
+    row any of them fires on, and return the mask of the places it deleted;
+    None when none fires. Each rewrite restarts the scan from the first
     row; the compiled layout depends on this order."""
     for i, row in enumerate(rows):
         if row[3] is None:
-            for rule in _RULES:
+            for rule in rules:
                 if (deleted := rule(i, rows, net)) is not None:
                     return deleted
     return None
 
 
-def check_safeness(net: InteractionNet, state_bound: int = 20000) -> SafenessResult:
+def check_safeness(net: InteractionNet, state_bound: int = STATE_BOUND) -> SafenessResult:
     """Exhaustively explore reachable markings breadth first, one level at a
     time, trying each marking's transitions in net order.
 
@@ -375,9 +439,23 @@ def check_safeness(net: InteractionNet, state_bound: int = 20000) -> SafenessRes
     rebuilt from those afterwards.
     """
     ints = net.ints
-    masks = ints.masks
     parents: dict[int, int] = {ints.initial: ints.initial}
-    level = [ints.initial]
+    verdict = _explore(parents, ints.masks, state_bound)
+    if not isinstance(verdict, tuple):
+        return verdict
+    marking, (consume, produce) = verdict
+    double = marking & ~consume & produce
+    return UnsafeWitness(
+        firing_sequence=_witness(net, parents, marking, (consume, produce)),
+        place=_place(net, double & -double),
+    )
+
+
+def _explore(parents: dict[int, int], masks, state_bound: int):
+    """check_safeness's walk over (consume, produce) masks from the one
+    marking in `parents`, recording each new marking's parent there: SafeOk,
+    BoundExceeded, or the (marking, masks) of the first unsafe firing."""
+    level = list(parents)
     while level:
         frontier, level = level, []
         for marking in frontier:
@@ -385,11 +463,8 @@ def check_safeness(net: InteractionNet, state_bound: int = 20000) -> SafenessRes
                 if marking & consume != consume:
                     continue
                 rest = marking ^ consume
-                if double := rest & produce:
-                    return UnsafeWitness(
-                        firing_sequence=_witness(net, parents, marking, (consume, produce)),
-                        place=_place(net, double & -double),
-                    )
+                if rest & produce:
+                    return marking, (consume, produce)
                 nxt = rest | produce
                 if nxt in parents:
                     continue

@@ -401,8 +401,10 @@ class TriggerNode:
             return EnactResult("rejected", error="no-archived-final-step")
         result = self.ledger.close_channel(self.contract_id, final, self.address)
         if isinstance(result, Accepted):
+            # poll_chain resets the node for the next case; report the closed case's end state.
+            closed_state = self.state
             self.poll_chain()
-            return EnactResult("confirmed", new_state=self.state)
+            return EnactResult("confirmed", new_state=closed_state)
         self._note(f"close rejected: {result.reason}; falling back to dispute handling")
         if self.poll_chain():
             return EnactResult("dispute_raised", error=result.reason)

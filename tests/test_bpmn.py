@@ -14,7 +14,7 @@ from choreochannel.bpmn import (
     validate_model,
 )
 from choreochannel.cases import CASES, fixture_bytes, load_model
-from util import exclusive_model, minimal_model
+from util import exclusive_model, minimal_model, xor_into_task_model
 
 MINIMAL_XML = b"""<?xml version="1.0" encoding="UTF-8"?>
 <bpmn2:definitions xmlns:bpmn2="http://www.omg.org/spec/BPMN/20100524/MODEL" id="d">
@@ -202,6 +202,15 @@ def test_pass_through_gateway_flagged_whether_built_or_parsed():
     expected = Diagnostic("GatewayDegree", "g", "gateway has 1 in / 1 out flows")
     assert expected in validate_model(model)
     assert expected in validate_model(parse_choreography(serialize_choreography(model)))
+
+
+def test_task_with_two_incoming_flows_flagged_whether_built_or_parsed():
+    # start -> xor -> A | B -> C -> end: in BPMN C would start once per
+    # arriving token, but its net transition would wait for both.
+    model = xor_into_task_model()
+    expected = [Diagnostic("ImplicitJoin", "C", "task has 2 incoming flows; join them with a gateway")]
+    assert validate_model(model) == expected
+    assert validate_model(parse_choreography(serialize_choreography(model))) == expected
 
 
 def test_self_message_flagged():

@@ -5,7 +5,7 @@ import pytest
 from choreochannel.bpmn import serialize_choreography
 from choreochannel.cases import fixture_bytes
 from choreochannel.cli import main
-from util import place_named_like_flow_model
+from util import place_named_like_flow_model, xor_into_task_model
 
 
 def test_compile_command(tmp_path, capsys):
@@ -36,6 +36,18 @@ def test_compile_refuses_place_names_that_repeat(tmp_path, capsys):
     assert main(["compile", str(model), "-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error: model is not compilable: two net places are named 'p_ask__tell'" in err
+    assert not out.exists()
+
+
+def test_compile_refuses_an_implicit_join(tmp_path, capsys):
+    model = tmp_path / "join.bpmn"
+    model.write_bytes(serialize_choreography(xor_into_task_model()))
+    out = tmp_path / "machine.json"
+    assert main(["compile", str(model), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invalid model:",
+        "  ImplicitJoin at C: task has 2 incoming flows; join them with a gateway",
+    ]
     assert not out.exists()
 
 

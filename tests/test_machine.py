@@ -25,9 +25,12 @@ from util import (
     autonomous_leftover_model,
     chain_net,
     flows_named_alike_model,
+    merge_into_join_model,
     minimal_model,
     place_named_like_flow_model,
     task_named_like_silent_model,
+    task_split_model,
+    unstructured_model,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -137,6 +140,53 @@ def test_compile_refuses_net_names_that_repeat(model, message):
     # be refused as unsafe, and the third would lose its task.
     with pytest.raises(ValueError, match=message):
         compile_model(model())
+
+
+@pytest.mark.parametrize("model, message", [
+    (merge_into_join_model,
+     "model is not compilable: UnsafeWitness(firing_sequence=('P', 'A', 'B', 'tau_X1__X2'),"
+     " place='X2')"),
+    # The fused net, where s0 is fused into t2, would name ('t2', 't1', 't0').
+    (lambda: unstructured_model(1087),
+     "model is not compilable: UnsafeWitness(firing_sequence=('t2', 's0', 't1', 't0', 's0'),"
+     " place='end0')"),
+], ids=["merge-into-join", "unstructured-1087"])
+def test_compile_refuses_with_the_original_nets_witness(model, message):
+    with pytest.raises(ValueError) as refused:
+        compile_model(model())
+    assert str(refused.value) == message
+
+
+def test_compile_outcomes_pinned_for_the_models_past_the_bound():
+    # The five larger-size models whose original net has more than 20,000
+    # markings. The fused nets of 2324 and 2583 are within the bound, so
+    # they are decided safe and compile; the rest are still refused.
+    outcomes = {}
+    for seed in (1133, 1264, 1510, 2324, 2583):
+        try:
+            machine = compile_model(random_model(seed, max_tasks=12, max_depth=4))
+            outcomes[seed] = hashlib.sha256(machine.to_json().encode()).hexdigest()
+        except ValueError as exc:
+            outcomes[seed] = str(exc)
+    bound = "model is not compilable: BoundExceeded(explored=20000)"
+    assert outcomes == {
+        1133: bound,
+        1264: bound,
+        1510: bound,
+        2324: "2ceac0d6ada887cf525ebadc58cc127ee6e4818fe55e4167588c46381f3cc43c",
+        2583: "3f0d156007e1ed04d74a4b376cef14cbda9d7d5b1a5ce9aad429f1c17bd3d557",
+    }
+
+
+def test_task_with_two_outgoing_flows_splits_in_parallel():
+    machine = compile_model(task_split_model())
+    after_fork = step(machine, machine.initial_state, TaskRequest("fork", "a"))
+    assert enabled_tasks(machine, after_fork) == {("left", "a"), ("right", "a")}
+    for order in (("left", "right"), ("right", "left")):
+        state = after_fork
+        for task in order:
+            state = step(machine, state, TaskRequest(task, "a"))
+        assert is_end_state(machine, state)
 
 
 def test_build_machine_compiles_each_case_once():

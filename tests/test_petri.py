@@ -1,7 +1,9 @@
 import hashlib
+import re
 
 import pytest
 
+from choreochannel import petri
 from choreochannel.bpmn import validate_model
 from choreochannel.cases import CASES, build_nets
 from choreochannel.machine import TaskRequest, compile_state_machine, enabled_tasks, is_end_state, step
@@ -25,8 +27,11 @@ from util import (
     chain_net,
     exclusive_model,
     loop_model,
+    merge_into_join_model,
+    merge_into_task_model,
     minimal_model,
     parallel_model,
+    unstructured_model,
 )
 
 
@@ -335,6 +340,52 @@ def test_random_pipeline_property(seed):
     reduced = reduce_net(net)
     assert reduce_net(reduced) == reduced
     assert traces_equivalent(net, reduced, 10)
+
+
+def test_reduce_net_refuses_exactly_the_unsafe_nets_over_random_models():
+    # reduce_net decides 1-safeness on its fused net (see its docstring); it
+    # must accept exactly the nets check_safeness finds SafeOk, and name the
+    # original net's verdict when it refuses. Structured models at default
+    # size (seeds 0-999) and at the larger size (0-299), and the unstructured
+    # draws of seeds 0-5999 that validate.
+    models = [(("default", seed), random_model(seed)) for seed in range(1000)]
+    models += [(("large", seed), random_model(seed, max_tasks=12, max_depth=4))
+               for seed in range(300)]
+    models += [(("unstructured", seed), m) for seed in range(6000) if (m := unstructured_model(seed))]
+    verdicts = set()
+    for key, model in models:
+        net = to_interaction_net(model)
+        verdict = check_safeness(net)
+        if isinstance(verdict, SafeOk):
+            reduce_net(net)
+        else:
+            with pytest.raises(ValueError) as refused:
+                reduce_net(net)
+            assert str(refused.value) == f"model is not compilable: {verdict}", key
+        verdicts.add((key[0], type(verdict)))
+    assert verdicts == {("default", SafeOk), ("large", SafeOk),
+                        ("unstructured", SafeOk), ("unstructured", UnsafeWitness)}
+
+
+def test_implicit_join_probe_is_refused():
+    # Task D with two incoming flows would let the bypass rule hide this
+    # model's unsafeness; validate_model refuses it by name.
+    with pytest.raises(ValueError, match="ImplicitJoin at D: task has 2 incoming flows"):
+        to_interaction_net(merge_into_task_model())
+
+
+@pytest.mark.parametrize("model", [merge_into_join_model, lambda: unstructured_model(5712)],
+                         ids=["merge-into-join", "unstructured-5712"])
+def test_deciding_safeness_after_bypass_would_accept_unsafe_nets(model, monkeypatch):
+    # Valid models without implicit joins: fuse-post gives a task the inputs
+    # of a parallel join, and bypass then hides the unsafe firing.
+    net = to_interaction_net(model())
+    verdict = check_safeness(net)
+    assert isinstance(verdict, UnsafeWitness)
+    with pytest.raises(ValueError, match=re.escape(f"model is not compilable: {verdict}")):
+        reduce_net(net)
+    monkeypatch.setattr(petri, "_FUSIONS", petri._RULES)
+    assert isinstance(check_safeness(reduce_net(net)), SafeOk)
 
 
 # The five models at the larger size whose state space exceeds the bound.

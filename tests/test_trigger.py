@@ -8,7 +8,7 @@ from choreochannel.harness import build_network
 from choreochannel.trigger import TriggerNode
 from choreochannel.cases import build_machine, compile_model, load_variants
 from choreochannel.ledger import Accepted, Phase, Rejected, TxKind
-from choreochannel.machine import TaskRequest, step as machine_step
+from choreochannel.machine import TaskRequest, is_end_state, step as machine_step
 from choreochannel.wire import (
     ChannelMessage,
     MessageKind,
@@ -69,6 +69,16 @@ def test_full_case_off_chain_and_close(machine, variant):
     # Exactly two on-chain transactions: deploy and close.
     assert [t.kind.value for t in setup.ledger.log] == ["deploy", "close"]
     assert all(s["case_id"] == 1 and s["seq"] == 0 for s in setup.network.statuses().values())
+
+
+def test_close_reports_the_closed_cases_end_state(machine, variant):
+    setup = fresh(machine)
+    for req in variant:
+        assert setup.nodes[req.requester_role].enact(req).confirmed
+    result = setup.nodes[variant[-1].requester_role].close()
+    # The closer has moved on to the next case, whose initial state is 1.
+    assert (result.status, result.new_state) == ("confirmed", 2)
+    assert is_end_state(machine, result.new_state)
 
 
 def test_enact_rejects_foreign_task_locally(machine, variant):

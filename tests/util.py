@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import struct
 
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from choreochannel.bpmn import (
     Gateway,
     GatewayKind,
     Role,
+    validate_model,
 )
 from choreochannel.petri import InteractionNet, NetTransition, TaskLabel
 
@@ -260,6 +262,94 @@ def task_named_like_silent_model() -> ChoreographyModel:
             ("tau_choice__merge", "end"),
         ),
     )
+
+
+def xor_into_task_model() -> ChoreographyModel:
+    """start -> xor x -> (A | B) -> C -> end: task C has two incoming flows,
+    an implicit join, which validate_model refuses."""
+    return ChoreographyModel(
+        roles=ROLES_AB,
+        tasks=_tasks("A", "B", "C"),
+        gateways=(Gateway("x", GatewayKind.EXCLUSIVE),),
+        start_event="start",
+        end_events=("end",),
+        flows=(("start", "x"), ("x", "A"), ("x", "B"), ("A", "C"), ("B", "C"), ("C", "end")),
+    )
+
+
+def task_split_model() -> ChoreographyModel:
+    """start -> fork -> (left, right) -> parallel join -> end: task fork has
+    two outgoing flows, BPMN's implicit parallel split."""
+    return ChoreographyModel(
+        roles=ROLES_AB,
+        tasks=_tasks("fork", "left", "right"),
+        gateways=(Gateway("join", GatewayKind.PARALLEL),),
+        start_event="start",
+        end_events=("end",),
+        flows=(("start", "fork"), ("fork", "left"), ("fork", "right"),
+               ("left", "join"), ("right", "join"), ("join", "end")),
+    )
+
+
+def _split_and_merge_model(join_gateway: bool) -> ChoreographyModel:
+    """Parallel split P to A, B and E; A -> xor X1 -> (xor X2 | C -> end1);
+    B -> X2; X2 and E both flow into D -> end2, through a parallel join J
+    when `join_gateway`, else straight into D. The net is unsafe: after P, A
+    and B, the silent X1 -> X2 puts a second token on X2."""
+    gateways = (Gateway("P", GatewayKind.PARALLEL), Gateway("X1", GatewayKind.EXCLUSIVE),
+                Gateway("X2", GatewayKind.EXCLUSIVE))
+    flows = (("start", "P"), ("P", "A"), ("P", "B"), ("P", "E"), ("A", "X1"), ("X1", "X2"),
+             ("X1", "C"), ("C", "end1"), ("B", "X2"), ("D", "end2"))
+    if join_gateway:
+        gateways += (Gateway("J", GatewayKind.PARALLEL),)
+        flows += (("X2", "J"), ("E", "J"), ("J", "D"))
+    else:
+        flows += (("X2", "D"), ("E", "D"))
+    return ChoreographyModel(roles=ROLES_AB, tasks=_tasks("A", "B", "C", "D", "E"),
+                             gateways=gateways, start_event="start",
+                             end_events=("end1", "end2"), flows=flows)
+
+
+def merge_into_task_model() -> ChoreographyModel:
+    """The unsafe split-and-merge model with X2 and E flowing straight into
+    task D, an implicit join."""
+    return _split_and_merge_model(join_gateway=False)
+
+
+def merge_into_join_model() -> ChoreographyModel:
+    """The unsafe split-and-merge model with X2 and E joined by a parallel
+    gateway in front of D; valid, and its fully reduced net is safe."""
+    return _split_and_merge_model(join_gateway=True)
+
+
+def unstructured_model(seed: int) -> ChoreographyModel | None:
+    """A random unstructured model, deterministic per seed, or None when the
+    draw repeats a flow or validate_model refuses it.
+
+    2-6 tasks take one flow in and one or two out (two is an implicit
+    parallel split); 1-3 split gateways take one in and two or three out,
+    and up to as many join gateways two in and one out, each of random
+    kind; as many end events as are needed take the flows left over. Out-
+    and in-stubs are matched at random, so a draw can hold cycles, unsafe
+    splits and dead ends."""
+    rng = random.Random(seed)
+    kinds = tuple(GatewayKind)
+    tasks = tuple(ChoreographyTask(f"t{i}", f"t{i}", *("ab" if i % 2 else "ba"))
+                  for i in range(rng.randint(2, 6)))
+    splits = tuple(Gateway(f"s{i}", rng.choice(kinds)) for i in range(rng.randint(1, 3)))
+    joins = tuple(Gateway(f"j{i}", rng.choice(kinds)) for i in range(rng.randint(0, len(splits))))
+    outs = ["start", *(t.id for t in tasks for _ in range(rng.choice((1, 1, 1, 2))))]
+    outs += [g.id for g in splits for _ in range(rng.randint(2, 3))] + [g.id for g in joins]
+    ins = [t.id for t in tasks] + [g.id for g in splits] + [g.id for g in joins for _ in range(2)]
+    ends = tuple(f"end{i}" for i in range(len(outs) - len(ins)))
+    ins += ends
+    rng.shuffle(ins)
+    flows = tuple(zip(outs, ins))
+    model = ChoreographyModel(roles=ROLES_AB, tasks=tasks, gateways=splits + joins,
+                              start_event="start", end_events=ends, flows=flows)
+    if len(set(flows)) < len(flows) or validate_model(model):
+        return None
+    return model
 
 
 # Envelope kind bytes, as the wire format documents them.
