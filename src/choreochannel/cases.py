@@ -49,7 +49,8 @@ def reduce_model(model: ChoreographyModel) -> InteractionNet:
     """validate -> net -> fuse -> safeness -> reduce, refusing invalid or
     unsafe models with a ValueError that names every diagnostic or the
     original net's safeness verdict. `reduce_net` decides safeness on the
-    net after its fusion rules, which is 1-safe iff the net is."""
+    series net, the label-blind contraction of its fused net by fuse-pre,
+    which is 1-safe iff the net is."""
     return reduce_net(to_interaction_net(model))
 
 

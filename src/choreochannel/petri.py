@@ -102,7 +102,8 @@ class BoundExceeded:
 
 SafenessResult = SafeOk | UnsafeWitness | BoundExceeded
 
-# The most markings a safeness walk visits before it gives up.
+# The most markings a safeness walk visits before it gives up: markings of
+# the net in check_safeness, of the series net (see reduce_net) in reduce_net.
 STATE_BOUND = 20000
 
 
@@ -255,8 +256,10 @@ def reduce_net(net: InteractionNet) -> InteractionNet:
     Guards keep initial/final places intact and never touch a rule application
     that would need arc weights or would drop completion information, so some
     silent transitions can legitimately survive. The first three rules run to
-    a fixpoint first, giving the fused net, whose safeness is decided there;
-    then all four run to a fixpoint.
+    a fixpoint first, giving the fused net; then all four run to a fixpoint.
+    Between the two phases safeness is decided on the series net: a copy of
+    the fused rows with every label dropped, rewritten by fuse-pre alone to
+    a fixpoint. The bypass phase goes on from the fused rows, not the copy.
 
     1-safeness. A net is unsafe when some marking reached by safe firings
     enables a transition whose firing puts a second token on a place; that is
@@ -296,10 +299,17 @@ def reduce_net(net: InteractionNet) -> InteractionNet:
         tau_X1__X2), while its reduced net, where D takes X2 and D__via_X1
         takes X1, each with the token from E, is safe.
     So the fused net is 1-safe iff `net` is, and a 1-safe net reduces to a
-    1-safe net. When `net` is safe, every marking
-    the fused net reaches is one `net` reaches, so the fused net passes
-    STATE_BOUND only where `net` does too: the verdict a refusal names is
-    never SafeOk.
+    1-safe net. Fuse-pre's argument never reads the label of t, so it holds
+    for every row of the label-blind copy: the series net is 1-safe iff the
+    fused net is. Fuse-pre folds each chain of tasks into the firing that
+    starts it, so the series net does not interleave the chains of parallel
+    branches, which is where most of the fused net's markings come from.
+    STATE_BOUND in reduce_net counts the series net's markings. A firing of
+    the series net is a run of the fused net, so each marking it reaches is
+    one the fused net reaches with the folded places empty. When `net` is
+    safe, every marking the fused net reaches is one `net` reaches, so the
+    series net passes STATE_BOUND only where `net` does too: the verdict a
+    refusal names is never SafeOk.
 
     The rules rewrite rows [id, consume mask, produce mask, label] taken from
     `net.ints`; the reduced net is built from the rows once, at the end.
@@ -308,7 +318,9 @@ def reduce_net(net: InteractionNet) -> InteractionNet:
     pairs = tuple(zip(net.transitions, ints.masks))
     rows = [[t.id, consume, produce, t.label] for t, (consume, produce) in pairs]
     gone = _rewrite(rows, net, _FUSIONS)
-    verdict = _explore({ints.initial: ints.initial}, [(r[1], r[2]) for r in rows], STATE_BOUND)
+    series = [[None, consume, produce, None] for _, consume, produce, _ in rows]
+    _rewrite(series, net, (_rule_fuse_pre,))
+    verdict = _explore({ints.initial: ints.initial}, [(r[1], r[2]) for r in series], STATE_BOUND)
     if not isinstance(verdict, SafeOk):
         raise ValueError(f"model is not compilable: {check_safeness(net)}")
     gone |= _rewrite(rows, net, _RULES)
@@ -362,11 +374,16 @@ def _rule_fuse_pre(i, rows, net) -> int | None:
     _, p, produce, _ = t = rows[i]
     if not _single(p) or p & (net.ints.initial | net.ints.final | produce):
         return None
-    if any(r[1] & p and r is not t for r in rows):
-        return None
-    prods = [u for u in rows if u[2] & p]
-    if any(u[2] & ~p & produce for u in prods):
-        return None
+    # One pass: t must be p's only consumer, and since p is not in
+    # `produce`, a producer's outputs besides p meet t's iff r[2] & produce.
+    prods = []
+    for r in rows:
+        if r[1] & p and r is not t:
+            return None
+        if r[2] & p:
+            if r[2] & produce:
+                return None
+            prods.append(r)
     for u in prods:
         u[2] = u[2] & ~p | produce
     del rows[i]

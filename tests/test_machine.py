@@ -31,6 +31,7 @@ from util import (
     task_named_like_silent_model,
     task_split_model,
     unstructured_model,
+    wide_parallel_model,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -159,23 +160,40 @@ def test_compile_refuses_with_the_original_nets_witness(model, message):
 
 def test_compile_outcomes_pinned_for_the_models_past_the_bound():
     # The five larger-size models whose original net has more than 20,000
-    # markings. The fused nets of 2324 and 2583 are within the bound, so
-    # they are decided safe and compile; the rest are still refused.
+    # markings, and two at max_tasks=16, max_depth=5 whose fused nets have
+    # more too. reduce_net walks the series contraction of the fused net,
+    # which has at most 26 markings on each of them, so all seven are
+    # decided safe.
+    large, larger = {"max_tasks": 12, "max_depth": 4}, {"max_tasks": 16, "max_depth": 5}
     outcomes = {}
-    for seed in (1133, 1264, 1510, 2324, 2583):
-        try:
-            machine = compile_model(random_model(seed, max_tasks=12, max_depth=4))
-            outcomes[seed] = hashlib.sha256(machine.to_json().encode()).hexdigest()
-        except ValueError as exc:
-            outcomes[seed] = str(exc)
-    bound = "model is not compilable: BoundExceeded(explored=20000)"
+    for seed, size in ((1133, large), (1264, large), (2324, large), (2583, large), (288, larger)):
+        machine = compile_model(random_model(seed, **size))
+        outcomes[seed] = hashlib.sha256(machine.to_json().encode()).hexdigest()
     assert outcomes == {
-        1133: bound,
-        1264: bound,
-        1510: bound,
+        1133: "ac606b44c9f2f0008363c801f4e7e71712883e221682b64f12be21d837321c1e",
+        1264: "1a4bd4e1598cb624cd39ff03da2e233a93c0030ae5f53929e314300592d575a2",
         2324: "2ceac0d6ada887cf525ebadc58cc127ee6e4818fe55e4167588c46381f3cc43c",
         2583: "3f0d156007e1ed04d74a4b376cef14cbda9d7d5b1a5ce9aad429f1c17bd3d557",
+        288: "10d7ad49de91facea5f264b91ec90ca5edce80f422e9f1bb4a825590f5cae916",
     }
+    # These two reach the compiler, whose eager autonomous firing runs past
+    # its budget: ROADMAP item 1's defect. Mending item 1 re-pins them.
+    with pytest.raises(RuntimeError, match=r"^autonomous firing exceeded budget of 660;"):
+        compile_model(random_model(1510, **large))
+    with pytest.raises(RuntimeError, match=r"^autonomous firing exceeded budget of 1050;"):
+        compile_model(random_model(54, **larger))
+
+
+def test_wide_parallel_model_compiles_past_the_bound():
+    # 8 ** 5 interleavings of five chains: the original and fused nets pass
+    # STATE_BOUND, but the series contraction folds each chain into one
+    # firing, so safeness is decided on 3 markings.
+    machine = compile_model(wide_parallel_model(5, 7))
+    state = machine.initial_state
+    for branch in range(5):
+        for j in range(7):
+            state = step(machine, state, TaskRequest(f"b{branch}_{j}", "a"))
+    assert is_end_state(machine, state)
 
 
 def test_task_with_two_outgoing_flows_splits_in_parallel():

@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from choreochannel.harness import build_network
+from choreochannel.httpd import HttpTransport
 from choreochannel.trigger import TriggerNode
 from choreochannel.cases import build_machine, compile_model, load_variants
 from choreochannel.ledger import Accepted, Phase, Rejected, TxKind
@@ -991,3 +992,21 @@ def test_initiator_stops_verifying_replies_once_one_is_missing(
     assert initiator.archive.latest() is None
     assert [setup.nodes[p].signed is not None for p in peers] == [
         p != peers[silenced] for p in peers]
+
+
+@pytest.mark.parametrize("transport", ["in-process", "http"])
+def test_enact_is_rejected_when_a_peer_is_not_reachable_by_name(machine, variant, transport):
+    # A peer the transport does not know gets no request and gives no reply:
+    # InProcessNetwork for a role that is not registered, HttpTransport for a
+    # role it has no connection for.
+    setup = fresh(machine)
+    initiator = setup.nodes["bulk_buyer"]
+    missing = initiator._peers()[-1]
+    if transport == "http":
+        initiator.transport = HttpTransport({})
+    else:
+        del setup.network.nodes[missing]
+    assert initiator.transport.request(missing, _place_order(setup, machine, variant)) is None
+    result = initiator.enact(variant[0])
+    assert (result.status, result.error) == ("rejected", "missing-signatures")
+    assert [t.kind for t in setup.ledger.log] == [TxKind.DEPLOY]

@@ -322,6 +322,25 @@ def merge_into_join_model() -> ChoreographyModel:
     return _split_and_merge_model(join_gateway=True)
 
 
+def wide_parallel_model(branches: int, length: int) -> ChoreographyModel:
+    """start -> parallel split -> `branches` chains of `length` tasks
+    (b<i>_<j>, a to b) -> parallel join -> end. Its net reaches
+    (length + 1) ** branches + 2 markings, one per interleaving state of
+    the chains, plus the start and the end."""
+    chains = [[f"b{i}_{j}" for j in range(length)] for i in range(branches)]
+    flows = [("start", "split"), ("join", "end")]
+    for chain in chains:
+        flows += [("split", chain[0]), *zip(chain, chain[1:]), (chain[-1], "join")]
+    return ChoreographyModel(
+        roles=ROLES_AB,
+        tasks=_tasks(*(tid for chain in chains for tid in chain)),
+        gateways=(Gateway("split", GatewayKind.PARALLEL), Gateway("join", GatewayKind.PARALLEL)),
+        start_event="start",
+        end_events=("end",),
+        flows=tuple(flows),
+    )
+
+
 def unstructured_model(seed: int) -> ChoreographyModel | None:
     """A random unstructured model, deterministic per seed, or None when the
     draw repeats a flow or validate_model refuses it.
