@@ -7,8 +7,8 @@ from functools import cache
 from importlib import resources
 
 from .bpmn import ChoreographyModel, parse_choreography
-from .machine import ProcessStateMachine, TaskRequest, compile_state_machine
-from .petri import InteractionNet, reduce_net, to_interaction_net
+from .machine import ProcessStateMachine, TaskRequest, lower
+from .petri import InteractionNet, net_rows, reduce_net, reduce_rows, to_interaction_net
 
 CASES = ("supply_chain", "incident_management")
 
@@ -46,17 +46,21 @@ def _parsed_variants(case: str) -> tuple[tuple[TaskRequest, ...], ...]:
 
 
 def reduce_model(model: ChoreographyModel) -> InteractionNet:
-    """validate -> net -> fuse -> safeness -> reduce, refusing invalid or
-    unsafe models with a ValueError that names every diagnostic or the
-    original net's safeness verdict. `reduce_net` decides safeness on the
-    series net, the label-blind contraction of its fused net by fuse-pre,
-    which is 1-safe iff the net is."""
+    """The reduced net of a model, built on demand (for PNML and the oracle
+    tests): the rows `compile_model` lowers, with place names on the arcs.
+    It refuses an invalid or unsafe model as `compile_model` does."""
     return reduce_net(to_interaction_net(model))
 
 
 def compile_model(model: ChoreographyModel) -> ProcessStateMachine:
-    """The whole compile pipeline: reduce_model, then lower onto a machine."""
-    return compile_state_machine(reduce_model(model))
+    """The whole compile pipeline on the row form, with no `InteractionNet`:
+    validate and build the net's rows (`net_rows`), reduce them
+    (`reduce_rows`: fuse, decide 1-safeness on the series net, the fused
+    net's label-blind contraction by fuse-pre, finish the reduction) and
+    lower them onto a machine (`lower`). It refuses an invalid or unsafe
+    model with a ValueError that names every diagnostic or the original
+    net's safeness verdict; only that refusal builds the original net."""
+    return lower(reduce_rows(net_rows(model)))
 
 
 def build_nets(case: str) -> tuple[InteractionNet, InteractionNet]:

@@ -9,7 +9,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .bpmn import parse_choreography
-from .cases import CASES, build_machine, load_variants, normalize_case, reduce_model
+from .cases import CASES, build_machine, compile_model, load_variants, normalize_case, reduce_model
 from .harness import (
     DEFAULT_MIXES,
     ScenarioError,
@@ -22,7 +22,6 @@ from .harness import (
     run_scenario,
 )
 from .ledger import DISPUTE_WINDOW, LedgerError
-from .machine import compile_state_machine
 from .petri import to_pnml
 
 
@@ -40,8 +39,8 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def cmd_compile(args) -> int:
-    reduced = reduce_model(parse_choreography(Path(args.model).read_bytes()))
-    machine = compile_state_machine(reduced)
+    model = parse_choreography(Path(args.model).read_bytes())
+    machine = compile_model(model)
     Path(args.output).write_text(machine.to_json() + "\n", encoding="utf-8")
     print(
         f"compiled: {machine.place_count} places, {len(machine.transitions)} transitions "
@@ -49,7 +48,7 @@ def cmd_compile(args) -> int:
         f"{len(machine.role_ids)} roles -> {args.output}"
     )
     if args.pnml:
-        Path(args.pnml).write_bytes(to_pnml(reduced))
+        Path(args.pnml).write_bytes(to_pnml(reduce_model(model)))
         print(f"wrote {args.pnml}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Bit-array state machine compiled from a reduced interaction net.
+"""Bit-array state machine lowered from a reduced interaction net's rows.
 
 The same machine drives the off-chain trigger nodes and the simulated channel
 contract, which is what makes off-chain replication sound: `step` is a pure
@@ -160,33 +160,40 @@ MAX_PLACES = 256
 
 
 def compile_state_machine(net) -> ProcessStateMachine:
-    """Lower a reduced, safe interaction net onto bitmask transitions.
+    """Lower a reduced, safe interaction net onto bitmask transitions:
+    `lower` on the net's rows (`InteractionNet.as_rows`)."""
+    return lower(net.as_rows())
 
-    Place bits follow the net's place order; transitions keep net order so the
+
+def lower(form) -> ProcessStateMachine:
+    """Lower a reduced, safe net in the row form (`petri.NetRows`) onto
+    bitmask transitions.
+
+    Place bits are the form's bits; transitions keep row order so the
     compiled layout is identical across runs. The initial state is the start
     place with any start-enabled autonomous transitions already applied.
     """
-    if len(net.places) > MAX_PLACES:
-        raise CompileError(f"net has {len(net.places)} places, limit is {MAX_PLACES}")
+    if len(form.places) > MAX_PLACES:
+        raise CompileError(f"net has {len(form.places)} places, limit is {MAX_PLACES}")
 
     transitions: list[CompiledTransition] = []
     roles: list[str] = []
-    for i, (t, (consume, produce)) in enumerate(zip(net.transitions, net.ints.masks)):
-        if t.label is None:
+    for i, (_, consume, produce, label) in enumerate(form.rows):
+        if label is None:
             transitions.append(CompiledTransition(i, consume, produce))
         else:
             transitions.append(
-                CompiledTransition(i, consume, produce, t.label.initiator, t.label.task_id)
+                CompiledTransition(i, consume, produce, label.initiator, label.task_id)
             )
-            for role in (t.label.initiator, t.label.respondent):
+            for role in (label.initiator, label.respondent):
                 if role not in roles:
                     roles.append(role)
 
     return ProcessStateMachine(
-        places=tuple(net.places),
+        places=tuple(form.places),
         transitions=tuple(transitions),
-        initial_state=_autonomous_fixpoint(transitions, len(net.places), net.ints.initial),
-        final_mask=net.ints.final,
+        initial_state=_autonomous_fixpoint(transitions, len(form.places), form.initial),
+        final_mask=form.final,
         role_ids=tuple(roles),
     )
 

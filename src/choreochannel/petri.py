@@ -4,9 +4,12 @@ The net is the middle layer between the parsed choreography and the compiled
 state machine. Labelled transitions carry initiator/respondent roles; silent
 transitions come from gateways and empty exclusive branches. Reduction removes
 silent transitions only where the observable trace language provably stays
-the same. Every explorer, the reducer and the compiler work on one
-int-marking view of a net (`InteractionNet.ints`): the reducer rewrites its
-consume/produce masks and names places again only for the reduced net.
+the same. The compile pipeline runs on one row form (`NetRows`): the places,
+the initial bit, the final mask and one row [id, consume mask, produce mask,
+label] per transition. `net_rows` builds it from a model, `reduce_rows`
+rewrites it and `machine.lower` compiles it; an `InteractionNet`, with place
+names on its arcs, is built from a form only where a caller asks for one.
+Every explorer works on a net's int-marking view (`InteractionNet.ints`).
 `traces_equivalent` is the one language oracle: it compares a net or a
 compiled machine with another, so it backs both the reduction rules and
 compilation.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -50,6 +54,17 @@ class IntMarkings:
     masks: tuple[tuple[int, int], ...]  # (consume, produce), in transition order
 
 
+class NetRows(NamedTuple):
+    """A net in the row form every compile stage reads and writes: bit i of
+    a mask is `places[i]`, and each row is (id, consume mask, produce mask,
+    label) in net order, with label None for a silent transition."""
+
+    places: tuple[str, ...]
+    initial: int
+    final: int
+    rows: Sequence[Sequence]
+
+
 @dataclass(frozen=True)
 class InteractionNet:
     """1-safe labelled net; place and transition order is document order."""
@@ -75,6 +90,13 @@ class InteractionNet:
             final=mask(self.final_places),
             masks=tuple((mask(t.inputs), mask(t.outputs)) for t in self.transitions),
         )
+
+    def as_rows(self) -> NetRows:
+        """This net in the row form, masks from `ints`."""
+        ints = self.ints
+        return NetRows(self.places, ints.initial, ints.final, tuple(
+            (t.id, consume, produce, t.label)
+            for t, (consume, produce) in zip(self.transitions, ints.masks)))
 
     def silent_count(self) -> int:
         return sum(1 for t in self.transitions if t.silent)
@@ -103,20 +125,27 @@ class BoundExceeded:
 SafenessResult = SafeOk | UnsafeWitness | BoundExceeded
 
 # The most markings a safeness walk visits before it gives up: markings of
-# the net in check_safeness, of the series net (see reduce_net) in reduce_net.
+# the net in check_safeness, of the series net (see reduce_rows) in reduce_rows.
 STATE_BOUND = 20000
 
 
 def to_interaction_net(model: ChoreographyModel) -> InteractionNet:
-    """Map a choreography onto an interaction Petri net, refusing an invalid
-    one with a ValueError that lists every diagnostic, and one whose net
-    would hold two places or two transitions with one name with a
-    ValueError that names it.
+    """The interaction Petri net of a choreography, refused as `net_rows`
+    refuses it: the rows of `net_rows`, with place names on the arcs."""
+    return _as_net(net_rows(model))
+
+
+def net_rows(model: ChoreographyModel) -> NetRows:
+    """Map a choreography onto an interaction Petri net in the row form,
+    refusing an invalid one with a ValueError that lists every diagnostic,
+    and one whose net would hold two places or two transitions with one name
+    with a ValueError that names it.
 
     Tasks become labelled transitions, parallel gateways silent transitions,
     exclusive gateways and events places. A flow between two place-like nodes
     merges them when one side has no alternative flows; otherwise a silent
-    transition keeps the exclusive choice intact.
+    transition keeps the exclusive choice intact. Places are the merged
+    places in node order, then one place per flow between two transitions.
     """
     diags = validate_model(model)
     if diags:
@@ -175,28 +204,29 @@ def to_interaction_net(model: ChoreographyModel) -> InteractionNet:
             else:
                 silent_flow_taus.append((f"tau_{src}__{tgt}", src, tgt))
 
+    merged_places = [pid for pid in order if find(pid) == pid]
+    bit = {pid: 1 << i for i, pid in enumerate(merged_places)}
+
     # Transitions in document order: tasks, parallel gateways, then the silent
     # transitions inserted for unmergeable place-to-place flows.
-    trans_inputs: dict[str, set[str]] = {}
-    trans_outputs: dict[str, set[str]] = {}
+    consume: dict[str, int] = {}
+    produce: dict[str, int] = {}
     trans_order: list[str] = []
     labels: dict[str, TaskLabel | None] = {}
 
     for task in model.tasks:
         trans_order.append(task.id)
-        trans_inputs[task.id] = set()
-        trans_outputs[task.id] = set()
+        consume[task.id] = produce[task.id] = 0
         labels[task.id] = TaskLabel(task.id, task.initiator, task.respondent)
     for gw in model.gateways:
         if gw.kind is GatewayKind.PARALLEL:
             trans_order.append(gw.id)
-            trans_inputs[gw.id] = set()
-            trans_outputs[gw.id] = set()
+            consume[gw.id] = produce[gw.id] = 0
             labels[gw.id] = None
     for tau_id, src, tgt in silent_flow_taus:
         trans_order.append(tau_id)
-        trans_inputs[tau_id] = {find(src)}
-        trans_outputs[tau_id] = {find(tgt)}
+        consume[tau_id] = bit[find(src)]
+        produce[tau_id] = bit[find(tgt)]
         labels[tau_id] = None
 
     extra_places: list[str] = []
@@ -206,16 +236,15 @@ def to_interaction_net(model: ChoreographyModel) -> InteractionNet:
         if src_place and tgt_place:
             continue
         if src_place:
-            trans_inputs[tgt].add(find(src))
+            consume[tgt] |= bit[find(src)]
         elif tgt_place:
-            trans_outputs[src].add(find(tgt))
+            produce[src] |= bit[find(tgt)]
         else:
-            mid = f"p_{src}__{tgt}"
-            extra_places.append(mid)
-            trans_outputs[src].add(mid)
-            trans_inputs[tgt].add(mid)
+            mid = 1 << len(merged_places) + len(extra_places)
+            extra_places.append(f"p_{src}__{tgt}")
+            produce[src] |= mid
+            consume[tgt] |= mid
 
-    merged_places = [pid for pid in order if find(pid) == pid]
     places = tuple(merged_places + extra_places)
     # A generated name can repeat a node id or another generated name; two
     # places or transitions with one name would silently become one.
@@ -223,27 +252,54 @@ def to_interaction_net(model: ChoreographyModel) -> InteractionNet:
         if len(set(names)) < len(names):
             name = next(n for i, n in enumerate(names) if n in names[:i])
             raise ValueError(f"model is not compilable: two net {kind}s are named {name!r}")
-    transitions = tuple(
-        NetTransition(
-            id=tid,
-            inputs=frozenset(trans_inputs[tid]),
-            outputs=frozenset(trans_outputs[tid]),
-            label=labels[tid],
-        )
-        for tid in trans_order
+    final = 0
+    for e in model.end_events:
+        final |= bit[find(e)]
+    return NetRows(places, bit[find(model.start_event)], final, tuple(
+        (tid, consume[tid], produce[tid], labels[tid]) for tid in trans_order))
+
+
+def _as_net(form: NetRows) -> InteractionNet:
+    """The net of a row form, naming each distinct mask once by walking its
+    bits. Its int view is the form's own masks."""
+    sets: dict[int, frozenset[str]] = {}
+
+    def named(mask: int) -> frozenset[str]:
+        if mask not in sets:
+            names, rest = [], mask
+            while rest:
+                low = rest & -rest
+                names.append(_place(form, low))
+                rest ^= low
+            sets[mask] = frozenset(names)
+        return sets[mask]
+
+    net = InteractionNet(
+        places=form.places,
+        transitions=tuple(NetTransition(tid, named(consume), named(produce), label)
+                          for tid, consume, produce, label in form.rows),
+        initial_place=_place(form, form.initial),
+        final_places=named(form.final),
     )
-    return InteractionNet(
-        places=places,
-        transitions=transitions,
-        initial_place=find(model.start_event),
-        final_places=frozenset(find(e) for e in model.end_events),
-    )
+    # Seeds the cached_property: these are the masks `ints` would rebuild
+    # from the names above.
+    net.__dict__["ints"] = IntMarkings(
+        form.initial, form.final, tuple((consume, produce) for _, consume, produce, _ in form.rows))
+    return net
 
 
 def reduce_net(net: InteractionNet) -> InteractionNet:
     """Remove silent transitions from a 1-safe net while preserving its
     observable trace language; refuse any other net with a ValueError that
-    names `check_safeness(net)`'s verdict.
+    names `check_safeness(net)`'s verdict. The rules rewrite rows taken from
+    `net.ints` (`reduce_rows`); the reduced net names the reduced masks."""
+    return _as_net(reduce_rows(net.as_rows()))
+
+
+def reduce_rows(form: NetRows) -> NetRows:
+    """Remove silent transitions from a 1-safe net in the row form while
+    preserving its observable trace language; refuse any other net with a
+    ValueError that names the verdict of `check_safeness` on its net.
 
     Applied rules (each skipped whenever a guard cannot be discharged):
       * noop: drop a silent whose pre- and post-set coincide;
@@ -298,57 +354,54 @@ def reduce_net(net: InteractionNet) -> InteractionNet:
         B -> X2, and X2 and E -> parallel join J -> D, is unsafe (P, A, B,
         tau_X1__X2), while its reduced net, where D takes X2 and D__via_X1
         takes X1, each with the token from E, is safe.
-    So the fused net is 1-safe iff `net` is, and a 1-safe net reduces to a
-    1-safe net. Fuse-pre's argument never reads the label of t, so it holds
-    for every row of the label-blind copy: the series net is 1-safe iff the
-    fused net is. Fuse-pre folds each chain of tasks into the firing that
+    So the fused net is 1-safe iff the input net is, and a 1-safe net reduces
+    to a 1-safe net. Fuse-pre's argument never reads the label of t, so it
+    holds for every row of the label-blind copy: the series net is 1-safe iff
+    the fused net is. Fuse-pre folds each chain of tasks into the firing that
     starts it, so the series net does not interleave the chains of parallel
     branches, which is where most of the fused net's markings come from.
-    STATE_BOUND in reduce_net counts the series net's markings. A firing of
-    the series net is a run of the fused net, so each marking it reaches is
-    one the fused net reaches with the folded places empty. When `net` is
-    safe, every marking the fused net reaches is one `net` reaches, so the
-    series net passes STATE_BOUND only where `net` does too: the verdict a
-    refusal names is never SafeOk.
+    STATE_BOUND here counts the series net's markings. A firing of the series
+    net is a run of the fused net, so each marking it reaches is one the
+    fused net reaches with the folded places empty. When the input net is
+    safe, every marking the fused net reaches is one it reaches, so the
+    series net passes STATE_BOUND only where the input net does too: the
+    verdict a refusal names is never SafeOk.
 
-    The rules rewrite rows [id, consume mask, produce mask, label] taken from
-    `net.ints`; the reduced net is built from the rows once, at the end.
+    The rules rewrite copies of the rows of `form`, whose rows stay as they
+    were: an unsafe net is built from them, and only then, to name the
+    verdict. The reduced places are the input places without the deleted
+    ones, in order, and the reduced masks are compacted to them once, at the
+    end.
     """
-    ints = net.ints
-    pairs = tuple(zip(net.transitions, ints.masks))
-    rows = [[t.id, consume, produce, t.label] for t, (consume, produce) in pairs]
-    gone = _rewrite(rows, net, _FUSIONS)
+    rows = [list(row) for row in form.rows]
+    gone = _rewrite(rows, form, _FUSIONS)
     series = [[None, consume, produce, None] for _, consume, produce, _ in rows]
-    _rewrite(series, net, (_rule_fuse_pre,))
-    verdict = _explore({ints.initial: ints.initial}, [(r[1], r[2]) for r in series], STATE_BOUND)
+    _rewrite(series, form, (_rule_fuse_pre,))
+    verdict = _explore({form.initial: form.initial}, [(r[1], r[2]) for r in series], STATE_BOUND)
     if not isinstance(verdict, SafeOk):
-        raise ValueError(f"model is not compilable: {check_safeness(net)}")
-    gone |= _rewrite(rows, net, _RULES)
+        raise ValueError(f"model is not compilable: {check_safeness(_as_net(form))}")
+    gone |= _rewrite(rows, form, _RULES)
 
-    # Masks no rule rewrote map back to the input's own frozensets.
-    sets = {consume: t.inputs for t, (consume, _) in pairs}
-    sets.update({produce: t.outputs for t, (_, produce) in pairs})
+    # Each kept place's bit moves down past the deleted places below it.
+    kept = [i for i in range(len(form.places)) if not gone >> i & 1]
+    moved = {1 << i: 1 << j for j, i in enumerate(kept)}
 
-    def named(mask: int) -> frozenset[str]:
-        if mask not in sets:
-            names, rest = [], mask
-            while rest:
-                low = rest & -rest
-                names.append(_place(net, low))
-                rest ^= low
-            sets[mask] = frozenset(names)
-        return sets[mask]
+    def compact(mask: int) -> int:
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= moved[low]
+            mask ^= low
+        return out
 
-    return InteractionNet(
-        places=tuple(p for i, p in enumerate(net.places) if not gone >> i & 1),
-        transitions=tuple(NetTransition(tid, named(consume), named(produce), label)
-                          for tid, consume, produce, label in rows),
-        initial_place=net.initial_place,
-        final_places=net.final_places,
-    )
+    for row in rows:
+        row[1] = compact(row[1])
+        row[2] = compact(row[2])
+    return NetRows(tuple(form.places[i] for i in kept), compact(form.initial),
+                   compact(form.final), rows)
 
 
-def _place(net: InteractionNet, bit: int) -> str:
+def _place(net: InteractionNet | NetRows, bit: int) -> str:
     """The name of the place at the one set bit of `bit`."""
     return net.places[bit.bit_length() - 1]
 
@@ -362,7 +415,7 @@ def _single(mask: int) -> bool:
 # returns the mask of the places it deleted, or leaves `rows` as they are
 # and returns None.
 
-def _rule_noop(i, rows, net) -> int | None:
+def _rule_noop(i, rows, form) -> int | None:
     _, consume, produce, _ = rows[i]
     if consume != produce:
         return None
@@ -370,9 +423,9 @@ def _rule_noop(i, rows, net) -> int | None:
     return 0
 
 
-def _rule_fuse_pre(i, rows, net) -> int | None:
+def _rule_fuse_pre(i, rows, form) -> int | None:
     _, p, produce, _ = t = rows[i]
-    if not _single(p) or p & (net.ints.initial | net.ints.final | produce):
+    if not _single(p) or p & (form.initial | form.final | produce):
         return None
     # One pass: t must be p's only consumer, and since p is not in
     # `produce`, a producer's outputs besides p meet t's iff r[2] & produce.
@@ -390,9 +443,9 @@ def _rule_fuse_pre(i, rows, net) -> int | None:
     return p
 
 
-def _rule_fuse_post(i, rows, net) -> int | None:
+def _rule_fuse_post(i, rows, form) -> int | None:
     _, consume, q, _ = t = rows[i]
-    if not _single(q) or q & (net.ints.initial | net.ints.final | consume):
+    if not _single(q) or q & (form.initial | form.final | consume):
         return None
     if any(r[2] & q and r is not t for r in rows):
         return None
@@ -405,9 +458,9 @@ def _rule_fuse_post(i, rows, net) -> int | None:
     return q
 
 
-def _rule_bypass(i, rows, net) -> int | None:
+def _rule_bypass(i, rows, form) -> int | None:
     _, p, q, _ = rows[i]
-    if not (_single(p) and _single(q)) or p == q or q & net.ints.final:
+    if not (_single(p) and _single(q)) or p == q or q & form.final:
         return None
     cons = [c for c in rows if c[1] & q]
     if not cons or any(c[3] is None or c[1] & p for c in cons):
@@ -415,7 +468,7 @@ def _rule_bypass(i, rows, net) -> int | None:
     for cid, consume, produce, label in cons:
         dup = consume & ~q | p
         if not any(x[1] == dup and x[2] == produce and x[3] == label for x in rows):
-            rows.append([f"{cid}__via_{_place(net, p)}", dup, produce, label])
+            rows.append([f"{cid}__via_{_place(form, p)}", dup, produce, label])
     del rows[i]
     return 0
 
@@ -424,15 +477,15 @@ _FUSIONS = (_rule_noop, _rule_fuse_pre, _rule_fuse_post)
 _RULES = (*_FUSIONS, _rule_bypass)
 
 
-def _rewrite(rows, net, rules) -> int:
+def _rewrite(rows, form, rules) -> int:
     """Apply `rules` to a fixpoint; the mask of every place they deleted."""
     gone = 0
-    while (deleted := _rewrite_once(rows, net, rules)) is not None:
+    while (deleted := _rewrite_once(rows, form, rules)) is not None:
         gone |= deleted
     return gone
 
 
-def _rewrite_once(rows, net, rules) -> int | None:
+def _rewrite_once(rows, form, rules) -> int | None:
     """Apply the first of `rules`, in order, that fires on the first silent
     row any of them fires on, and return the mask of the places it deleted;
     None when none fires. Each rewrite restarts the scan from the first
@@ -440,7 +493,7 @@ def _rewrite_once(rows, net, rules) -> int | None:
     for i, row in enumerate(rows):
         if row[3] is None:
             for rule in rules:
-                if (deleted := rule(i, rows, net)) is not None:
+                if (deleted := rule(i, rows, form)) is not None:
                     return deleted
     return None
 

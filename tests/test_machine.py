@@ -1,10 +1,18 @@
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from choreochannel.cases import CASES, build_machine, build_nets, compile_model, load_variants
+from choreochannel.cases import (
+    CASES,
+    build_machine,
+    build_nets,
+    compile_model,
+    load_model,
+    load_variants,
+)
 from choreochannel.machine import (
     MAX_PLACES,
     CompileError,
@@ -19,7 +27,7 @@ from choreochannel.machine import (
     is_end_state,
     step,
 )
-from choreochannel.petri import reduce_net, to_interaction_net, traces_equivalent
+from choreochannel.petri import InteractionNet, reduce_net, to_interaction_net, traces_equivalent
 from choreochannel.randmodel import random_model
 from util import (
     autonomous_leftover_model,
@@ -27,6 +35,7 @@ from util import (
     flows_named_alike_model,
     merge_into_join_model,
     minimal_model,
+    pipeline_models,
     place_named_like_flow_model,
     task_named_like_silent_model,
     task_split_model,
@@ -156,6 +165,60 @@ def test_compile_refuses_with_the_original_nets_witness(model, message):
     with pytest.raises(ValueError) as refused:
         compile_model(model())
     assert str(refused.value) == message
+
+
+def outcome(build) -> str:
+    """The machine dump `build()` returns, or the refusal it raises."""
+    try:
+        return build().to_json()
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def shuffled(net: InteractionNet, rng: random.Random) -> InteractionNet:
+    """`net` with its places listed in a shuffled order."""
+    return InteractionNet(tuple(rng.sample(net.places, len(net.places))), net.transitions,
+                          net.initial_place, net.final_places)
+
+
+def by_name(net: InteractionNet) -> tuple:
+    """The net as place names say it, whatever the order of its places."""
+    return sorted(net.places), net.transitions, net.initial_place, net.final_places
+
+
+def test_compile_model_equals_the_materialized_pipeline():
+    # compile_model lowers the reducer's rows; the public stages name every
+    # mask and lower the names' masks. Both give one machine or one refusal.
+    # A model's net lists its final places before any place the reducer can
+    # delete, so the reduced net must also be the same when the places are
+    # shuffled: that shows every mask compacted, the final one too.
+    rng = random.Random(24)
+    for key, model in pipeline_models():
+        assert outcome(lambda: compile_model(model)) == outcome(lambda: machine_for(model)), key
+        try:
+            net = to_interaction_net(model)
+            reduced = reduce_net(net)
+        except ValueError:
+            continue
+        assert by_name(reduce_net(shuffled(net, rng))) == by_name(reduced), key
+
+
+def test_compile_model_builds_a_net_only_to_name_a_refusal(monkeypatch):
+    built = []
+    init = InteractionNet.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(InteractionNet, "__init__", counting)
+    for model in (random_model(3, max_tasks=12, max_depth=4), load_model("supply_chain")):
+        compile_model(model)
+    assert built == []
+    with pytest.raises(ValueError, match="not compilable: UnsafeWitness"):
+        compile_model(merge_into_join_model())
+    (net,) = built
+    assert net == to_interaction_net(merge_into_join_model())
 
 
 def test_compile_outcomes_pinned_for_the_models_past_the_bound():

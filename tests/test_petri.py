@@ -26,11 +26,13 @@ from util import (
     autonomous_leftover_model,
     chain_net,
     exclusive_model,
+    int_markings_from_names,
     loop_model,
     merge_into_join_model,
     merge_into_task_model,
     minimal_model,
     parallel_model,
+    pipeline_models,
     unstructured_model,
 )
 
@@ -365,6 +367,19 @@ def test_reduce_net_refuses_exactly_the_unsafe_nets_over_random_models():
         verdicts.add((key[0], type(verdict)))
     assert verdicts == {("default", SafeOk), ("large", SafeOk),
                         ("unstructured", SafeOk), ("unstructured", UnsafeWitness)}
+
+
+def test_int_view_of_a_built_net_is_the_one_its_place_names_give():
+    # to_interaction_net and reduce_net hand their nets the row form's masks
+    # as `ints`, in place of rebuilding them from the place names.
+    for key, model in pipeline_models():
+        try:
+            net = to_interaction_net(model)
+            assert net.ints == int_markings_from_names(net), key
+            reduced = reduce_net(net)
+        except ValueError:
+            continue
+        assert reduced.ints == int_markings_from_names(reduced), key
 
 
 def test_implicit_join_probe_is_refused():

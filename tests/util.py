@@ -16,7 +16,9 @@ from choreochannel.bpmn import (
     Role,
     validate_model,
 )
-from choreochannel.petri import InteractionNet, NetTransition, TaskLabel
+from choreochannel.cases import CASES, load_model
+from choreochannel.petri import IntMarkings, InteractionNet, NetTransition, TaskLabel
+from choreochannel.randmodel import random_model
 
 ROLES_AB = (Role("a", "A"), Role("b", "B"))
 
@@ -33,6 +35,37 @@ def chain_net(place_count: int) -> InteractionNet:
         initial_place=places[0],
         final_places=frozenset({places[-1]}),
     )
+
+
+def int_markings_from_names(net: InteractionNet) -> IntMarkings:
+    """`net.ints` rebuilt from the net's place names: bit i is the i-th place."""
+    bit = {p: 1 << i for i, p in enumerate(net.places)}
+
+    def mask(places) -> int:
+        m = 0
+        for p in places:
+            m |= bit[p]
+        return m
+
+    return IntMarkings(
+        initial=bit[net.initial_place],
+        final=mask(net.final_places),
+        masks=tuple((mask(t.inputs), mask(t.outputs)) for t in net.transitions),
+    )
+
+
+def pipeline_models() -> list[tuple[str, ChoreographyModel]]:
+    """Models that take every path through the compile pipeline: random
+    models 0-149 at default size and at max_tasks=12, max_depth=4 (two of
+    them run past the autonomous firing budget), the unstructured draws of
+    seeds 0-5999 (112 are unsafe), models whose net would repeat a name or
+    is unsafe, and both fixtures."""
+    models = [(f"random {seed} {size}", random_model(seed, **size))
+              for size in ({}, {"max_tasks": 12, "max_depth": 4}) for seed in range(150)]
+    models += [(f"unstructured {seed}", m) for seed in range(6000) if (m := unstructured_model(seed))]
+    models += [(build.__name__, build()) for build in (
+        merge_into_join_model, place_named_like_flow_model, task_named_like_silent_model)]
+    return models + [(case, load_model(case)) for case in CASES]
 
 
 def counting_calls(monkeypatch, name: str) -> list[tuple]:
