@@ -22,8 +22,12 @@ connection, and never reaches the node. A reply that does
 not frame counts as no reply and closes the connection; one that frames but
 is not an envelope counts as no reply. An
 HTTP/1.0 request, or one that sends `Connection: close`, gets one reply and
-then the connection closes. The in-process transport remains the default
-for deterministic tests; this module exists for networked runs.
+then the connection closes. Each accepted connection runs on an idle
+handler thread, and a new one starts only when none is idle; a thread whose
+connection ends goes back to idle. The threads grow to the peak number of
+connections open at once, with no cap, and `NodeServer.stop` ends them. The
+in-process transport remains the default for deterministic tests; this
+module exists for networked runs.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ MAX_HEADERS = 100
 # No envelope comes near this; a larger Content-Length is refused unread.
 MAX_BODY = 1 << 20
 TIMEOUT_S = 10.0
+# The name of every connection-handler thread.
+HANDLER_THREAD = "httpd handler"
 REASONS = {200: b"OK", 204: b"No Content", 400: b"Bad Request", 404: b"Not Found"}
 PATHS = {MessageKind.PROPOSE: b"/propose", MessageKind.CONFIRM: b"/confirm"}
 EVIDENCE_TYPE = b"application/octet-stream"
@@ -221,12 +227,59 @@ class _Handler(socketserver.StreamRequestHandler):
         return not close
 
 
-class _Server(socketserver.ThreadingTCPServer):
-    daemon_threads = True
+class _Server(socketserver.TCPServer):
+    """Hands each accepted connection to an idle handler thread, and starts
+    a thread only when none is idle. There is no cap: each persistent peer
+    connection holds its thread for as long as it is open, so a fixed pool
+    could starve the connections beyond it. `server_close` ends the idle
+    threads; a busy one ends with its connection.
+    """
 
     def __init__(self, respond):
         self.respond = respond
+        self.handoff = threading.Lock()
+        # (wake, slot) of each idle thread, the most recently idle last.
+        self.idle = []
+        self.closing = False
         super().__init__(("127.0.0.1", 0), _Handler)
+
+    def process_request(self, request, client_address):
+        with self.handoff:
+            if self.idle:
+                wake, slot = self.idle.pop()
+                slot.append((request, client_address))
+                wake.release()
+                return
+        threading.Thread(target=self._serve, args=(request, client_address),
+                         name=HANDLER_THREAD, daemon=True).start()
+
+    def _serve(self, request, client_address) -> None:
+        """One handler thread: serve each connection handed to it, in the
+        order of `ThreadingMixIn.process_request_thread`, until the server
+        closes. While idle it waits on its own `wake` lock, which it holds."""
+        wake, slot = threading.Lock(), [(request, client_address)]
+        wake.acquire()
+        while slot:
+            request, client_address = slot.pop()
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            with self.handoff:
+                if self.closing:
+                    return
+                self.idle.append((wake, slot))
+            wake.acquire()
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self.handoff:
+            self.closing = True
+            for wake, _ in self.idle:
+                wake.release()  # with an empty slot, so the thread ends
+            self.idle.clear()
 
 
 class NodeServer:
@@ -247,8 +300,9 @@ class NodeServer:
         self.thread.start()
 
     def stop(self) -> None:
-        """Stop serving and close this node's connections to its peers, which
-        ends the peers' handler threads for them."""
+        """Stop serving, end this node's idle handler threads, and close its
+        connections to its peers, whose handler threads go back to idle. A
+        handler thread still busy here ends when its connection closes."""
         self.httpd.shutdown()
         self.httpd.server_close()
         self.node.transport.close()

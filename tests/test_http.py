@@ -1,8 +1,10 @@
 """Networked smoke test: the same protocol over local HTTP endpoints."""
 
+import contextlib
 import http.client
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -12,7 +14,16 @@ from choreochannel.cases import build_machine, load_variants
 from choreochannel.harness import build_network
 from choreochannel.httpd import serve_network
 from choreochannel.wire import ChannelMessage, MessageKind
-from util import CONFIRM, PROPOSE, envelope, step_bytes
+from util import (CONFIRM, PROPOSE, assert_handler_threads_end, envelope, handler_threads,
+                  step_bytes)
+
+
+@pytest.fixture(autouse=True)
+def no_handler_thread_outlives_its_servers():
+    """Every test here stops the servers it starts, so no handler thread,
+    busy or idle, may be left once it has."""
+    yield
+    assert_handler_threads_end()
 
 
 @pytest.fixture
@@ -214,7 +225,7 @@ def test_a_dropped_keep_alive_connection_is_reopened_once(http_network):
     for req in variant[:3]:
         _enact(servers, req)
     # first_level drops its idle connection from account_manager, the next
-    # initiator; the handler thread sees the end of the stream and exits.
+    # initiator; the handler thread sees the end of the stream and goes idle.
     client = setup.nodes["account_manager"].transport.connections["first_level"].sock
     (sock,) = [s for s, addr in accepted["first_level"] if addr == client.getsockname()]
     sock.shutdown(socket.SHUT_RDWR)
@@ -229,14 +240,98 @@ def test_a_dropped_keep_alive_connection_is_reopened_once(http_network):
 def test_stopping_the_network_ends_every_handler_thread():
     setup = build_network(build_machine("incident_management"), key_salt="http-tests")
     servers = serve_network(setup.nodes)
-    for req in load_variants("incident_management")[0]:
-        _enact(servers, req)
-    for server in servers.values():
-        server.stop()
-    deadline = time.monotonic() + 10
-    while any("process_request_thread" in t.name for t in threading.enumerate()):
-        assert time.monotonic() < deadline, threading.enumerate()
-        time.sleep(0.01)
+    try:
+        for req in load_variants("incident_management")[0]:
+            _enact(servers, req)
+        # Each open peer connection holds a busy thread; the threads that
+        # served the client's closed connections go back to idle. The name
+        # finds both.
+        busy = sum(peer.sock is not None for node in setup.nodes.values()
+                   for peer in node.transport.connections.values())
+        deadline = time.monotonic() + 10
+        while True:
+            idle = sum(len(server.httpd.idle) for server in servers.values())
+            if len(handler_threads()) == busy + idle:
+                break
+            assert time.monotonic() < deadline, (handler_threads(), busy, idle)
+            time.sleep(0.01)
+        assert busy and idle
+    finally:
+        for server in servers.values():
+            server.stop()
+    assert_handler_threads_end()
+
+
+def test_sequential_connections_reuse_the_handler_threads(http_network):
+    """A thread whose connection ended serves the next one: 20 requests on
+    fresh connections, one after another, start at most one new thread (the
+    next connection can arrive before the last thread is idle again)."""
+    _, servers = http_network
+    server = next(iter(servers.values()))
+    assert request(server, "GET", "/status")[0] == 200
+    served = []
+    finish_request = server.httpd.finish_request
+
+    def noting_thread(request, client_address):
+        # The thread object, not its ident: the OS reuses the ident of a
+        # thread that has ended.
+        served.append(threading.current_thread())
+        finish_request(request, client_address)
+
+    server.httpd.finish_request = noting_thread
+    before = set(threading.enumerate())
+    for _ in range(20):
+        assert request(server, "GET", "/status")[0] == 200
+    assert len(served) == 20
+    assert len(set(served) - before) <= 1
+
+
+def test_every_open_connection_is_served(http_network):
+    """16 keep-alive connections to one node, 4 times its peer count, each
+    get a /status answer while all stay open: a fixed pool of fewer
+    handler threads would leave some unanswered."""
+    _, servers = http_network
+    server = next(iter(servers.values()))
+    with contextlib.ExitStack() as stack:
+        socks = [stack.enter_context(socket.create_connection(("127.0.0.1", server.port),
+                                                              timeout=5))
+                 for _ in range(16)]
+        for sock in socks:
+            sock.sendall(b"GET /status HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n")
+        for sock in socks:
+            resp = http.client.HTTPResponse(sock)
+            resp.begin()
+            assert (resp.status, resp.getheader("Connection")) == (200, None)
+            assert json.loads(resp.read())["role"] == server.node.role
+
+
+def test_concurrent_clients_share_a_bounded_set_of_threads(http_network):
+    """8 clients, 4 times the CPUs, each send 25 /status requests on fresh
+    connections while threads switch every microsecond. Every request is
+    answered, and the threads stay within twice the clients: a connection
+    can arrive before the one its client closed has freed its thread. A lost
+    or twice-handed idle thread would show as a hang or a wrong count."""
+    _, servers = http_network
+    server = next(iter(servers.values()))
+    statuses = []
+
+    def client():
+        for _ in range(25):
+            statuses.append(request(server, "GET", "/status")[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        clients = [threading.Thread(target=client) for _ in range(8)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in clients)
+    finally:
+        sys.setswitchinterval(interval)
+    assert statuses == [200] * 200
+    assert len(handler_threads()) <= 16
 
 
 def test_archive_lines_are_the_envelopes_that_leave_the_node(tmp_path):

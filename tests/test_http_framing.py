@@ -30,7 +30,7 @@ from choreochannel.wire import (
     sign_step,
     verify_step,
 )
-from util import CONFIRM, envelope, flipped, signing_keys, step_bytes
+from util import CONFIRM, assert_handler_threads_end, envelope, flipped, signing_keys, step_bytes
 from util import PROPOSE as PROPOSE_KIND
 
 # A Propose for another contract, signed (not validly) by role r: it decodes,
@@ -38,6 +38,14 @@ from util import PROPOSE as PROPOSE_KIND
 PROPOSE = envelope(PROPOSE_KIND, step_bytes(), [(b"r", bytes(64))])
 ROUTES = {(b"GET", b"/status"), (b"POST", b"/enact"), (b"POST", b"/propose"),
           (b"POST", b"/confirm")}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_handler_thread_outlives_its_servers():
+    """The servers here live as long as the module, so no handler thread,
+    busy or idle, may be left once the module's last test is torn down."""
+    yield
+    assert_handler_threads_end()
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,12 @@
-"""Shared model builders, call counters and hand-built wire bytes for the test suite."""
+"""Shared model builders, call counters, hand-built wire bytes and handler-thread
+checks for the test suite."""
 
 from __future__ import annotations
 
 import random
 import struct
+import threading
+import time
 
 from hypothesis import strategies as st
 
@@ -17,6 +20,7 @@ from choreochannel.bpmn import (
     validate_model,
 )
 from choreochannel.cases import CASES, load_model
+from choreochannel.httpd import HANDLER_THREAD
 from choreochannel.petri import IntMarkings, InteractionNet, NetTransition, TaskLabel
 from choreochannel.randmodel import random_model
 
@@ -431,3 +435,16 @@ def flipped(base: bytes):
     """Strategy: `base` with one byte changed to any other value."""
     return st.tuples(st.integers(0, len(base) - 1), st.integers(1, 255)).map(
         lambda t: base[:t[0]] + bytes([base[t[0]] ^ t[1]]) + base[t[0] + 1:])
+
+
+def handler_threads() -> list[threading.Thread]:
+    """Every live connection-handler thread of every served node, busy or idle."""
+    return [t for t in threading.enumerate() if t.name == HANDLER_THREAD]
+
+
+def assert_handler_threads_end() -> None:
+    """Wait until no handler thread is alive; fail after 10 s."""
+    deadline = time.monotonic() + 10
+    while alive := handler_threads():
+        assert time.monotonic() < deadline, alive
+        time.sleep(0.01)
