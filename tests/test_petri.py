@@ -5,7 +5,7 @@ import pytest
 
 from choreochannel import petri
 from choreochannel.bpmn import validate_model
-from choreochannel.cases import CASES, build_nets
+from choreochannel.cases import CASES, build_nets, load_model
 from choreochannel.machine import TaskRequest, compile_state_machine, enabled_tasks, is_end_state, step
 from choreochannel.petri import (
     BoundExceeded,
@@ -331,6 +331,21 @@ def test_pnml_dump():
     blob = to_pnml(reduced)
     assert blob.startswith(b"<?xml")
     assert b"<pnml>" in blob and b"transition" in blob
+
+
+def test_pnml_bytes_pinned_over_fixtures_and_random_models():
+    # The original and the reduced net of each model; the random ones have
+    # bypass copies (`__via_`) and transitions with several input or output
+    # places, whose arcs PNML lists in sorted place-name order.
+    models = [load_model(case) for case in CASES]
+    models += [random_model(seed, **size)
+               for size in ({}, {"max_tasks": 12, "max_depth": 4}) for seed in range(50)]
+    digest = hashlib.sha256()
+    for model in models:
+        net = to_interaction_net(model)
+        digest.update(to_pnml(net))
+        digest.update(to_pnml(reduce_net(net)))
+    assert digest.hexdigest() == "469093414d08e8b54756b6e67bef3c8739a7b15ee7e4d1b955faa5e45b58031a"
 
 
 @pytest.mark.parametrize("seed", range(0, 60, 3))
