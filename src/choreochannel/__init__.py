@@ -24,7 +24,7 @@ from .machine import (
     step,
 )
 from .petri import (
-    InteractionNet,
+    NetRows,
     check_safeness,
     reduce_net,
     to_interaction_net,

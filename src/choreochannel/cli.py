@@ -9,7 +9,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .bpmn import parse_choreography
-from .cases import CASES, build_machine, compile_model, load_variants, normalize_case, reduce_model
+from .cases import CASES, build_machine, compile_model, load_variants, normalize_case
 from .harness import (
     DEFAULT_MIXES,
     ScenarioError,
@@ -22,7 +22,7 @@ from .harness import (
     run_scenario,
 )
 from .ledger import DISPUTE_WINDOW, LedgerError
-from .petri import to_pnml
+from .petri import reduce_net, to_interaction_net, to_pnml
 
 
 def _fail(message: str) -> int:
@@ -48,7 +48,7 @@ def cmd_compile(args) -> int:
         f"{len(machine.role_ids)} roles -> {args.output}"
     )
     if args.pnml:
-        Path(args.pnml).write_bytes(to_pnml(reduce_model(model)))
+        Path(args.pnml).write_bytes(to_pnml(reduce_net(to_interaction_net(model))))
         print(f"wrote {args.pnml}")
     return 0
 

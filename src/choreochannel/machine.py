@@ -160,25 +160,18 @@ MAX_PLACES = 256
 
 
 def compile_state_machine(net) -> ProcessStateMachine:
-    """Lower a reduced, safe interaction net onto bitmask transitions:
-    `lower` on the net's rows (`InteractionNet.as_rows`)."""
-    return lower(net.as_rows())
+    """Lower a reduced, safe net (`petri.NetRows`) onto bitmask transitions.
 
-
-def lower(form) -> ProcessStateMachine:
-    """Lower a reduced, safe net in the row form (`petri.NetRows`) onto
-    bitmask transitions.
-
-    Place bits are the form's bits; transitions keep row order so the
+    Place bits are the net's bits; transitions keep row order so the
     compiled layout is identical across runs. The initial state is the start
     place with any start-enabled autonomous transitions already applied.
     """
-    if len(form.places) > MAX_PLACES:
-        raise CompileError(f"net has {len(form.places)} places, limit is {MAX_PLACES}")
+    if len(net.places) > MAX_PLACES:
+        raise CompileError(f"net has {len(net.places)} places, limit is {MAX_PLACES}")
 
     transitions: list[CompiledTransition] = []
     roles: list[str] = []
-    for i, (_, consume, produce, label) in enumerate(form.rows):
+    for i, (_, consume, produce, label) in enumerate(net.rows):
         if label is None:
             transitions.append(CompiledTransition(i, consume, produce))
         else:
@@ -190,10 +183,10 @@ def lower(form) -> ProcessStateMachine:
                     roles.append(role)
 
     return ProcessStateMachine(
-        places=tuple(form.places),
+        places=tuple(net.places),
         transitions=tuple(transitions),
-        initial_state=_autonomous_fixpoint(transitions, len(form.places), form.initial),
-        final_mask=form.final,
+        initial_state=_autonomous_fixpoint(transitions, len(net.places), net.initial),
+        final_mask=net.final,
         role_ids=tuple(roles),
     )
 

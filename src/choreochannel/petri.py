@@ -4,24 +4,21 @@ The net is the middle layer between the parsed choreography and the compiled
 state machine. Labelled transitions carry initiator/respondent roles; silent
 transitions come from gateways and empty exclusive branches. Reduction removes
 silent transitions only where the observable trace language provably stays
-the same. The compile pipeline runs on one row form (`NetRows`): the places,
-the initial bit, the final mask and one row [id, consume mask, produce mask,
-label] per transition. `net_rows` builds it from a model, `reduce_rows`
-rewrites it and `machine.lower` compiles it; an `InteractionNet`, with place
-names on its arcs, is built from a form only where a caller asks for one.
-Every explorer works on a net's int-marking view (`InteractionNet.ints`).
-`traces_equivalent` is the one language oracle: it compares a net or a
-compiled machine with another, so it backs both the reduction rules and
-compilation.
+the same. A net has one form, `NetRows`: the places, the initial bit, the
+final mask and one row (id, consume mask, produce mask, label) per
+transition. `to_interaction_net` builds it from a model, `reduce_net`
+rewrites it and `machine.compile_state_machine` compiles it. Every explorer
+works on its masks; a place gets its name back from its bit only where a
+refusal's witness or PNML names it. `traces_equivalent` is the one language
+oracle: it compares a net or a compiled machine with another, so it backs
+both the reduction rules and compilation.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .bpmn import ChoreographyModel, GatewayKind, validate_model
@@ -34,72 +31,17 @@ class TaskLabel(NamedTuple):
     respondent: str
 
 
-class NetTransition(NamedTuple):
-    id: str
-    inputs: frozenset[str]
-    outputs: frozenset[str]
-    label: TaskLabel | None
-
-    @property
-    def silent(self) -> bool:
-        return self.label is None
-
-
-@dataclass(frozen=True)
-class IntMarkings:
-    """A net's markings as ints: bit i is the net's i-th place."""
-
-    initial: int
-    final: int
-    masks: tuple[tuple[int, int], ...]  # (consume, produce), in transition order
-
-
 class NetRows(NamedTuple):
-    """A net in the row form every compile stage reads and writes: bit i of
-    a mask is `places[i]`, and each row is (id, consume mask, produce mask,
-    label) in net order, with label None for a silent transition."""
+    """A labelled net: bit i of a mask is `places[i]`, and each row is
+    (id, consume mask, produce mask, label) in net order, with label None
+    for a silent transition. Every stage reads and writes this form, always
+    with tuple rows, so two nets compare by value whichever stage built
+    them."""
 
     places: tuple[str, ...]
     initial: int
     final: int
-    rows: Sequence[Sequence]
-
-
-@dataclass(frozen=True)
-class InteractionNet:
-    """1-safe labelled net; place and transition order is document order."""
-
-    places: tuple[str, ...]
-    transitions: tuple[NetTransition, ...]
-    initial_place: str
-    final_places: frozenset[str]
-
-    @cached_property
-    def ints(self) -> IntMarkings:
-        """The int-marking view every explorer and the compiler share."""
-        bit = {p: 1 << i for i, p in enumerate(self.places)}
-
-        def mask(ps: frozenset[str]) -> int:
-            m = 0
-            for p in ps:
-                m |= bit[p]
-            return m
-
-        return IntMarkings(
-            initial=bit[self.initial_place],
-            final=mask(self.final_places),
-            masks=tuple((mask(t.inputs), mask(t.outputs)) for t in self.transitions),
-        )
-
-    def as_rows(self) -> NetRows:
-        """This net in the row form, masks from `ints`."""
-        ints = self.ints
-        return NetRows(self.places, ints.initial, ints.final, tuple(
-            (t.id, consume, produce, t.label)
-            for t, (consume, produce) in zip(self.transitions, ints.masks)))
-
-    def silent_count(self) -> int:
-        return sum(1 for t in self.transitions if t.silent)
+    rows: tuple[tuple[str, int, int, TaskLabel | None], ...]
 
 
 class StateSpaceError(RuntimeError):
@@ -125,21 +67,15 @@ class BoundExceeded:
 SafenessResult = SafeOk | UnsafeWitness | BoundExceeded
 
 # The most markings a safeness walk visits before it gives up: markings of
-# the net in check_safeness, of the series net (see reduce_rows) in reduce_rows.
+# the net in check_safeness, of the series net (see reduce_net) in reduce_net.
 STATE_BOUND = 20000
 
 
-def to_interaction_net(model: ChoreographyModel) -> InteractionNet:
-    """The interaction Petri net of a choreography, refused as `net_rows`
-    refuses it: the rows of `net_rows`, with place names on the arcs."""
-    return _as_net(net_rows(model))
-
-
-def net_rows(model: ChoreographyModel) -> NetRows:
-    """Map a choreography onto an interaction Petri net in the row form,
-    refusing an invalid one with a ValueError that lists every diagnostic,
-    and one whose net would hold two places or two transitions with one name
-    with a ValueError that names it.
+def to_interaction_net(model: ChoreographyModel) -> NetRows:
+    """Map a choreography onto an interaction Petri net, refusing an invalid
+    one with a ValueError that lists every diagnostic, and one whose net
+    would hold two places or two transitions with one name with a ValueError
+    that names it.
 
     Tasks become labelled transitions, parallel gateways silent transitions,
     exclusive gateways and events places. A flow between two place-like nodes
@@ -259,47 +195,10 @@ def net_rows(model: ChoreographyModel) -> NetRows:
         (tid, consume[tid], produce[tid], labels[tid]) for tid in trans_order))
 
 
-def _as_net(form: NetRows) -> InteractionNet:
-    """The net of a row form, naming each distinct mask once by walking its
-    bits. Its int view is the form's own masks."""
-    sets: dict[int, frozenset[str]] = {}
-
-    def named(mask: int) -> frozenset[str]:
-        if mask not in sets:
-            names, rest = [], mask
-            while rest:
-                low = rest & -rest
-                names.append(_place(form, low))
-                rest ^= low
-            sets[mask] = frozenset(names)
-        return sets[mask]
-
-    net = InteractionNet(
-        places=form.places,
-        transitions=tuple(NetTransition(tid, named(consume), named(produce), label)
-                          for tid, consume, produce, label in form.rows),
-        initial_place=_place(form, form.initial),
-        final_places=named(form.final),
-    )
-    # Seeds the cached_property: these are the masks `ints` would rebuild
-    # from the names above.
-    net.__dict__["ints"] = IntMarkings(
-        form.initial, form.final, tuple((consume, produce) for _, consume, produce, _ in form.rows))
-    return net
-
-
-def reduce_net(net: InteractionNet) -> InteractionNet:
+def reduce_net(net: NetRows) -> NetRows:
     """Remove silent transitions from a 1-safe net while preserving its
     observable trace language; refuse any other net with a ValueError that
-    names `check_safeness(net)`'s verdict. The rules rewrite rows taken from
-    `net.ints` (`reduce_rows`); the reduced net names the reduced masks."""
-    return _as_net(reduce_rows(net.as_rows()))
-
-
-def reduce_rows(form: NetRows) -> NetRows:
-    """Remove silent transitions from a 1-safe net in the row form while
-    preserving its observable trace language; refuse any other net with a
-    ValueError that names the verdict of `check_safeness` on its net.
+    names the verdict of `check_safeness` on it.
 
     Applied rules (each skipped whenever a guard cannot be discharged):
       * noop: drop a silent whose pre- and post-set coincide;
@@ -367,23 +266,23 @@ def reduce_rows(form: NetRows) -> NetRows:
     series net passes STATE_BOUND only where the input net does too: the
     verdict a refusal names is never SafeOk.
 
-    The rules rewrite copies of the rows of `form`, whose rows stay as they
-    were: an unsafe net is built from them, and only then, to name the
-    verdict. The reduced places are the input places without the deleted
+    The rules rewrite list copies of the rows of `net`, which stays as it
+    was: `check_safeness` walks it to name the verdict of a refusal, and
+    only then. The reduced places are the input places without the deleted
     ones, in order, and the reduced masks are compacted to them once, at the
-    end.
+    end, into tuple rows.
     """
-    rows = [list(row) for row in form.rows]
-    gone = _rewrite(rows, form, _FUSIONS)
+    rows = [list(row) for row in net.rows]
+    gone = _rewrite(rows, net, _FUSIONS)
     series = [[None, consume, produce, None] for _, consume, produce, _ in rows]
-    _rewrite(series, form, (_rule_fuse_pre,))
-    verdict = _explore({form.initial: form.initial}, [(r[1], r[2]) for r in series], STATE_BOUND)
+    _rewrite(series, net, (_rule_fuse_pre,))
+    verdict = _explore({net.initial: net.initial}, [(r[1], r[2]) for r in series], STATE_BOUND)
     if not isinstance(verdict, SafeOk):
-        raise ValueError(f"model is not compilable: {check_safeness(_as_net(form))}")
-    gone |= _rewrite(rows, form, _RULES)
+        raise ValueError(f"model is not compilable: {check_safeness(net)}")
+    gone |= _rewrite(rows, net, _RULES)
 
     # Each kept place's bit moves down past the deleted places below it.
-    kept = [i for i in range(len(form.places)) if not gone >> i & 1]
+    kept = [i for i in range(len(net.places)) if not gone >> i & 1]
     moved = {1 << i: 1 << j for j, i in enumerate(kept)}
 
     def compact(mask: int) -> int:
@@ -394,14 +293,12 @@ def reduce_rows(form: NetRows) -> NetRows:
             mask ^= low
         return out
 
-    for row in rows:
-        row[1] = compact(row[1])
-        row[2] = compact(row[2])
-    return NetRows(tuple(form.places[i] for i in kept), compact(form.initial),
-                   compact(form.final), rows)
+    return NetRows(tuple(net.places[i] for i in kept), compact(net.initial), compact(net.final),
+                   tuple((tid, compact(consume), compact(produce), label)
+                         for tid, consume, produce, label in rows))
 
 
-def _place(net: InteractionNet | NetRows, bit: int) -> str:
+def _place(net: NetRows, bit: int) -> str:
     """The name of the place at the one set bit of `bit`."""
     return net.places[bit.bit_length() - 1]
 
@@ -415,7 +312,7 @@ def _single(mask: int) -> bool:
 # returns the mask of the places it deleted, or leaves `rows` as they are
 # and returns None.
 
-def _rule_noop(i, rows, form) -> int | None:
+def _rule_noop(i, rows, net) -> int | None:
     _, consume, produce, _ = rows[i]
     if consume != produce:
         return None
@@ -423,9 +320,9 @@ def _rule_noop(i, rows, form) -> int | None:
     return 0
 
 
-def _rule_fuse_pre(i, rows, form) -> int | None:
+def _rule_fuse_pre(i, rows, net) -> int | None:
     _, p, produce, _ = t = rows[i]
-    if not _single(p) or p & (form.initial | form.final | produce):
+    if not _single(p) or p & (net.initial | net.final | produce):
         return None
     # One pass: t must be p's only consumer, and since p is not in
     # `produce`, a producer's outputs besides p meet t's iff r[2] & produce.
@@ -443,9 +340,9 @@ def _rule_fuse_pre(i, rows, form) -> int | None:
     return p
 
 
-def _rule_fuse_post(i, rows, form) -> int | None:
+def _rule_fuse_post(i, rows, net) -> int | None:
     _, consume, q, _ = t = rows[i]
-    if not _single(q) or q & (form.initial | form.final | consume):
+    if not _single(q) or q & (net.initial | net.final | consume):
         return None
     if any(r[2] & q and r is not t for r in rows):
         return None
@@ -458,9 +355,9 @@ def _rule_fuse_post(i, rows, form) -> int | None:
     return q
 
 
-def _rule_bypass(i, rows, form) -> int | None:
+def _rule_bypass(i, rows, net) -> int | None:
     _, p, q, _ = rows[i]
-    if not (_single(p) and _single(q)) or p == q or q & form.final:
+    if not (_single(p) and _single(q)) or p == q or q & net.final:
         return None
     cons = [c for c in rows if c[1] & q]
     if not cons or any(c[3] is None or c[1] & p for c in cons):
@@ -468,7 +365,7 @@ def _rule_bypass(i, rows, form) -> int | None:
     for cid, consume, produce, label in cons:
         dup = consume & ~q | p
         if not any(x[1] == dup and x[2] == produce and x[3] == label for x in rows):
-            rows.append([f"{cid}__via_{_place(form, p)}", dup, produce, label])
+            rows.append([f"{cid}__via_{_place(net, p)}", dup, produce, label])
     del rows[i]
     return 0
 
@@ -477,15 +374,15 @@ _FUSIONS = (_rule_noop, _rule_fuse_pre, _rule_fuse_post)
 _RULES = (*_FUSIONS, _rule_bypass)
 
 
-def _rewrite(rows, form, rules) -> int:
+def _rewrite(rows, net, rules) -> int:
     """Apply `rules` to a fixpoint; the mask of every place they deleted."""
     gone = 0
-    while (deleted := _rewrite_once(rows, form, rules)) is not None:
+    while (deleted := _rewrite_once(rows, net, rules)) is not None:
         gone |= deleted
     return gone
 
 
-def _rewrite_once(rows, form, rules) -> int | None:
+def _rewrite_once(rows, net, rules) -> int | None:
     """Apply the first of `rules`, in order, that fires on the first silent
     row any of them fires on, and return the mask of the places it deleted;
     None when none fires. Each rewrite restarts the scan from the first
@@ -493,12 +390,12 @@ def _rewrite_once(rows, form, rules) -> int | None:
     for i, row in enumerate(rows):
         if row[3] is None:
             for rule in rules:
-                if (deleted := rule(i, rows, form)) is not None:
+                if (deleted := rule(i, rows, net)) is not None:
                     return deleted
     return None
 
 
-def check_safeness(net: InteractionNet, state_bound: int = STATE_BOUND) -> SafenessResult:
+def check_safeness(net: NetRows, state_bound: int = STATE_BOUND) -> SafenessResult:
     """Exhaustively explore reachable markings breadth first, one level at a
     time, trying each marking's transitions in net order.
 
@@ -508,9 +405,9 @@ def check_safeness(net: InteractionNet, state_bound: int = STATE_BOUND) -> Safen
     walk keeps only each marking's parent marking; the rare witness is
     rebuilt from those afterwards.
     """
-    ints = net.ints
-    parents: dict[int, int] = {ints.initial: ints.initial}
-    verdict = _explore(parents, ints.masks, state_bound)
+    parents: dict[int, int] = {net.initial: net.initial}
+    verdict = _explore(parents, [(consume, produce) for _, consume, produce, _ in net.rows],
+                       state_bound)
     if not isinstance(verdict, tuple):
         return verdict
     marking, (consume, produce) = verdict
@@ -546,32 +443,30 @@ def _explore(parents: dict[int, int], masks, state_bound: int):
 
 
 def _witness(
-    net: InteractionNet, parents: dict[int, int], marking: int, last: tuple[int, int]
+    net: NetRows, parents: dict[int, int], marking: int, last: tuple[int, int]
 ) -> tuple[str, ...]:
-    """The firing sequence check_safeness took to `marking`, then the unsafe
-    firing of the transition with masks `last`.
+    """The ids of the rows check_safeness fired to reach `marking`, then the
+    id of the row with masks `last`, whose firing is unsafe.
 
-    The walk recorded each parent -> child edge at the first transition in
-    net order that fires it, so that is the one named here. An earlier
-    transition with masks `last` would have been unsafe first, so the first
-    one with those masks is the one the walk was at.
+    The walk recorded each parent -> child edge at the first row in net
+    order that fires it, so that is the one named here. An earlier row with
+    masks `last` would have been unsafe first, so the first one with those
+    masks is the one the walk was at.
     """
-    ints = net.ints
     path = [marking]
-    while path[-1] != ints.initial:
+    while path[-1] != net.initial:
         path.append(parents[path[-1]])
     path.reverse()
-    pairs = tuple(zip(net.transitions, ints.masks))
     seq = [
-        next(t.id for t, (consume, produce) in pairs
+        next(tid for tid, consume, produce, _ in net.rows
              if src & consume == consume and src ^ consume | produce == dst)
         for src, dst in zip(path, path[1:])
     ]
-    seq.append(net.transitions[ints.masks.index(last)].id)
+    seq.append(next(tid for tid, consume, produce, _ in net.rows if (consume, produce) == last))
     return tuple(seq)
 
 
-def _language_view(x: InteractionNet | ProcessStateMachine):
+def _language_view(x: NetRows | ProcessStateMachine):
     """(start, completed, moves) of x's observable behaviour as a
     deterministic automaton; `moves(state)` maps each enabled task to the
     successor state.
@@ -585,9 +480,9 @@ def _language_view(x: InteractionNet | ProcessStateMachine):
                     for task, role in enabled_tasks(x, state)}
         return x.initial_state, lambda state: is_end_state(x, state), machine_moves
 
-    ints = x.ints
-    silent = [m for t, m in zip(x.transitions, ints.masks) if t.silent]
-    labelled = [(t.label.task_id, *m) for t, m in zip(x.transitions, ints.masks) if not t.silent]
+    silent = [(consume, produce) for _, consume, produce, label in x.rows if label is None]
+    labelled = [(label.task_id, consume, produce)
+                for _, consume, produce, label in x.rows if label is not None]
 
     def close(markings) -> frozenset[int]:
         seen = set(markings)
@@ -601,7 +496,7 @@ def _language_view(x: InteractionNet | ProcessStateMachine):
         return frozenset(seen)
 
     def completed(det: frozenset[int]) -> bool:
-        return any(m & ints.final and not m & ~ints.final for m in det)
+        return any(m & x.final and not m & ~x.final for m in det)
 
     def net_moves(det: frozenset[int]) -> dict[str, frozenset[int]]:
         fired: dict[str, list[int]] = {}
@@ -611,12 +506,12 @@ def _language_view(x: InteractionNet | ProcessStateMachine):
                     fired.setdefault(task, []).append(m & ~consume | produce)
         return {task: close(ms) for task, ms in fired.items()}
 
-    return close([ints.initial]), completed, net_moves
+    return close([x.initial]), completed, net_moves
 
 
 def traces_equivalent(
-    a: InteractionNet | ProcessStateMachine,
-    b: InteractionNet | ProcessStateMachine,
+    a: NetRows | ProcessStateMachine,
+    b: NetRows | ProcessStateMachine,
     max_len: int | None,
     node_budget: int = 200_000,
 ) -> bool:
@@ -656,7 +551,7 @@ def traces_equivalent(
     return True
 
 
-def to_pnml(net: InteractionNet) -> bytes:
+def to_pnml(net: NetRows) -> bytes:
     """Dump the net in PNML for inspection with standard Petri-net tooling."""
     pnml = ET.Element("pnml")
     page = ET.SubElement(
@@ -666,18 +561,28 @@ def to_pnml(net: InteractionNet) -> bytes:
     )
     for pid in net.places:
         place = ET.SubElement(page, "place", {"id": pid})
-        if pid == net.initial_place:
+        if pid == _place(net, net.initial):
             ET.SubElement(ET.SubElement(place, "initialMarking"), "text").text = "1"
-    for t in net.transitions:
-        trans = ET.SubElement(page, "transition", {"id": t.id})
-        if t.label is not None:
-            ET.SubElement(ET.SubElement(trans, "name"), "text").text = t.label.task_id
+    for tid, _, _, label in net.rows:
+        trans = ET.SubElement(page, "transition", {"id": tid})
+        if label is not None:
+            ET.SubElement(ET.SubElement(trans, "name"), "text").text = label.task_id
     arc_n = 0
-    for t in net.transitions:
-        for p in sorted(t.inputs):
-            ET.SubElement(page, "arc", {"id": f"a{arc_n}", "source": p, "target": t.id})
+    for tid, consume, produce, _ in net.rows:
+        for p in _sorted_names(net, consume):
+            ET.SubElement(page, "arc", {"id": f"a{arc_n}", "source": p, "target": tid})
             arc_n += 1
-        for p in sorted(t.outputs):
-            ET.SubElement(page, "arc", {"id": f"a{arc_n}", "source": t.id, "target": p})
+        for p in _sorted_names(net, produce):
+            ET.SubElement(page, "arc", {"id": f"a{arc_n}", "source": tid, "target": p})
             arc_n += 1
     return ET.tostring(pnml, encoding="utf-8", xml_declaration=True)
+
+
+def _sorted_names(net: NetRows, mask: int) -> list[str]:
+    """The names of the places in `mask`, found by walking its bits, sorted."""
+    names = []
+    while mask:
+        low = mask & -mask
+        names.append(_place(net, low))
+        mask ^= low
+    return sorted(names)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -37,3 +38,20 @@ def test_every_traced_name_resolves_except_the_known_dead_one():
     # tracer is part of ROADMAP item 3's bench housekeeping, after which this
     # set is empty.
     assert unresolved == {"ledger.Ledger.baseline_task"}
+
+
+def test_each_compile_stage_is_traced_once_per_compile():
+    # `install` looks up every target module in sys.modules, so all of them
+    # are imported first.
+    from choreochannel import cases, harness, httpd  # noqa: F401
+
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        for case in cases.CASES:
+            cases.compile_model(cases.load_model(case))
+    finally:
+        tracer.uninstall()
+    counts = Counter(span[1] for span in tracer.spans)
+    stages = ("petri.to_interaction_net", "petri.reduce_net", "machine.compile_state_machine")
+    assert {stage: counts[stage] for stage in stages} == dict.fromkeys(stages, len(cases.CASES))

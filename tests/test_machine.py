@@ -10,7 +10,6 @@ from choreochannel.cases import (
     build_machine,
     build_nets,
     compile_model,
-    load_model,
     load_variants,
 )
 from choreochannel.machine import (
@@ -27,7 +26,7 @@ from choreochannel.machine import (
     is_end_state,
     step,
 )
-from choreochannel.petri import InteractionNet, reduce_net, to_interaction_net, traces_equivalent
+from choreochannel.petri import NetRows, reduce_net, to_interaction_net, traces_equivalent
 from choreochannel.randmodel import random_model
 from util import (
     autonomous_leftover_model,
@@ -35,8 +34,10 @@ from util import (
     flows_named_alike_model,
     merge_into_join_model,
     minimal_model,
+    named_net,
     pipeline_models,
     place_named_like_flow_model,
+    place_names,
     task_named_like_silent_model,
     task_split_model,
     unstructured_model,
@@ -46,12 +47,8 @@ from util import (
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def machine_for(model):
-    return compile_state_machine(reduce_net(to_interaction_net(model)))
-
-
 def test_one_task_machine():
-    machine = machine_for(minimal_model())
+    machine = compile_model(minimal_model())
     assert machine.place_count == 2
     (t,) = machine.transitions
     assert t.task_id == "greet"
@@ -107,7 +104,7 @@ def test_compile_width_limit():
 
 
 def test_autonomous_transition_compiled():
-    machine = machine_for(autonomous_leftover_model())
+    machine = compile_model(autonomous_leftover_model())
     autonomous = [t for t in machine.transitions if t.task_id is None]
     assert len(autonomous) == 1
     assert autonomous[0].initiator is None and autonomous[0].task_id is None
@@ -119,24 +116,24 @@ def test_autonomous_transition_compiled():
 
 
 def test_step_happy_path():
-    machine = machine_for(minimal_model())
+    machine = compile_model(minimal_model())
     new = step(machine, machine.initial_state, TaskRequest("greet", "a"))
     assert new == machine.final_mask
     assert is_end_state(machine, new)
 
 
 def test_step_wrong_role():
-    machine = machine_for(minimal_model())
+    machine = compile_model(minimal_model())
     with pytest.raises(WrongRoleError):
         step(machine, machine.initial_state, TaskRequest("greet", "b"))
 
 
 def test_step_unknown_task():
-    machine = machine_for(minimal_model())
+    machine = compile_model(minimal_model())
     with pytest.raises(UnknownTaskError):
         step(machine, machine.initial_state, TaskRequest("nope", "a"))
     # A missing task id never matches an autonomous transition.
-    assert machine_for(autonomous_leftover_model()).manual_transitions(None) == []
+    assert compile_model(autonomous_leftover_model()).manual_transitions(None) == []
 
 
 @pytest.mark.parametrize("model, message", [
@@ -167,58 +164,35 @@ def test_compile_refuses_with_the_original_nets_witness(model, message):
     assert str(refused.value) == message
 
 
-def outcome(build) -> str:
-    """The machine dump `build()` returns, or the refusal it raises."""
-    try:
-        return build().to_json()
-    except (ValueError, RuntimeError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def shuffled(net: InteractionNet, rng: random.Random) -> InteractionNet:
+def shuffled(net: NetRows, rng: random.Random) -> NetRows:
     """`net` with its places listed in a shuffled order."""
-    return InteractionNet(tuple(rng.sample(net.places, len(net.places))), net.transitions,
-                          net.initial_place, net.final_places)
+    return named_net(rng.sample(net.places, len(net.places)),
+                     [(tid, place_names(net, consume), place_names(net, produce), label)
+                      for tid, consume, produce, label in net.rows],
+                     *place_names(net, net.initial), place_names(net, net.final))
 
 
-def by_name(net: InteractionNet) -> tuple:
+def by_name(net: NetRows) -> tuple:
     """The net as place names say it, whatever the order of its places."""
-    return sorted(net.places), net.transitions, net.initial_place, net.final_places
+    return (sorted(net.places),
+            [(tid, place_names(net, consume), place_names(net, produce), label)
+             for tid, consume, produce, label in net.rows],
+            place_names(net, net.initial), place_names(net, net.final))
 
 
-def test_compile_model_equals_the_materialized_pipeline():
-    # compile_model lowers the reducer's rows; the public stages name every
-    # mask and lower the names' masks. Both give one machine or one refusal.
+def test_reduced_net_does_not_depend_on_place_order():
     # A model's net lists its final places before any place the reducer can
-    # delete, so the reduced net must also be the same when the places are
-    # shuffled: that shows every mask compacted, the final one too.
+    # delete, so the reduced net must be the same, named place by place,
+    # when the places are shuffled: that shows every mask compacted, the
+    # final one too.
     rng = random.Random(24)
     for key, model in pipeline_models():
-        assert outcome(lambda: compile_model(model)) == outcome(lambda: machine_for(model)), key
         try:
             net = to_interaction_net(model)
             reduced = reduce_net(net)
         except ValueError:
             continue
         assert by_name(reduce_net(shuffled(net, rng))) == by_name(reduced), key
-
-
-def test_compile_model_builds_a_net_only_to_name_a_refusal(monkeypatch):
-    built = []
-    init = InteractionNet.__init__
-
-    def counting(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
-
-    monkeypatch.setattr(InteractionNet, "__init__", counting)
-    for model in (random_model(3, max_tasks=12, max_depth=4), load_model("supply_chain")):
-        compile_model(model)
-    assert built == []
-    with pytest.raises(ValueError, match="not compilable: UnsafeWitness"):
-        compile_model(merge_into_join_model())
-    (net,) = built
-    assert net == to_interaction_net(merge_into_join_model())
 
 
 def test_compile_outcomes_pinned_for_the_models_past_the_bound():
@@ -310,7 +284,7 @@ def test_variants_reach_end_state(case):
 
 
 def test_enabled_tasks_minimal():
-    machine = machine_for(minimal_model())
+    machine = compile_model(minimal_model())
     assert enabled_tasks(machine, machine.initial_state) == {("greet", "a")}
     assert enabled_tasks(machine, machine.final_mask) == set()
 

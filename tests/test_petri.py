@@ -9,8 +9,7 @@ from choreochannel.cases import CASES, build_nets, load_model
 from choreochannel.machine import TaskRequest, compile_state_machine, enabled_tasks, is_end_state, step
 from choreochannel.petri import (
     BoundExceeded,
-    InteractionNet,
-    NetTransition,
+    NetRows,
     SafeOk,
     StateSpaceError,
     TaskLabel,
@@ -26,52 +25,56 @@ from util import (
     autonomous_leftover_model,
     chain_net,
     exclusive_model,
-    int_markings_from_names,
     loop_model,
     merge_into_join_model,
     merge_into_task_model,
     minimal_model,
+    named_net,
     parallel_model,
-    pipeline_models,
+    place_names,
     unstructured_model,
 )
+
+
+def silent_rows(net: NetRows) -> int:
+    return sum(1 for *_, label in net.rows if label is None)
 
 
 def test_one_task_net_shape():
     net = to_interaction_net(minimal_model())
     assert set(net.places) == {"start", "end"}
-    (t,) = net.transitions
-    assert t.label == TaskLabel("greet", "a", "b")
-    assert t.inputs == frozenset({"start"})
-    assert t.outputs == frozenset({"end"})
-    assert net.initial_place == "start"
-    assert net.final_places == frozenset({"end"})
+    ((_, consume, produce, label),) = net.rows
+    assert label == TaskLabel("greet", "a", "b")
+    assert place_names(net, consume) == {"start"}
+    assert place_names(net, produce) == {"end"}
+    assert place_names(net, net.initial) == {"start"}
+    assert place_names(net, net.final) == {"end"}
 
 
 def test_parallel_net_pre_reduction():
     net = to_interaction_net(parallel_model())
-    silents = [t for t in net.transitions if t.silent]
-    labelled = [t for t in net.transitions if not t.silent]
+    silents = [row for row in net.rows if row[3] is None]
+    labelled = [row for row in net.rows if row[3] is not None]
     assert len(silents) == 2  # one split, one join
     assert len(labelled) == 2
-    split = next(t for t in silents if len(t.outputs) == 2)
-    join = next(t for t in silents if len(t.inputs) == 2)
+    split = next(row for row in silents if len(place_names(net, row[2])) == 2)
+    join = next(row for row in silents if len(place_names(net, row[1])) == 2)
     assert split is not join
 
 
 def test_exclusive_net_shares_place_without_silents():
     net = to_interaction_net(exclusive_model())
-    assert net.silent_count() == 0
-    yes = next(t for t in net.transitions if t.label.task_id == "yes")
-    no = next(t for t in net.transitions if t.label.task_id == "no")
-    assert yes.inputs == no.inputs and len(yes.inputs) == 1
-    assert yes.outputs == no.outputs
+    assert silent_rows(net) == 0
+    _, yes_in, yes_out, _ = next(row for row in net.rows if row[3].task_id == "yes")
+    _, no_in, no_out, _ = next(row for row in net.rows if row[3].task_id == "no")
+    assert yes_in == no_in and len(place_names(net, yes_in)) == 1
+    assert yes_out == no_out
 
 
 def test_single_initial_token_invariant():
     for model in (minimal_model(), parallel_model(), exclusive_model(), loop_model()):
         net = to_interaction_net(model)
-        assert net.initial_place in net.places
+        assert len(place_names(net, net.initial)) == net.initial.bit_count() == 1
 
 
 def test_rejects_invalid_model():
@@ -87,34 +90,24 @@ def test_rejects_invalid_model():
 
 def test_reduce_fuses_sequential_silent():
     # Hand-built: start -> a -> p1 -> tau -> p2 -> b -> end
-    net = InteractionNet(
-        places=("start", "p1", "p2", "end"),
-        transitions=(
-            NetTransition("a", frozenset({"start"}), frozenset({"p1"}), TaskLabel("a", "x", "y")),
-            NetTransition("tau", frozenset({"p1"}), frozenset({"p2"}), None),
-            NetTransition("b", frozenset({"p2"}), frozenset({"end"}), TaskLabel("b", "y", "x")),
-        ),
-        initial_place="start",
-        final_places=frozenset({"end"}),
-    )
+    net = named_net(("start", "p1", "p2", "end"), [
+        ("a", {"start"}, {"p1"}, TaskLabel("a", "x", "y")),
+        ("tau", {"p1"}, {"p2"}, None),
+        ("b", {"p2"}, {"end"}, TaskLabel("b", "y", "x")),
+    ], "start", {"end"})
     reduced = reduce_net(net)
-    assert reduced.silent_count() == 0
+    assert silent_rows(reduced) == 0
     assert len(reduced.places) == 3
     assert traces_equivalent(net, reduced, 6)
 
 
 def test_reduce_drops_noop_silent():
-    net = InteractionNet(
-        places=("start", "end"),
-        transitions=(
-            NetTransition("loop", frozenset({"start"}), frozenset({"start"}), None),
-            NetTransition("a", frozenset({"start"}), frozenset({"end"}), TaskLabel("a", "x", "y")),
-        ),
-        initial_place="start",
-        final_places=frozenset({"end"}),
-    )
+    net = named_net(("start", "end"), [
+        ("loop", {"start"}, {"start"}, None),
+        ("a", {"start"}, {"end"}, TaskLabel("a", "x", "y")),
+    ], "start", {"end"})
     reduced = reduce_net(net)
-    assert reduced.silent_count() == 0
+    assert silent_rows(reduced) == 0
     assert traces_equivalent(net, reduced, 4)
 
 
@@ -127,7 +120,7 @@ def test_reduce_idempotent_on_fixtures(case):
 @pytest.mark.parametrize("case", CASES)
 def test_reduce_preserves_traces_on_fixtures(case):
     net, reduced = build_nets(case)
-    assert reduced.silent_count() <= net.silent_count()
+    assert silent_rows(reduced) <= silent_rows(net)
     assert traces_equivalent(net, reduced, 12)
 
 
@@ -135,8 +128,8 @@ def test_reduce_never_removes_labelled():
     for model in (minimal_model(), parallel_model(), exclusive_model(), loop_model()):
         net = to_interaction_net(model)
         reduced = reduce_net(net)
-        original_labels = sorted(t.label.task_id for t in net.transitions if not t.silent)
-        surviving = {t.label.task_id for t in reduced.transitions if not t.silent}
+        original_labels = sorted(label.task_id for *_, label in net.rows if label is not None)
+        surviving = {label.task_id for *_, label in reduced.rows if label is not None}
         assert set(original_labels) <= surviving
 
 
@@ -161,26 +154,17 @@ def test_net_equivalent_to_itself():
 
 def test_deleted_transition_breaks_equivalence():
     _, reduced = build_nets("incident_management")
-    broken = InteractionNet(
-        places=reduced.places,
-        transitions=tuple(t for t in reduced.transitions if t.id != "explain_solution"),
-        initial_place=reduced.initial_place,
-        final_places=reduced.final_places,
-    )
+    broken = reduced._replace(rows=tuple(row for row in reduced.rows if row[0] != "explain_solution"))
     assert not traces_equivalent(reduced, broken, 12)
 
 
 def test_leftover_token_breaks_equivalence():
     # Same traces, but a token left on "junk" means the case never completes.
     def net(outputs):
-        return InteractionNet(
-            places=("start", "end", "junk"),
-            transitions=(NetTransition("a", frozenset({"start"}), outputs, TaskLabel("a", "x", "y")),),
-            initial_place="start",
-            final_places=frozenset({"end"}),
-        )
+        return named_net(("start", "end", "junk"), [("a", {"start"}, outputs, TaskLabel("a", "x", "y"))],
+                         "start", {"end"})
 
-    clean, leftover = net(frozenset({"end"})), net(frozenset({"end", "junk"}))
+    clean, leftover = net({"end"}), net({"end", "junk"})
     assert traces_equivalent(clean, compile_state_machine(clean), 2)
     assert not traces_equivalent(clean, leftover, 2)
     assert not traces_equivalent(clean, compile_state_machine(leftover), 2)
@@ -193,15 +177,10 @@ def test_safeness_minimal_ok():
 
 def test_safeness_unmatched_split_witness():
     # Parallel split without a join, looped: the second lap double-marks p2.
-    net = InteractionNet(
-        places=("p0", "p1", "p2"),
-        transitions=(
-            NetTransition("split", frozenset({"p0"}), frozenset({"p1", "p2"}), None),
-            NetTransition("back", frozenset({"p1"}), frozenset({"p0"}), TaskLabel("back", "a", "b")),
-        ),
-        initial_place="p0",
-        final_places=frozenset({"p2"}),
-    )
+    net = named_net(("p0", "p1", "p2"), [
+        ("split", {"p0"}, {"p1", "p2"}, None),
+        ("back", {"p1"}, {"p0"}, TaskLabel("back", "a", "b")),
+    ], "p0", {"p2"})
     verdict = check_safeness(net)
     assert isinstance(verdict, UnsafeWitness)
     assert verdict.place == "p2"
@@ -210,15 +189,10 @@ def test_safeness_unmatched_split_witness():
 
 def test_safeness_witness_names_first_double_marked_place():
     # The second split double-marks p2 and p3 at once; p2 comes first.
-    net = InteractionNet(
-        places=("p0", "p1", "p2", "p3"),
-        transitions=(
-            NetTransition("split", frozenset({"p0"}), frozenset({"p1", "p2", "p3"}), None),
-            NetTransition("back", frozenset({"p1"}), frozenset({"p0"}), TaskLabel("back", "a", "b")),
-        ),
-        initial_place="p0",
-        final_places=frozenset({"p2"}),
-    )
+    net = named_net(("p0", "p1", "p2", "p3"), [
+        ("split", {"p0"}, {"p1", "p2", "p3"}, None),
+        ("back", {"p1"}, {"p0"}, TaskLabel("back", "a", "b")),
+    ], "p0", {"p2"})
     verdict = check_safeness(net)
     assert verdict == UnsafeWitness(firing_sequence=("split", "back", "split"), place="p2")
 
@@ -249,39 +223,29 @@ def test_safeness_witness_through_marking_with_two_parents():
     # walk reaches it from {p1} first, so the witness goes a, c. The join
     # before c would also turn {p1} into {p3}, but it is never enabled.
     def t(tid, ins, outs):
-        return NetTransition(tid, frozenset(ins), frozenset(outs), TaskLabel(tid, "x", "y"))
+        return tid, ins, outs, TaskLabel(tid, "x", "y")
 
-    net = InteractionNet(
-        places=("p0", "p1", "p2", "p3", "p4", "p5"),
-        transitions=(
-            t("a", {"p0"}, {"p1"}),
-            t("b", {"p0"}, {"p2"}),
-            t("d", {"p2"}, {"p3"}),
-            t("join", {"p1", "p2"}, {"p3"}),
-            t("c", {"p1"}, {"p3"}),
-            t("e", {"p3"}, {"p4", "p5"}),
-            t("f", {"p4"}, {"p3"}),
-        ),
-        initial_place="p0",
-        final_places=frozenset({"p5"}),
-    )
+    net = named_net(("p0", "p1", "p2", "p3", "p4", "p5"), [
+        t("a", {"p0"}, {"p1"}),
+        t("b", {"p0"}, {"p2"}),
+        t("d", {"p2"}, {"p3"}),
+        t("join", {"p1", "p2"}, {"p3"}),
+        t("c", {"p1"}, {"p3"}),
+        t("e", {"p3"}, {"p4", "p5"}),
+        t("f", {"p4"}, {"p3"}),
+    ], "p0", {"p5"})
     assert check_safeness(net) == UnsafeWitness(firing_sequence=("a", "c", "e", "f", "e"), place="p5")
 
 
 def test_safeness_witness_names_first_of_equal_transitions():
     # Each twin has the same masks as the transition before it; the witness
     # names the one that comes first in net order at every step.
-    net = InteractionNet(
-        places=("p0", "p1", "p2"),
-        transitions=(
-            NetTransition("split", frozenset({"p0"}), frozenset({"p1", "p2"}), None),
-            NetTransition("split_twin", frozenset({"p0"}), frozenset({"p1", "p2"}), None),
-            NetTransition("back", frozenset({"p1"}), frozenset({"p0"}), TaskLabel("back", "a", "b")),
-            NetTransition("back_twin", frozenset({"p1"}), frozenset({"p0"}), TaskLabel("back", "a", "b")),
-        ),
-        initial_place="p0",
-        final_places=frozenset({"p2"}),
-    )
+    net = named_net(("p0", "p1", "p2"), [
+        ("split", {"p0"}, {"p1", "p2"}, None),
+        ("split_twin", {"p0"}, {"p1", "p2"}, None),
+        ("back", {"p1"}, {"p0"}, TaskLabel("back", "a", "b")),
+        ("back_twin", {"p1"}, {"p0"}, TaskLabel("back", "a", "b")),
+    ], "p0", {"p2"})
     assert check_safeness(net) == UnsafeWitness(firing_sequence=("split", "back", "split"), place="p2")
 
 
@@ -322,7 +286,7 @@ def test_equivalence_node_budget():
 def test_autonomous_leftover_net():
     net = to_interaction_net(autonomous_leftover_model())
     reduced = reduce_net(net)
-    assert reduced.silent_count() == 1  # the join before the end event
+    assert silent_rows(reduced) == 1  # the join before the end event
     assert traces_equivalent(net, reduced, 8)
 
 
@@ -384,19 +348,6 @@ def test_reduce_net_refuses_exactly_the_unsafe_nets_over_random_models():
                         ("unstructured", SafeOk), ("unstructured", UnsafeWitness)}
 
 
-def test_int_view_of_a_built_net_is_the_one_its_place_names_give():
-    # to_interaction_net and reduce_net hand their nets the row form's masks
-    # as `ints`, in place of rebuilding them from the place names.
-    for key, model in pipeline_models():
-        try:
-            net = to_interaction_net(model)
-            assert net.ints == int_markings_from_names(net), key
-            reduced = reduce_net(net)
-        except ValueError:
-            continue
-        assert reduced.ints == int_markings_from_names(reduced), key
-
-
 def test_implicit_join_probe_is_refused():
     # Task D with two incoming flows would let the bypass rule hide this
     # model's unsafeness; validate_model refuses it by name.
@@ -425,12 +376,12 @@ PINNED_MODELS = [(seed, {}) for seed in range(300)] + [
 ]
 
 
-def net_shape(net: InteractionNet) -> str:
+def net_shape(net: NetRows) -> str:
     """A net's places, transition ids, sorted arcs, labels and final places."""
-    arcs = sorted([(p, t.id) for t in net.transitions for p in t.inputs]
-                  + [(t.id, p) for t in net.transitions for p in t.outputs])
-    return repr((net.places, [t.id for t in net.transitions], arcs,
-                 [t.label for t in net.transitions], sorted(net.final_places)))
+    arcs = sorted([(p, tid) for tid, consume, _, _ in net.rows for p in place_names(net, consume)]
+                  + [(tid, p) for tid, _, produce, _ in net.rows for p in place_names(net, produce)])
+    return repr((net.places, [row[0] for row in net.rows], arcs, [row[3] for row in net.rows],
+                 sorted(place_names(net, net.final))))
 
 
 def explorer_digest() -> str:

@@ -21,41 +21,38 @@ from choreochannel.bpmn import (
 )
 from choreochannel.cases import CASES, load_model
 from choreochannel.httpd import HANDLER_THREAD
-from choreochannel.petri import IntMarkings, InteractionNet, NetTransition, TaskLabel
+from choreochannel.petri import NetRows, TaskLabel
 from choreochannel.randmodel import random_model
 
 ROLES_AB = (Role("a", "A"), Role("b", "B"))
 
 
-def chain_net(place_count: int) -> InteractionNet:
-    """A net of `place_count - 1` tasks in sequence, one per pair of places."""
-    places = tuple(f"p{i}" for i in range(place_count))
-    return InteractionNet(
-        places=places,
-        transitions=tuple(
-            NetTransition(f"t{i}", frozenset({a}), frozenset({b}), TaskLabel(f"t{i}", "a", "b"))
-            for i, (a, b) in enumerate(zip(places, places[1:]))
-        ),
-        initial_place=places[0],
-        final_places=frozenset({places[-1]}),
-    )
+def named_net(places, transitions, initial: str, final) -> NetRows:
+    """A net built from place names: `transitions` holds (id, input places,
+    output places, label) in net order, and bit i is the i-th place."""
+    bit = {p: 1 << i for i, p in enumerate(places)}
 
-
-def int_markings_from_names(net: InteractionNet) -> IntMarkings:
-    """`net.ints` rebuilt from the net's place names: bit i is the i-th place."""
-    bit = {p: 1 << i for i, p in enumerate(net.places)}
-
-    def mask(places) -> int:
+    def mask(names) -> int:
         m = 0
-        for p in places:
+        for p in names:
             m |= bit[p]
         return m
 
-    return IntMarkings(
-        initial=bit[net.initial_place],
-        final=mask(net.final_places),
-        masks=tuple((mask(t.inputs), mask(t.outputs)) for t in net.transitions),
-    )
+    return NetRows(tuple(places), bit[initial], mask(final), tuple(
+        (tid, mask(inputs), mask(outputs), label) for tid, inputs, outputs, label in transitions))
+
+
+def place_names(net: NetRows, mask: int) -> frozenset[str]:
+    """The names of the places in `mask`."""
+    return frozenset(p for i, p in enumerate(net.places) if mask >> i & 1)
+
+
+def chain_net(place_count: int) -> NetRows:
+    """A net of `place_count - 1` tasks in sequence, one per pair of places."""
+    places = [f"p{i}" for i in range(place_count)]
+    return named_net(places, [(f"t{i}", {a}, {b}, TaskLabel(f"t{i}", "a", "b"))
+                              for i, (a, b) in enumerate(zip(places, places[1:]))],
+                     places[0], {places[-1]})
 
 
 def pipeline_models() -> list[tuple[str, ChoreographyModel]]:
