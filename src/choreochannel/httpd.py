@@ -235,6 +235,11 @@ class _Server(socketserver.TCPServer):
     threads; a busy one ends with its connection.
     """
 
+    # The listen backlog. socketserver's default of 5 drops the SYN of a
+    # sixth or later connect that arrives before the acceptor thread runs,
+    # and that client waits out the 1 s SYN retransmit.
+    request_queue_size = socket.SOMAXCONN
+
     def __init__(self, respond):
         self.respond = respond
         self.handoff = threading.Lock()

@@ -12,7 +12,7 @@ import pytest
 
 from choreochannel.cases import build_machine, load_variants
 from choreochannel.harness import build_network
-from choreochannel.httpd import serve_network
+from choreochannel.httpd import HttpTransport, NodeServer, serve_network
 from choreochannel.wire import ChannelMessage, MessageKind
 from util import (CONFIRM, PROPOSE, assert_handler_threads_end, envelope, handler_threads,
                   step_bytes)
@@ -303,6 +303,34 @@ def test_every_open_connection_is_served(http_network):
             resp.begin()
             assert (resp.status, resp.getheader("Connection")) == (200, None)
             assert json.loads(resp.read())["role"] == server.node.role
+
+
+def test_a_burst_of_connects_waits_in_the_listen_backlog():
+    """16 connects, each allowed 0.5 s, to a node that listens but does not
+    accept yet: the kernel must hold them all in the listen backlog. With
+    socketserver's default backlog of 5 it drops a SYN, and that connect
+    waits out the 1 s retransmit. Once the node serves, each connection
+    gets its /status answer."""
+    setup = build_network(build_machine("incident_management"), key_salt="http-tests")
+    node = next(iter(setup.nodes.values()))
+    node.transport = HttpTransport({})
+    server = NodeServer(node)
+    with contextlib.ExitStack() as stack:
+        stack.callback(server.stop)
+        try:
+            socks = [stack.enter_context(socket.create_connection(("127.0.0.1", server.port),
+                                                                  timeout=0.5))
+                     for _ in range(16)]
+        finally:
+            server.start()
+        for sock in socks:
+            sock.settimeout(5)
+            sock.sendall(b"GET /status HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n")
+        for sock in socks:
+            resp = http.client.HTTPResponse(sock)
+            resp.begin()
+            assert resp.status == 200
+            assert json.loads(resp.read())["role"] == node.role
 
 
 def test_concurrent_clients_share_a_bounded_set_of_threads(http_network):
