@@ -445,13 +445,13 @@ def _explore(parents: dict[int, int], masks, state_bound: int):
 def _witness(
     net: NetRows, parents: dict[int, int], marking: int, last: tuple[int, int]
 ) -> tuple[str, ...]:
-    """The ids of the rows check_safeness fired to reach `marking`, then the
-    id of the row with masks `last`, whose firing is unsafe.
+    """The firing sequence check_safeness took to `marking`, then the unsafe
+    firing of the transition with masks `last`, each named by its row id.
 
-    The walk recorded each parent -> child edge at the first row in net
-    order that fires it, so that is the one named here. An earlier row with
-    masks `last` would have been unsafe first, so the first one with those
-    masks is the one the walk was at.
+    The walk recorded each parent -> child edge at the first transition in
+    net order that fires it, so that is the one named here. An earlier
+    transition with masks `last` would have been unsafe first, so the first
+    one with those masks is the one the walk was at.
     """
     path = [marking]
     while path[-1] != net.initial:
@@ -559,9 +559,10 @@ def to_pnml(net: NetRows) -> bytes:
         "page",
         {"id": "page0"},
     )
+    initial = _place(net, net.initial)
     for pid in net.places:
         place = ET.SubElement(page, "place", {"id": pid})
-        if pid == _place(net, net.initial):
+        if pid == initial:
             ET.SubElement(ET.SubElement(place, "initialMarking"), "text").text = "1"
     for tid, _, _, label in net.rows:
         trans = ET.SubElement(page, "transition", {"id": tid})
