@@ -7,6 +7,7 @@ function of (state, request).
 
 from __future__ import annotations
 
+import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
@@ -43,7 +44,6 @@ class CompiledTransition(NamedTuple):
     """Masks plus, for a manual transition, its task; without a task the
     transition is autonomous."""
 
-    id: int
     consume_mask: int
     produce_mask: int
     initiator: str | None = None
@@ -88,30 +88,14 @@ class ProcessStateMachine:
 
     def to_dict(self) -> dict:
         """Golden-file form: place map plus hex masks, stable across runs."""
-        return {
-            "place_count": self.place_count,
-            "places": list(self.places),
-            "initial_state": hex(self.initial_state),
-            "final_mask": hex(self.final_mask),
-            "roles": list(self.role_ids),
-            "transitions": [
-                {
-                    "id": t.id,
-                    "kind": "autonomous" if t.task_id is None else "manual",
-                    "task_id": t.task_id,
-                    "initiator": t.initiator,
-                    "consume": hex(t.consume_mask),
-                    "produce": hex(t.produce_mask),
-                }
-                for t in self.transitions
-            ],
-        }
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """`json.dumps(self.to_dict(), indent=2, sort_keys=True)`, byte for
-        byte, written directly: with an indent set, `json.dumps` runs its
-        pure-Python encoder. Ids are escaped by the function `json.dumps`
-        itself uses for ASCII output."""
+        """The machine dump, as `json.dumps(..., indent=2, sort_keys=True)`
+        would write it, written directly: with an indent set, `json.dumps`
+        runs its pure-Python encoder. Strings are escaped by the function
+        `json.dumps` itself uses for ASCII output. A transition's id is its
+        position in `transitions`."""
         return _MACHINE_JSON % (
             hex(self.final_mask),
             hex(self.initial_state),
@@ -121,13 +105,13 @@ class ProcessStateMachine:
             _json_list([
                 _TRANSITION_JSON % (
                     hex(t.consume_mask),
-                    t.id,
+                    i,
                     "null" if t.initiator is None else _quote(t.initiator),
                     "autonomous" if t.task_id is None else "manual",
                     hex(t.produce_mask),
                     "null" if t.task_id is None else _quote(t.task_id),
                 )
-                for t in self.transitions
+                for i, t in enumerate(self.transitions)
             ]),
         )
 
@@ -171,12 +155,12 @@ def compile_state_machine(net) -> ProcessStateMachine:
 
     transitions: list[CompiledTransition] = []
     roles: list[str] = []
-    for i, (_, consume, produce, label) in enumerate(net.rows):
+    for _, consume, produce, label in net.rows:
         if label is None:
-            transitions.append(CompiledTransition(i, consume, produce))
+            transitions.append(CompiledTransition(consume, produce))
         else:
             transitions.append(
-                CompiledTransition(i, consume, produce, label.initiator, label.task_id)
+                CompiledTransition(consume, produce, label.initiator, label.task_id)
             )
             for role in (label.initiator, label.respondent):
                 if role not in roles:

@@ -31,6 +31,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 from .ledger import CHAIN_ID, Accepted, Ledger, Phase
 from .machine import (
     ConformanceError,
+    NotEnabledError,
     TaskRequest,
     is_end_state,
     step,
@@ -87,9 +88,6 @@ class ArchiveStore:
     def start_case(self) -> None:
         """Forget the steps held for the previous case."""
         self._steps = []
-
-    def note_signed(self, sign: ChannelMessage) -> None:
-        self._write(sign)
 
     def append_step(self, confirm: ChannelMessage) -> None:
         self._write(confirm)
@@ -159,24 +157,21 @@ class TriggerNode:
     # -- enactment (PAIS-facing) ---------------------------------------------
 
     def enact(self, req: TaskRequest) -> EnactResult:
-        """Propose a task to the channel, or to the contract when on-chain."""
+        """Propose a task to the channel, or to the contract when on-chain.
+
+        The node enacts as its own role, whatever `req.requester_role` says.
+        An unknown task or another role's task never leaves the node."""
         if self.observed_phase is Phase.ON_CHAIN:
             return self._enact_on_chain(req)
-        candidates = self.machine.manual_transitions(req.task_id)
-        if not candidates:
-            return EnactResult("rejected", error="unknown-task")
-        if candidates[0].initiator != self.role:
-            return EnactResult("rejected", error="wrong-role")
-
         try:
-            new_state_bytes = self.machine.state_to_bytes(step(self.machine, self.state, req))
+            new_state = step(self.machine, self.state,
+                             TaskRequest(req.task_id, self.role, req.choice_data))
         except ConformanceError as exc:
-            if self.prefilter:
-                # Request never leaves the node.
+            if self.prefilter or not isinstance(exc, NotEnabledError):
                 return EnactResult("rejected", error=exc.reason)
             # Faulty-component mode: forward the request with an unchanged
             # state so the network, not this node, performs the rejection.
-            new_state_bytes = self.machine.state_to_bytes(self.state)
+            new_state = self.state
 
         payload = StepPayload(
             chain_id=CHAIN_ID,
@@ -185,7 +180,7 @@ class TriggerNode:
             seq=self.seq + 1,
             task_id=req.task_id,
             choice_data=req.choice_data,
-            new_state=new_state_bytes,
+            new_state=self.machine.state_to_bytes(new_state),
         )
         my_sig = sign_step(payload, self.signing_key)
         propose = ChannelMessage(MessageKind.PROPOSE, SignedStep(payload, {self.role: my_sig}))
@@ -293,7 +288,7 @@ class TriggerNode:
         mine = sign_step(payload, self.signing_key)
         reply = ChannelMessage(MessageKind.SIGN, SignedStep(payload, {self.role: mine}))
         # Evidence first, then the signature leaves the node.
-        self.archive.note_signed(reply)
+        self.archive._write(reply)
         self.signed = SignedStep(payload, {proposer: sig, self.role: mine})
         return reply
 
@@ -342,9 +337,10 @@ class TriggerNode:
 
         Nothing is sent without an archived complete step, or whenever the
         contract can only refuse it: the case is on-chain or over, or a
-        dispute is already pending at the same or a higher sequence number
-        (the watcher duty covers that). Reads the contract, and so refreshes
-        `observed_phase`, once there is an archived step.
+        dispute is already pending at the same or a higher sequence number.
+        The watcher duty is this call on every DISPUTE-phase poll. Reads the
+        contract, and so refreshes `observed_phase`, once there is an
+        archived step.
 
         `proposal` is a refused Propose's (payload, signature, proposer key);
         its signature is verified last, once evidence would be sent, so a
@@ -377,8 +373,7 @@ class TriggerNode:
         if view.case_id > self.case_id:
             self._reset_for_case(view.case_id)
         elif view.phase is Phase.DISPUTE:
-            latest = self.archive.latest()
-            return latest is not None and view.seq < latest.payload.seq and self.raise_dispute()
+            return self.raise_dispute()
         elif view.phase is Phase.ON_CHAIN:
             self.state = view.current_state
             self.seq = view.seq

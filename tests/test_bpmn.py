@@ -13,7 +13,7 @@ from choreochannel.bpmn import (
     serialize_choreography,
     validate_model,
 )
-from choreochannel.cases import CASES, fixture_bytes, load_model
+from choreochannel.cases import CASES, compile_model, fixture_bytes, load_model
 from util import exclusive_model, minimal_model, xor_into_task_model
 
 MINIMAL_XML = b"""<?xml version="1.0" encoding="UTF-8"?>
@@ -202,6 +202,29 @@ def test_pass_through_gateway_flagged_whether_built_or_parsed():
     expected = Diagnostic("GatewayDegree", "g", "gateway has 1 in / 1 out flows")
     assert expected in validate_model(model)
     assert expected in validate_model(parse_choreography(serialize_choreography(model)))
+
+
+def _flow_from_end_model():
+    """minimal_model with a second end event after the first."""
+    base = minimal_model()
+    return replace(base, end_events=("end", "end2"), flows=base.flows + (("end", "end2"),))
+
+
+def _flow_into_start_model():
+    """start -> greet -> xor x -> (end | start): a loop back to the start event."""
+    base = minimal_model()
+    return replace(base, gateways=(Gateway("x", GatewayKind.EXCLUSIVE),),
+                   flows=(("start", "greet"), ("greet", "x"), ("x", "end"), ("x", "start")))
+
+
+@pytest.mark.parametrize("model, line", [
+    (_flow_from_end_model, "FlowFromEnd at end: end event has outgoing flow"),
+    (_flow_into_start_model, "FlowIntoStart at start: start event has incoming flow"),
+], ids=["flow-from-end", "flow-into-start"])
+def test_compile_refuses_a_flow_out_of_an_end_or_into_the_start(model, line):
+    with pytest.raises(ValueError) as refused:
+        compile_model(model())
+    assert str(refused.value) == f"invalid model:\n  {line}"
 
 
 def test_task_with_two_incoming_flows_flagged_whether_built_or_parsed():

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from choreochannel import harness
-from choreochannel.cases import CASES, build_machine, load_variants
+from choreochannel.cases import CASES, build_machine, compile_model, load_variants
 from choreochannel.harness import (
     ScenarioError,
     ScenarioKind,
@@ -19,8 +19,9 @@ from choreochannel.harness import (
     run_unavailability,
 )
 from choreochannel.ledger import Ledger
-from choreochannel.machine import TaskRequest
+from choreochannel.machine import TaskRequest, is_end_state
 from choreochannel.trigger import TriggerNode
+from util import optional_task_model
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,17 @@ def test_mutation_falls_back_on_single_event_trace():
     assert batch.op_counts["swap"] == 0
 
 
+def test_mutation_of_an_empty_trace_is_an_add():
+    # The initial state is already the end state (the silent skip has fired),
+    # so the empty trace conforms and neither remove nor swap applies.
+    machine = compile_model(optional_task_model())
+    assert is_end_state(machine, machine.initial_state)
+    batch = mutate_traces(machine, [Trace(())], 5, seed=0)
+    assert batch.op_counts == {"add": 5, "remove": 0, "swap": 0}
+    assert batch.discarded_conforming == 0
+    assert all(t.events == (TaskRequest("t", "a"),) for t in batch.traces)
+
+
 def test_remove_mutation_rejected_at_missing_dependency(supply):
     machine, variants = supply
     events = list(variants[0].events)
@@ -82,6 +94,16 @@ def test_replay_conformance_accepts_variants():
     assert report.all_agree and report.all_stable
     assert report.fully_accepted == len(variants)
     assert all(r.end_reached for r in report.results)
+
+
+def test_replay_conformance_refuses_a_requester_with_no_node(supply):
+    machine, variants = supply
+    first = variants[0].events[0]
+    trace = Trace((TaskRequest(first.task_id, "nobody"),))
+    report = replay_conformance("supply_chain", [trace])
+    (result,) = report.results
+    assert result.network_verdicts == (False,)
+    assert report.all_agree and report.all_stable
 
 
 def test_replay_conformance_rejects_mutants_at_first_bad_event(supply):

@@ -16,7 +16,14 @@ from choreochannel.ledger import (
     TxKind,
 )
 from choreochannel.machine import TaskRequest, step
-from choreochannel.wire import SignedStep, StepPayload, generate_signing_key, public_key_of, sign_step
+from choreochannel.wire import (
+    SignedStep,
+    StepPayload,
+    address_of,
+    generate_signing_key,
+    public_key_of,
+    sign_step,
+)
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +117,24 @@ def test_deploy_refuses_a_key_that_does_not_parse(machine, kind):
             ledger.deploy_channel(machine, addresses, 10)
         else:
             ledger.deploy_baseline(machine, addresses)
+    assert ledger.log == [] and ledger.contracts == {}
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("unregistered", "address for role 'carrier' is not registered"),
+    ("31-byte-key", "key for role 'carrier' is not an Ed25519 public key"),
+])
+def test_deploy_refuses_an_unregistered_address_or_a_short_key(machine, fault, message):
+    ledger = Ledger()
+    keys = {r: generate_signing_key(r.encode()) for r in machine.role_ids}
+    addresses = {r: ledger.register_account(public_key_of(k)) for r, k in keys.items()}
+    if fault == "unregistered":
+        addresses["carrier"] = address_of(public_key_of(generate_signing_key(b"stranger")))
+    else:
+        addresses["carrier"] = ledger.register_account(public_key_of(keys["carrier"])[:31])
+    with pytest.raises(DeployError) as refused:
+        ledger.deploy_channel(machine, addresses, 10)
+    assert str(refused.value) == message
     assert ledger.log == [] and ledger.contracts == {}
 
 

@@ -76,10 +76,10 @@ ODD_IDS = ("caf\u00e9", "\u65e5\u672c", "\U0001f600", 'say "hi"', "back\\slash",
     ProcessStateMachine(
         places=ODD_IDS,
         transitions=(
-            CompiledTransition(0, 0x1, 0x6, ODD_IDS[0], ODD_IDS[3]),
-            CompiledTransition(1, 0x6, 0x1 << 255),
-            CompiledTransition(2, 0x8, 0x10, ODD_IDS[6], ODD_IDS[4]),
-            CompiledTransition(3, 0x10, 0x20, initiator=ODD_IDS[2]),
+            CompiledTransition(0x1, 0x6, ODD_IDS[0], ODD_IDS[3]),
+            CompiledTransition(0x6, 0x1 << 255),
+            CompiledTransition(0x8, 0x10, ODD_IDS[6], ODD_IDS[4]),
+            CompiledTransition(0x10, 0x20, initiator=ODD_IDS[2]),
         ),
         initial_state=0x1,
         final_mask=(1 << 256) - 1,
@@ -87,14 +87,30 @@ ODD_IDS = ("caf\u00e9", "\u65e5\u672c", "\U0001f600", 'say "hi"', "back\\slash",
     ),
     ProcessStateMachine(
         places=("start", "end"),
-        transitions=(CompiledTransition(0, 0x1, 0x2),),
+        transitions=(CompiledTransition(0x1, 0x2),),
         initial_state=0x1,
         final_mask=0x2,
         role_ids=(),
     ),
 ], ids=["empty", "odd-ids", "autonomous-only"])
-def test_to_json_is_json_dumps_of_to_dict(machine):
-    assert machine.to_json() == json.dumps(machine.to_dict(), indent=2, sort_keys=True)
+def test_to_json_is_canonical_and_holds_the_machine(machine):
+    dump = machine.to_json()
+    parsed = json.loads(dump)
+    assert json.dumps(parsed, indent=2, sort_keys=True) == dump
+    assert parsed["place_count"] == len(machine.places)
+    assert parsed["places"] == list(machine.places)
+    assert parsed["roles"] == list(machine.role_ids)
+    assert int(parsed["initial_state"], 16) == machine.initial_state
+    assert int(parsed["final_mask"], 16) == machine.final_mask
+    assert [
+        (d["id"], d["kind"], d["task_id"], d["initiator"],
+         int(d["consume"], 16), int(d["produce"], 16))
+        for d in parsed["transitions"]
+    ] == [
+        (i, "autonomous" if t.task_id is None else "manual", t.task_id, t.initiator,
+         t.consume_mask, t.produce_mask)
+        for i, t in enumerate(machine.transitions)
+    ]
 
 
 def test_compile_width_limit():
@@ -312,8 +328,8 @@ def test_autonomous_self_loop_does_not_hang():
     machine = ProcessStateMachine(
         places=("p0", "p1"),
         transitions=(
-            CompiledTransition(0, 0b01, 0b01),
-            CompiledTransition(1, 0b01, 0b10, "a", "go"),
+            CompiledTransition(0b01, 0b01),
+            CompiledTransition(0b01, 0b10, "a", "go"),
         ),
         initial_state=0b01,
         final_mask=0b10,

@@ -446,6 +446,32 @@ def test_prefilter_disabled_proposes_and_network_rejects(machine, variant):
     assert all(s["seq"] == 0 for s in setup.network.statuses().values())
 
 
+@pytest.mark.parametrize("role, task, error", [
+    ("carrier", "no_such_task", "unknown-task"),
+    ("supplier", "place_order", "wrong-role"),
+])
+def test_prefilter_disabled_still_refuses_unknown_and_foreign_tasks(
+        monkeypatch, machine, role, task, error):
+    setup = build_network(machine, key_salt="faulty", prefilter=False)
+    sent = []
+    monkeypatch.setattr(setup.network, "request", lambda *args: sent.append(args))
+    result = setup.nodes[role].enact(TaskRequest(task, role))
+    assert (result.status, result.error) == ("rejected", error)
+    assert sent == []
+    assert [t.kind.value for t in setup.ledger.log] == ["deploy"]
+
+
+def test_enact_acts_as_the_nodes_own_role(machine, variant):
+    # place_order is bulk_buyer's task; the request names supplier, and the
+    # bulk_buyer node enacts it as bulk_buyer all the same.
+    setup = fresh(machine)
+    result = setup.nodes["bulk_buyer"].enact(TaskRequest(variant[0].task_id, "supplier"))
+    assert result.confirmed
+    assert setup.network.stable()
+    assert all(s["seq"] == 1 for s in setup.network.statuses().values())
+    assert [t.kind.value for t in setup.ledger.log] == ["deploy"]
+
+
 def test_enact_reports_rejected_when_no_dispute_was_sent(machine, variant):
     setup = build_network(machine, key_salt="faulty", prefilter=False)
     result = setup.nodes[variant[1].requester_role].enact(variant[1])
