@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from choreochannel.bpmn import serialize_choreography
 from choreochannel.cases import fixture_bytes
 from choreochannel.cli import main
+from choreochannel.harness import break_even
 from util import place_named_like_flow_model, xor_into_task_model
 
 
@@ -180,3 +182,47 @@ def test_break_even_refuses_out_of_range_arguments(capsys, args):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+# The exact bytes of each result the CLI writes, so that a change to the
+# records behind them cannot move a key, a number's form or an order.
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("case,digest", [
+    ("supply-chain", "50f71f268f36172cff427a32ee0321dae7cba022a43703777616553679ad295d"),
+    ("incident-management", "39060643e6ee758dacc502fabd3783a6f8dd256eae0c265663fbb79a0397a416"),
+], ids=["supply-chain", "incident-management"])
+def test_break_even_file_is_pinned(tmp_path, capsys, case, digest):
+    out = tmp_path / "be.json"
+    assert main(["break-even", "--case", case, "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == digest
+
+
+@pytest.mark.parametrize("case,digest", [
+    ("supply_chain", "c42cd4a8894a34864d1ed35e2697bc64aa53e6f6d3097f078cb37ffd61e7bc98"),
+    ("incident_management", "4cbc8f5a6b304c6bcf2a6bb1b99bb38f8578cee7632974ca7989ce819bb7396f"),
+], ids=["supply_chain", "incident_management"])
+def test_break_even_report_json_is_pinned(case, digest):
+    assert _sha256(break_even(case).to_json().encode()) == digest
+
+
+@pytest.mark.parametrize("kind,digest", [
+    ("best", "d2a058ac104f11d1d64122206c098c7e9f48292adefeb8aaee99b5b2a34f7b2d"),
+    ("bad", "db71138d736f8ddfcff9303ed5a0d97a95322a6303b1ea76275b0e7ca756d8ef"),
+    ("worst", "991bfa9bfc14f2e10c98720b755ffb2b84304a6cd44d2455e3e4d0db74f251a5"),
+], ids=["best", "bad", "worst"])
+def test_structured_scenario_output_is_pinned(capsys, kind, digest):
+    assert main(["run-scenario", "--case", "supply-chain", "--variant", "0", "--kind", kind,
+                 "--format", "structured"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == digest
+
+
+def test_conformance_file_is_pinned(tmp_path, capsys):
+    out = tmp_path / "conf.json"
+    assert main(["conformance", "--case", "incident-management", "--mutants", "6",
+                 "--seed", "5", "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == "5113a556ca18cad685bbc2ccaae89ff387d7c70bf84f78539d2f6a991e233fb0"
