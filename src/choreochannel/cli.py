@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .bpmn import parse_choreography
@@ -73,7 +72,7 @@ def cmd_run_scenario(args) -> int:
         "end_reached": outcome.end_reached,
         "stable": outcome.stable,
         "on_chain_tasks": outcome.on_chain_tasks,
-        "report": asdict(outcome.report),
+        "report": outcome.report._asdict(),
     }
     if args.format == "structured":
         _write_or_print(json.dumps(payload, sort_keys=True, indent=2), args.out)
@@ -131,7 +130,7 @@ def cmd_break_even(args) -> int:
     for case in args.case or list(CASES):
         case = normalize_case(case)
         report = break_even(case, mixes=tuple(args.mix or DEFAULT_MIXES), horizon=args.horizon)
-        payload["cases"][case] = asdict(report)
+        payload["cases"][case] = report.to_wire()
         print(_break_even_table(case, payload["cases"][case]))
     if args.out:
         _write_or_print(json.dumps(payload, sort_keys=True, indent=2), args.out)

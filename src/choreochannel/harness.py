@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .cases import build_machine, load_variants, normalize_case
 from .ledger import DISPUTE_WINDOW, Accepted, Ledger, Phase, TxKind
@@ -30,12 +30,8 @@ class ScenarioError(RuntimeError):
     """A scenario violated one of its stated invariants."""
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     events: tuple[TaskRequest, ...]
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 class ScenarioKind(Enum):
@@ -44,8 +40,7 @@ class ScenarioKind(Enum):
     WORST = "worst"
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(NamedTuple):
     case: str
     variant: int
     kind: ScenarioKind
@@ -75,8 +70,7 @@ def replay_trace(machine: ProcessStateMachine, events) -> tuple[list[bool], int,
 # -- trace mutation ----------------------------------------------------------
 
 
-@dataclass
-class MutationBatch:
+class MutationBatch(NamedTuple):
     traces: list[Trace]
     discarded_conforming: int
     op_counts: dict[str, int]
@@ -135,8 +129,7 @@ def mutate_traces(machine: ProcessStateMachine, conforming: list[Trace], n: int,
 # -- channel network construction ---------------------------------------------
 
 
-@dataclass
-class ChannelSetup:
+class ChannelSetup(NamedTuple):
     """A deployed channel. Each node holds its role's signing key and
     address; the network holds the nodes."""
 
@@ -171,9 +164,8 @@ def build_network(machine: ProcessStateMachine, *, seed: int = 0, prefilter: boo
 # -- conformance replay --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceResult:
-    index: int
+class TraceResult(NamedTuple):
+    index: int  # shadows tuple.index, which nothing calls on this record
     network_verdicts: tuple[bool, ...]
     oracle_verdicts: tuple[bool, ...]
     stable: bool
@@ -194,8 +186,7 @@ class TraceResult:
         return all(self.network_verdicts)
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     case: str
     results: list[TraceResult]
 
@@ -266,8 +257,7 @@ def replay_conformance(case: str, traces: list[Trace], *, seed: int = 0) -> Clas
 # -- cost scenarios -------------------------------------------------------------
 
 
-@dataclass
-class CostReport:
+class CostReport(NamedTuple):
     case: str
     variant: int
     kind: str
@@ -280,11 +270,10 @@ class CostReport:
     baseline_exec: int
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(self._asdict(), sort_keys=True)
 
 
-@dataclass
-class ScenarioOutcome:
+class ScenarioOutcome(NamedTuple):
     spec: ScenarioSpec
     report: CostReport
     end_reached: bool
@@ -358,8 +347,8 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
             raise ScenarioError(f"unanimous close failed: {result.error}")
         setup.network.poll_all()
     elif spec.kind is ScenarioKind.BAD:
-        half = math.ceil(len(trace) / 2)
-        if half >= len(trace):
+        half = math.ceil(len(trace.events) / 2)
+        if half >= len(trace.events):
             raise ScenarioError("bad case needs at least two events")
         _enact_events(setup, trace.events[:half])
         disputer = setup.nodes[trace.events[half].requester_role]
@@ -369,7 +358,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
         _enact_events(setup, trace.events[half:])
         setup.network.poll_all()
     else:  # WORST
-        off_chain = min(2, len(trace))
+        off_chain = min(2, len(trace.events))
         if off_chain < 2:
             raise ScenarioError("worst case needs at least two events to have stale state")
         _enact_events(setup, trace.events[:off_chain])
@@ -422,8 +411,7 @@ def _expire_window(setup: ChannelSetup) -> None:
 # -- unavailability (liveness) ---------------------------------------------------
 
 
-@dataclass
-class UnavailabilityOutcome:
+class UnavailabilityOutcome(NamedTuple):
     silenced_role: str
     silenced_at_event: int
     end_reached: bool
@@ -440,7 +428,7 @@ def run_unavailability(case: str, seed: int) -> UnavailabilityOutcome:
     rng = random.Random(seed)
     trace = Trace(tuple(variants[rng.randrange(len(variants))]))
     # The failing event needs a predecessor so dispute evidence exists.
-    fail_at = rng.randint(2, len(trace))  # 1-based event index
+    fail_at = rng.randint(2, len(trace.events))  # 1-based event index
     initiator = trace.events[fail_at - 1].requester_role
     silenced = rng.choice([r for r in machine.role_ids if r != initiator])
 
@@ -473,8 +461,7 @@ def run_unavailability(case: str, seed: int) -> UnavailabilityOutcome:
 DEFAULT_MIXES = (0.0, 0.05, 0.20, 1.0)
 
 
-@dataclass
-class MixEntry:
+class MixEntry(NamedTuple):
     mix: float
     exec_per_run: float
     savings_per_run: float
@@ -482,8 +469,7 @@ class MixEntry:
     cumulative_savings: list[float]
 
 
-@dataclass
-class BreakEvenReport:
+class BreakEvenReport(NamedTuple):
     case: str
     channel_deploy: float
     baseline_deploy: float
@@ -492,8 +478,11 @@ class BreakEvenReport:
     savings_by_kind: dict[str, float]
     mixes: list[MixEntry]
 
+    def to_wire(self) -> dict:
+        return {**self._asdict(), "mixes": [m._asdict() for m in self.mixes]}
+
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(self.to_wire(), sort_keys=True)
 
 
 def measure_case_costs(case: str) -> dict[str, list[CostReport]]:

@@ -15,6 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
@@ -80,8 +81,7 @@ STEP_CALLDATA_HEAD_WORDS = 6
 DISPUTE_CHECK_SURCHARGE = 3000
 
 
-@dataclass(frozen=True)
-class CostRecord:
+class CostRecord(NamedTuple):
     cost_units: int
     payload_bytes: int
     sig_count: int
@@ -96,9 +96,8 @@ class CostRecord:
         }
 
 
-@dataclass(frozen=True)
-class TxRecord:
-    index: int
+class TxRecord(NamedTuple):
+    index: int  # shadows tuple.index, which nothing calls on this record
     height: int
     kind: TxKind
     contract_id: bytes
@@ -126,15 +125,13 @@ class TxRecord:
         }
 
 
-@dataclass(frozen=True)
-class Accepted:
+class Accepted(NamedTuple):
     seq: int
     phase: Phase
     new_state: int
 
 
-@dataclass(frozen=True)
-class Rejected:
+class Rejected(NamedTuple):
     reason: str
 
 
@@ -158,8 +155,7 @@ class ChannelContract:
     baseline: bool = False
 
 
-@dataclass(frozen=True)
-class ContractView:
+class ContractView(NamedTuple):
     phase: Phase
     seq: int
     case_id: int

@@ -50,8 +50,7 @@ class CompiledTransition(NamedTuple):
     task_id: str | None = None
 
 
-@dataclass(frozen=True)
-class TaskRequest:
+class TaskRequest(NamedTuple):
     task_id: str
     requester_role: str
     choice_data: bytes = b""

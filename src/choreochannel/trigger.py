@@ -20,8 +20,7 @@ Every dispute, the watcher's counter to stale state included, goes through
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
@@ -47,11 +46,8 @@ from .wire import (
     verify_step,
 )
 
-log = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class EnactResult:
+class EnactResult(NamedTuple):
     status: str  # "confirmed" | "dispute_raised" | "rejected"
     new_state: int | None = None
     error: str | None = None
@@ -139,7 +135,6 @@ class TriggerNode:
 
     def _note(self, message: str) -> None:
         self.events.append(message)
-        log.debug("[%s] %s", self.role, message)
 
     def _peers(self) -> list[str]:
         return [r for r in self.machine.role_ids if r != self.role]

@@ -20,6 +20,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -141,8 +142,7 @@ def verify_step(p: StepPayload, signature: bytes, public_key: Ed25519PublicKey) 
         return False
 
 
-@dataclass(frozen=True)
-class SignedStep:
+class SignedStep(NamedTuple):
     """A step payload plus collected signatures, keyed by role id. Whether
     they are exactly the roles' and valid is decided by `signature_fault`
     under the contract's role keys (`ChannelContract.role_keys`)."""

@@ -146,6 +146,34 @@ def test_two_way_task_rejected():
         parse_choreography(xml)
 
 
+@pytest.mark.parametrize("edits,message,element_id", [
+    ([(b'<bpmn2:participant id="b" name="B"/>', b'<bpmn2:participant name="B"/>')],
+     "element <participant> has no id attribute", None),
+    ([(b"bpmn2:definitions ", b"bpmn2:collaboration "),
+      (b"</bpmn2:definitions>", b"</bpmn2:collaboration>")],
+     "unexpected root element <collaboration>", None),
+    ([(b'<bpmn2:choreography id="c">', b"<bpmn2:documentation>"),
+      (b"</bpmn2:choreography>", b"</bpmn2:documentation>")],
+     "expected exactly one <choreography>, found 0", None),
+    ([(b"</bpmn2:choreography>", b'</bpmn2:choreography><bpmn2:choreography id="c2"/>')],
+     "expected exactly one <choreography>, found 2", None),
+    ([(b' targetRef="end"', b"")], "sequenceFlow missing sourceRef/targetRef", "f2"),
+    ([(b'<bpmn2:startEvent id="start"/>', b"")], "choreography has no start event", None),
+    ([(b"<bpmn2:participantRef>b</bpmn2:participantRef>", b"")],
+     "choreography task must name exactly two participants", "greet"),
+], ids=["element-without-id", "foreign-root", "no-choreography", "two-choreographies",
+        "flow-without-target", "no-start-event", "one-participant"])
+def test_structural_parse_errors_named(edits, message, element_id):
+    xml = MINIMAL_XML
+    for old, new in edits:
+        assert old in xml
+        xml = xml.replace(old, new)
+    with pytest.raises(ParseError) as err:
+        parse_choreography(xml)
+    assert str(err.value) == message
+    assert err.value.element_id == element_id
+
+
 def test_malformed_xml():
     with pytest.raises(ParseError):
         parse_choreography(b"<definitions><unclosed>")

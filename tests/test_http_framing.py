@@ -383,6 +383,21 @@ def test_a_malformed_reply_is_no_reply_and_the_next_request_reconnects(bad_reply
         peer.close()
 
 
+def test_a_reply_that_says_connection_close_closes_and_the_next_request_reconnects():
+    message = ChannelMessage.from_wire(PROPOSE)
+    closing = echo(PROPOSE).replace(b"\r\n", b"\r\nConnection: close\r\n", 1)
+    peer = ScriptedPeer([closing, echo])
+    transport = HttpTransport({"p": peer.port})
+    try:
+        assert transport.request("p", message) == message
+        assert transport.connections["p"].sock is None
+        assert transport.request("p", message) == message
+        assert peer.accepted == 2
+    finally:
+        transport.close()
+        peer.close()
+
+
 def test_a_reply_that_is_not_an_envelope_is_no_reply():
     message = ChannelMessage.from_wire(PROPOSE)
     peer = ScriptedPeer([lambda body: echo(body[:-1])])
