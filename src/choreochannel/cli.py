@@ -62,13 +62,7 @@ def cmd_run_scenario(args) -> int:
     outcome = run_scenario(spec)
     payload = {
         "type": "scenario",
-        "spec": {
-            "case": spec.case,
-            "variant": spec.variant,
-            "kind": spec.kind.value,
-            "seed": spec.seed,
-            "window": DISPUTE_WINDOW,
-        },
+        "spec": {**spec._asdict(), "kind": spec.kind.value, "window": DISPUTE_WINDOW},
         "end_reached": outcome.end_reached,
         "stable": outcome.stable,
         "on_chain_tasks": outcome.on_chain_tasks,

@@ -361,9 +361,11 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
         off_chain = min(2, len(trace.events))
         if off_chain < 2:
             raise ScenarioError("worst case needs at least two events to have stale state")
-        _enact_events(setup, trace.events[:off_chain])
         adversary = setup.nodes[rng.choice(machine.role_ids)]
-        stale = adversary.archive.by_seq(1)
+        # The adversary keeps step 1 while it is current; nodes hold only the latest.
+        _enact_events(setup, trace.events[:1])
+        stale = adversary.archive.latest()
+        _enact_events(setup, trace.events[1:off_chain])
         result = setup.ledger.submit_state(setup.contract_id, stale, adversary.address)
         if not isinstance(result, Accepted):
             raise ScenarioError(f"stale submission rejected outright: {result}")

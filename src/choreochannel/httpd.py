@@ -307,10 +307,13 @@ class NodeServer:
     def stop(self) -> None:
         """Stop serving, end this node's idle handler threads, and close its
         connections to its peers, whose handler threads go back to idle. A
-        handler thread still busy here ends when its connection closes."""
+        handler thread still busy here ends when its connection closes. Only
+        an `HttpTransport` is closed: an in-process network is not this
+        server's to close."""
         self.httpd.shutdown()
         self.httpd.server_close()
-        self.node.transport.close()
+        if isinstance(self.node.transport, HttpTransport):
+            self.node.transport.close()
 
     def respond(self, method: bytes, path: bytes,
                 body: bytes) -> tuple[int, bytes | None, bytes]:

@@ -87,14 +87,6 @@ class CostRecord(NamedTuple):
     sig_count: int
     words_written: int
 
-    def to_wire(self) -> dict:
-        return {
-            "cost_units": self.cost_units,
-            "payload_bytes": self.payload_bytes,
-            "sig_count": self.sig_count,
-            "words_written": self.words_written,
-        }
-
 
 class TxRecord(NamedTuple):
     index: int  # shadows tuple.index, which nothing calls on this record
@@ -111,17 +103,11 @@ class TxRecord(NamedTuple):
 
     def to_wire(self) -> dict:
         return {
-            "index": self.index,
-            "height": self.height,
+            **self._asdict(),
             "kind": self.kind.value,
             "contract_id": self.contract_id.hex(),
             "sender": self.sender.hex(),
-            "accepted": self.accepted,
-            "reason": self.reason,
-            "case_id": self.case_id,
-            "contract_seq": self.contract_seq,
-            "payload_seq": self.payload_seq,
-            "cost": {"tx_kind": self.kind.value, **self.cost.to_wire()},
+            "cost": {"tx_kind": self.kind.value, **self.cost._asdict()},
         }
 
 
@@ -224,24 +210,12 @@ class Ledger:
 
     # -- transaction log --------------------------------------------------
 
-    def _record(self, kind: TxKind, contract_id: bytes, sender: bytes, accepted: bool,
-                reason: str | None, case_id: int, contract_seq: int,
-                payload_seq: int | None, cost: CostRecord) -> None:
-        self.log.append(
-            TxRecord(
-                index=len(self.log),
-                height=self.height,
-                kind=kind,
-                contract_id=contract_id,
-                sender=sender,
-                accepted=accepted,
-                reason=reason,
-                case_id=case_id,
-                contract_seq=contract_seq,
-                payload_seq=payload_seq,
-                cost=cost,
-            )
-        )
+    def _record(self, kind: TxKind, contract: ChannelContract, sender: bytes,
+                payload_seq: int | None, cost: CostRecord, reason: str | None = None) -> None:
+        """Log a transaction against `contract` as it stands; accepted iff no reason."""
+        self.log.append(TxRecord(len(self.log), self.height, kind, contract.contract_id, sender,
+                                 reason is None, reason, contract.case_id, contract.seq,
+                                 payload_seq, cost))
 
     def export_log(self) -> str:
         """Line-delimited canonical JSON of every transaction, oldest first."""
@@ -279,7 +253,7 @@ class Ledger:
         ).encode()
         salt = f"|{self.height}|{len(self.log)}".encode()
         contract_id = hashlib.sha256(payload + salt).digest()
-        self.contracts[contract_id] = ChannelContract(
+        contract = self.contracts[contract_id] = ChannelContract(
             contract_id=contract_id,
             machine=machine,
             role_binding=dict(role_binding),
@@ -289,8 +263,8 @@ class Ledger:
             phase=Phase.ON_CHAIN if baseline else Phase.CHANNEL_OPEN,
             baseline=baseline,
         )
-        cost = _deploy_cost(machine, channel=not baseline)
-        self._record(TxKind.DEPLOY, contract_id, sender, True, None, 0, 0, None, cost)
+        self._record(TxKind.DEPLOY, contract, sender, None,
+                     _deploy_cost(machine, channel=not baseline))
         return contract_id
 
     def _role_keys(self, machine: ProcessStateMachine,
@@ -327,8 +301,7 @@ class Ledger:
     def _reject(self, kind: TxKind, contract: ChannelContract, sender: bytes,
                 payload_seq: int | None, cost: CostRecord, reason: str) -> Rejected:
         """Charge and log a refused transaction; the contract is left as it was."""
-        self._record(kind, contract.contract_id, sender, False, reason,
-                     contract.case_id, contract.seq, payload_seq, cost)
+        self._record(kind, contract, sender, payload_seq, cost, reason)
         return Rejected(reason)
 
     def _check_signed(self, contract: ChannelContract, signed: SignedStep,
@@ -369,8 +342,7 @@ class Ledger:
         if contract.phase is Phase.CHANNEL_OPEN:
             contract.phase = Phase.DISPUTE
             contract.dispute_deadline = self.height + contract.dispute_window
-        self._record(TxKind.SUBMIT_STATE, contract_id, sender, True, None,
-                     contract.case_id, contract.seq, signed.payload.seq, cost)
+        self._record(TxKind.SUBMIT_STATE, contract, sender, signed.payload.seq, cost)
         return Accepted(contract.seq, contract.phase, contract.current_state)
 
     def advance_blocks(self, n: int) -> None:
@@ -407,8 +379,7 @@ class Ledger:
 
         contract.current_state = new_state
         contract.seq += 1
-        self._record(TxKind.ON_CHAIN_TASK, contract_id, sender, True, None,
-                     contract.case_id, contract.seq, None, cost)
+        self._record(TxKind.ON_CHAIN_TASK, contract, sender, None, cost)
         if is_end_state(contract.machine, new_state):
             self._finalize_case(contract)
         return Accepted(contract.seq, contract.phase, new_state)
@@ -426,8 +397,8 @@ class Ledger:
         if reason is not None:
             return self._reject(TxKind.CLOSE, contract, sender, final.payload.seq, cost, reason)
 
-        self._record(TxKind.CLOSE, contract_id, sender, True, None,
-                     contract.case_id, final.payload.seq, final.payload.seq, cost)
+        contract.seq = final.payload.seq  # the final step is logged as installed
+        self._record(TxKind.CLOSE, contract, sender, final.payload.seq, cost)
         self._finalize_case(contract)
         return Accepted(0, contract.phase, contract.current_state)
 

@@ -6,7 +6,9 @@ deliver one message at a time). A message is a kind plus a `SignedStep`; a
 Propose or Sign names its sender by its one signature. Nodes never install a
 state without holding the full signature set, and they archive every Sign
 they return and every Confirm they send or install, as the envelope itself,
-before any Sign or Confirm leaves the node.
+before any Sign or Confirm leaves the node. The archive file keeps every
+envelope; memory keeps only the latest complete step, the one piece of
+evidence a dispute, counter or close submits.
 
 A node verifies a signature before it signs or disputes on the strength of
 it, and only then: a refused proposal after which the node sends nothing is
@@ -64,39 +66,31 @@ class ArchiveStore:
     line is a Confirm it sent or installed. Every line is flushed before the
     node sends the message that depends on it.
 
-    The file holds every envelope of every case. Memory holds the complete
-    steps of the node's current case in seq order, the only ones a dispute,
-    counter or close can still use: `start_case` drops them when the node
-    moves on. A node appends only the step at its seq + 1, so the last step
-    held is the highest.
+    The file holds every envelope of every case. Memory holds one step: the
+    latest complete step of the node's current case, the only one a dispute,
+    counter or close submits. `start_case` drops it when the node moves on.
     """
 
     def __init__(self, path: str | None):
-        self._steps: list[SignedStep] = []
+        self._latest: SignedStep | None = None
         self._path = path
 
-    def _write(self, message: ChannelMessage) -> None:
+    def write(self, message: ChannelMessage) -> None:
         # The envelope is encoded only when there is a file to write it to.
         if self._path is not None:
             with open(self._path, "a", encoding="ascii") as fh:
                 fh.write(message.to_wire().hex() + "\n")
 
     def start_case(self) -> None:
-        """Forget the steps held for the previous case."""
-        self._steps = []
+        """Forget the step held for the previous case."""
+        self._latest = None
 
     def append_step(self, confirm: ChannelMessage) -> None:
-        self._write(confirm)
-        self._steps.append(confirm.signed)
+        self.write(confirm)
+        self._latest = confirm.signed
 
     def latest(self) -> SignedStep | None:
-        return self._steps[-1] if self._steps else None
-
-    def by_seq(self, seq: int) -> SignedStep | None:
-        for s in self._steps:
-            if s.payload.seq == seq:
-                return s
-        return None
+        return self._latest
 
 
 class TriggerNode:
@@ -198,9 +192,7 @@ class TriggerNode:
         if all_signed:
             confirm = ChannelMessage(MessageKind.CONFIRM, SignedStep(payload, signatures))
             # Durability before Confirm: the evidence must outlive the send.
-            self.archive.append_step(confirm)
-            self.state = self.machine.state_from_bytes(payload.new_state)
-            self.seq = payload.seq
+            self._install(confirm)
             for peer in self._peers():
                 self.transport.request(peer, confirm)
             return EnactResult("confirmed", new_state=self.state)
@@ -283,7 +275,7 @@ class TriggerNode:
         mine = sign_step(payload, self.signing_key)
         reply = ChannelMessage(MessageKind.SIGN, SignedStep(payload, {self.role: mine}))
         # Evidence first, then the signature leaves the node.
-        self.archive._write(reply)
+        self.archive.write(reply)
         self.signed = SignedStep(payload, {proposer: sig, self.role: mine})
         return reply
 
@@ -318,16 +310,21 @@ class TriggerNode:
             self._note(f"confirm for seq {payload.seq} refused: {fault}")
             self.raise_dispute()
             return False
-        self.archive.append_step(msg)
+        self._install(msg)
+        return True
+
+    def _install(self, confirm: ChannelMessage) -> None:
+        """Archive a complete step, then take its state and seq."""
+        self.archive.append_step(confirm)
+        payload = confirm.signed.payload
         self.state = self.machine.state_from_bytes(payload.new_state)
         self.seq = payload.seq
-        return True
 
     # -- chain duties ---------------------------------------------------------
 
     def raise_dispute(
             self, proposal: tuple[StepPayload, bytes, Ed25519PublicKey] | None = None) -> bool:
-        """Submit the highest archived complete step as dispute evidence;
+        """Submit the latest archived complete step as dispute evidence;
         True iff the ledger accepted it.
 
         Nothing is sent without an archived complete step, or whenever the

@@ -12,7 +12,7 @@ import pytest
 
 from choreochannel.cases import build_machine, load_variants
 from choreochannel.harness import build_network
-from choreochannel.httpd import HttpTransport, NodeServer, serve_network
+from choreochannel.httpd import NodeServer, serve_network
 from choreochannel.wire import ChannelMessage, MessageKind
 from util import (CONFIRM, PROPOSE, assert_handler_threads_end, envelope, handler_threads,
                   step_bytes)
@@ -313,7 +313,6 @@ def test_a_burst_of_connects_waits_in_the_listen_backlog():
     gets its /status answer."""
     setup = build_network(build_machine("incident_management"), key_salt="http-tests")
     node = next(iter(setup.nodes.values()))
-    node.transport = HttpTransport({})
     server = NodeServer(node)
     with contextlib.ExitStack() as stack:
         stack.callback(server.stop)
@@ -331,6 +330,63 @@ def test_a_burst_of_connects_waits_in_the_listen_backlog():
             resp.begin()
             assert resp.status == 200
             assert json.loads(resp.read())["role"] == node.role
+
+
+def test_stopping_a_server_leaves_the_in_process_network_open():
+    """A node of an in-process channel can be served and stopped: the
+    network it sends through is not the server's to close, and still
+    carries the channel's steps afterwards."""
+    setup = build_network(build_machine("incident_management"), key_salt="http-tests")
+    node = next(iter(setup.nodes.values()))
+    server = NodeServer(node)
+    server.start()
+    assert request(server, "GET", "/status")[0] == 200
+    server.stop()
+    assert node.transport is setup.network
+    req = load_variants("incident_management")[0][0]
+    assert setup.nodes[req.requester_role].enact(req).confirmed
+    assert setup.network.stable()
+
+
+def test_a_handler_error_leaves_its_connection_unanswered_and_the_thread_serves_on(capsys):
+    """A handler exception other than a departed client, here a node whose
+    status() raises once, is reported, and its connection is closed with no
+    reply. The thread goes back to idle, serves the next connection, and
+    ends when the server stops."""
+    setup = build_network(build_machine("incident_management"), key_salt="http-tests")
+    servers = serve_network(setup.nodes)
+    server = next(iter(servers.values()))
+    node = server.node
+
+    def status_fails_once():
+        del node.status  # the next call reaches TriggerNode.status again
+        raise RuntimeError("status failed")
+
+    node.status = status_fails_once
+    served = []
+    finish_request = server.httpd.finish_request
+
+    def noting_thread(request, client_address):
+        served.append(threading.current_thread())
+        finish_request(request, client_address)
+
+    server.httpd.finish_request = noting_thread
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(b"GET /status HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n")
+            assert sock.recv(1) == b""
+        deadline = time.monotonic() + 10
+        while not server.httpd.idle:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert request(server, "GET", "/status") == (200, node.status())
+        assert served == [served[0]] * 2
+    finally:
+        for s in servers.values():
+            s.stop()
+    served[0].join(10)
+    assert not served[0].is_alive()
+    assert "RuntimeError: status failed" in capsys.readouterr().err
 
 
 def test_concurrent_clients_share_a_bounded_set_of_threads(http_network):

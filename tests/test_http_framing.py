@@ -398,6 +398,24 @@ def test_a_reply_that_says_connection_close_closes_and_the_next_request_reconnec
         peer.close()
 
 
+def test_a_fresh_connection_dropped_before_its_reply_is_not_retried():
+    """Only a reused connection is retried: a new one that the peer closes
+    unanswered is no reply, from one connect, and no connection is kept."""
+    message = ChannelMessage.from_wire(PROPOSE)
+    peer = ScriptedPeer([b"", echo])
+    transport = HttpTransport({"p": peer.port})
+    try:
+        assert transport.request("p", message) is None
+        assert transport.connections["p"].sock is None
+        assert peer.accepted == 1
+        # A retry would have been answered by the echo; it is still unused.
+        assert transport.request("p", message) == message
+        assert peer.accepted == 2
+    finally:
+        transport.close()
+        peer.close()
+
+
 def test_a_reply_that_is_not_an_envelope_is_no_reply():
     message = ChannelMessage.from_wire(PROPOSE)
     peer = ScriptedPeer([lambda body: echo(body[:-1])])

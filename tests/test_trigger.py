@@ -283,11 +283,13 @@ def test_confirm_for_unknown_step_ignored(machine, variant):
 
 def test_watch_chain_counters_stale_state(machine, variant):
     setup = fresh(machine)
-    for req in variant[:4]:
-        assert setup.nodes[req.requester_role].enact(req).confirmed
     adversary = setup.nodes["middleman"]
-    result = setup.ledger.submit_state(setup.contract_id, adversary.archive.by_seq(2),
-                                       adversary.address)
+    for req in variant[:2]:
+        assert setup.nodes[req.requester_role].enact(req).confirmed
+    stale = adversary.archive.latest()  # step 2, taken while it is current
+    for req in variant[2:4]:
+        assert setup.nodes[req.requester_role].enact(req).confirmed
+    result = setup.ledger.submit_state(setup.contract_id, stale, adversary.address)
     assert isinstance(result, Accepted)
     assert setup.ledger.get_contract(setup.contract_id).seq == 2
     setup.network.poll_all(exclude={"middleman"})
@@ -354,10 +356,12 @@ def test_close_vs_stale_submission_race(machine, variant):
     """Ledger order decides: a stale submission lands first, close is refused,
     and the nodes converge through the dispute path instead."""
     setup = fresh(machine)
-    for req in variant:
-        assert setup.nodes[req.requester_role].enact(req).confirmed
     adversary = setup.nodes["supplier"]
-    stale = adversary.archive.by_seq(3)
+    for req in variant[:3]:
+        assert setup.nodes[req.requester_role].enact(req).confirmed
+    stale = adversary.archive.latest()  # step 3, taken while it is current
+    for req in variant[3:]:
+        assert setup.nodes[req.requester_role].enact(req).confirmed
     assert isinstance(setup.ledger.submit_state(setup.contract_id, stale, adversary.address),
                       Accepted)
     closer = setup.nodes[variant[-1].requester_role]
@@ -378,11 +382,14 @@ def test_close_after_a_stale_dispute_expired_is_rejected(machine, variant):
     counter was accepted. Once a stale dispute's window has expired, the
     contract is on-chain and nothing can be countered."""
     setup = fresh(machine)
-    for req in variant:
-        assert setup.nodes[req.requester_role].enact(req).confirmed
     adversary = setup.nodes["supplier"]
-    assert isinstance(setup.ledger.submit_state(setup.contract_id, adversary.archive.by_seq(3),
-                                                adversary.address), Accepted)
+    for req in variant[:3]:
+        assert setup.nodes[req.requester_role].enact(req).confirmed
+    stale = adversary.archive.latest()  # step 3, taken while it is current
+    for req in variant[3:]:
+        assert setup.nodes[req.requester_role].enact(req).confirmed
+    assert isinstance(setup.ledger.submit_state(setup.contract_id, stale, adversary.address),
+                      Accepted)
     setup.ledger.advance_blocks(10)
     closer = setup.nodes[variant[-1].requester_role]
     txs_before = len(setup.ledger.log)
@@ -684,7 +691,7 @@ def test_every_archive_line_decodes_as_a_signed_step(machine, variant, tmp_path)
         assert setup.nodes[req.requester_role].enact(req).confirmed
     role_keys = setup.ledger.contracts[setup.contract_id].role_keys
     for role, node in setup.nodes.items():
-        kinds = []
+        kinds, confirms = [], []
         for message in _archive(tmp_path, role):
             signed = message.signed
             kinds.append(message.kind)
@@ -696,32 +703,29 @@ def test_every_archive_line_decodes_as_a_signed_step(machine, variant, tmp_path)
                 assert signed.signatures.keys() == role_keys.keys()
                 assert all(verify_step(signed.payload, signed.signatures[r], k)
                            for r, k in role_keys.items())
-                assert signed == node.archive.by_seq(signed.payload.seq)
-        assert kinds.count(MessageKind.CONFIRM) == len(variant)
+                confirms.append(signed)
+        assert len(confirms) == len(variant)
+        assert confirms[-1] == node.archive.latest()
         assert kinds.count(MessageKind.SIGN) == sum(1 for r in variant if r.requester_role != role)
 
 
-def _assert_steps_held_in_seq_order(setup, count):
-    """Every node holds the steps 1..count in order; `latest()` relies on it."""
-    for node in setup.nodes.values():
-        steps = node.archive._steps
-        assert [s.payload.seq for s in steps] == list(range(1, count + 1))
-        assert node.archive.latest() is steps[-1]
+def _assert_latest_step_held(setup, seq):
+    """Every node holds the same complete step, at `seq`."""
+    first, *rest = (node.archive.latest() for node in setup.nodes.values())
+    assert first.payload.seq == seq and all(step == first for step in rest)
 
 
 def test_a_reset_drops_the_old_case_from_memory_but_not_from_the_file(machine, variant, tmp_path):
     setup = fresh(machine, archive_dir=str(tmp_path))
     for req in variant:
         assert setup.nodes[req.requester_role].enact(req).confirmed
-    _assert_steps_held_in_seq_order(setup, len(variant))
+    _assert_latest_step_held(setup, len(variant))
     closer = setup.nodes[variant[-1].requester_role]
-    assert closer.archive.latest().payload.seq == len(variant)
     assert closer.close().confirmed
     setup.network.poll_all()
     for role, node in setup.nodes.items():
         assert node.case_id == 1
         assert node.archive.latest() is None
-        assert node.archive.by_seq(1) is None
         steps = [m.signed.payload for m in _archive(tmp_path, role)
                  if m.kind is MessageKind.CONFIRM]
         assert [(p.case_id, p.seq) for p in steps] == [(0, seq) for seq in range(1, len(variant) + 1)]
@@ -734,21 +738,23 @@ def test_a_reset_drops_the_old_case_from_memory_but_not_from_the_file(machine, v
     for req in variant[half:]:
         assert setup.nodes[req.requester_role].enact(req).confirmed
     assert setup.ledger.get_contract(setup.contract_id).phase is Phase.DISPUTE
-    _assert_steps_held_in_seq_order(setup, len(variant))
+    _assert_latest_step_held(setup, len(variant))
 
 
 def test_archive_memory_is_bounded_across_closed_cases(incident_machine, incident_variants):
-    """50 cases on one channel: no node ever holds more than one case's steps."""
+    """50 cases on one channel: each node holds its case's latest step, and
+    none once the case has closed."""
     setup = fresh(incident_machine)
     events = incident_variants[0].events
     closer = setup.nodes[events[-1].requester_role]
     for case_id in range(50):
         for req in events:
             assert setup.nodes[req.requester_role].enact(req).confirmed
-        assert all(len(n.archive._steps) == len(events) for n in setup.nodes.values())
+        _assert_latest_step_held(setup, len(events))
         assert closer.close().confirmed
         setup.network.poll_all()
-        assert all(n.case_id == case_id + 1 and not n.archive._steps for n in setup.nodes.values())
+        assert all(n.case_id == case_id + 1 and n.archive.latest() is None
+                   for n in setup.nodes.values())
 
 
 def test_raise_dispute_after_the_case_closed_sends_nothing(machine, variant):
